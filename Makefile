@@ -23,13 +23,16 @@ FUZZ_TARGETS = \
 	internal/bgp:FuzzReadSnapshot \
 	internal/bgp:FuzzReadTable \
 	internal/dnswire:FuzzDecode \
-	internal/sketch:FuzzSketchMerge
+	internal/sketch:FuzzSketchMerge \
+	internal/shard:FuzzDecodeBatchFrame \
+	internal/shard:FuzzParseAddrList \
+	internal/shard:FuzzDecodeDelta
 FUZZTIME ?= 20s
 
 # Advisory statement-coverage floor for the cover target.
 COVER_MIN ?= 70
 
-.PHONY: all build test test-short race vet fmt fmt-check chaos chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-json bench-gate bench-smoke snapshot-smoke trace-smoke fuzz-smoke cover check clean
+.PHONY: all build test test-short race vet fmt fmt-check chaos chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-json bench-gate bench-smoke bench-build snapshot-smoke trace-smoke fuzz-smoke cover check clean
 
 all: build
 
@@ -121,6 +124,14 @@ bench-gate:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchtime 10x . > /dev/null
 
+# benchmark/ is its own module (replace'd onto this one) and outside
+# `go test ./...`, so a change here that breaks its imports or its oracle
+# would first show as a failed benchmark run. Vet it and run its unit
+# tests against the working tree instead; nothing is measured.
+bench-build:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
 # The firehose acceptance lane: the sketch property tests and the
 # differential soak (bounded accumulator vs exact counts over the four
 # paper profiles plus an adversarial Zipf stream) under -race, then the
@@ -188,7 +199,7 @@ trace-smoke:
 	./bin/experiments -scale 0.02 -trace-out bin/trace.json perf
 	./bin/tracecheck bin/trace.json
 
-check: vet fmt-check race chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-smoke
+check: vet fmt-check race chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-smoke bench-build
 
 clean:
 	$(GO) clean ./...

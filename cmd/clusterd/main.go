@@ -10,7 +10,10 @@
 // Endpoints:
 //
 //	GET  /lookup?addr=12.65.147.94   one address → cluster prefix JSON
-//	POST /cluster                    newline-separated addresses → JSON
+//	POST /cluster                    newline-separated addresses → JSON;
+//	                                 a clusterrouter posts the columnar
+//	                                 batch frame instead and gets one
+//	                                 back (internal/shard frame.go)
 //	GET  /busy?k=20                  current top-K busy clusters, from
 //	                                 the bounded accumulator every batch
 //	                                 feeds (-busy-k, -sketch-epsilon)
@@ -80,17 +83,14 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -142,88 +142,50 @@ func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	gen := s.table.Generation()
 	m, _ := s.table.Load().Lookup(addr)
-	res := shard.ResolveMatch(addr, m, gen)
 	lookupNS.Observe(time.Since(start).Nanoseconds())
 	lookupCount.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res)
+	shard.WriteLookup(w, addr, m, gen)
 }
 
-// handleBatch clusters a newline-separated address list in one pass. One
-// table generation is pinned for the whole batch, so a swap mid-batch
-// cannot produce a mixed-generation answer set; likewise one config
-// generation is pinned, so a limits reload cannot change the rules on a
-// request it already admitted.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// The span context arrives on the X-Netcluster-Trace header when a
-	// clusterrouter fanned this batch out; extracting it makes this
-	// node's spans part of the router's trace.
-	ctx, span := obsv.StartTraceSpan(obsv.HTTPExtract(r.Context(), r.Header), "clusterd.batch")
-	defer span.End()
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST an address list", http.StatusMethodNotAllowed)
-		return
+// batchHandler mounts the shared batch-serving core (shard.BatchHandler,
+// the pipeline a NodeServer runs too) with this process's policy around
+// it: the admission semaphore, the limits of one pinned config
+// generation — a reload cannot change the rules on a request it already
+// admitted — and the busy-cluster accumulator every resolved batch
+// folds into (one lock per batch, fixed memory regardless of how many
+// distinct clusters the firehose touches).
+func (s *server) batchHandler() *shard.BatchHandler {
+	return &shard.BatchHandler{
+		Table:     s.table,
+		BatchSpan: "clusterd.batch",
+		TableSpan: "clusterd.batch.lookup",
+		Batches:   batchCount,
+		Addrs:     batchAddrs,
+		Limits: func() shard.Limits {
+			tun := s.tun.Load()
+			return shard.Limits{MaxBatch: tun.MaxBatch, MaxBody: tun.MaxBodyBytes}
+		},
+		Admission: admission{s.sem},
+		Observe:   s.busy.observeMatches,
 	}
-	tun := s.tun.Load()
-	if !s.sem.TryAcquire() {
+}
+
+// admission is the /cluster admission gate: the dynamic semaphore plus
+// the rejection and in-flight accounting around it.
+type admission struct{ sem *dynamicSemaphore }
+
+func (a admission) TryAcquire() bool {
+	if !a.sem.TryAcquire() {
 		batchRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "batch capacity exhausted, retry later", http.StatusServiceUnavailable)
-		return
+		return false
 	}
 	inflightGauge.Add(1)
-	defer func() { s.sem.Release(); inflightGauge.Add(-1) }()
-	batchCount.Inc()
+	return true
+}
 
-	// Pin one generation for the whole batch.
-	table := s.table.Load()
-	gen := s.table.Generation()
-
-	// Parse the whole list first, then resolve it with one batched walk
-	// against the pinned table — every answer from the same generation,
-	// amortized lookup cost (bgp.Compiled.LookupBatch).
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, tun.MaxBodyBytes))
-	addrs := make([]netutil.Addr, 0, 256)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if len(addrs) >= tun.MaxBatch {
-			http.Error(w, fmt.Sprintf("batch exceeds %d addresses", tun.MaxBatch), http.StatusRequestEntityTooLarge)
-			return
-		}
-		addr, err := netutil.ParseAddr(line)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("line %d: bad addr %q", len(addrs)+1, line), http.StatusBadRequest)
-			return
-		}
-		addrs = append(addrs, addr)
-	}
-	if err := sc.Err(); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	span.SetAttrInt("addrs", int64(len(addrs)))
-	_, lspan := obsv.StartTraceSpan(ctx, "clusterd.batch.lookup")
-	matches := table.LookupBatch(addrs, nil)
-	lspan.End()
-	// Fold the resolved batch into the busy-cluster accumulator: one
-	// lock per batch, fixed memory regardless of how many distinct
-	// clusters the firehose touches.
-	s.busy.observeMatches(matches)
-	resp := shard.BatchResponse{Generation: gen, Results: make([]shard.LookupResult, len(addrs))}
-	for i, addr := range addrs {
-		resp.Results[i] = shard.ResolveMatch(addr, matches[i], gen)
-	}
-	batchAddrs.Add(uint64(len(resp.Results)))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+func (a admission) Release() {
+	a.sem.Release()
+	inflightGauge.Add(-1)
 }
 
 // handleHealthz is liveness: the process is up and the table is
@@ -593,7 +555,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lookup", s.handleLookup)
-	mux.HandleFunc("/cluster", s.handleBatch)
+	mux.Handle("/cluster", s.batchHandler())
 	mux.HandleFunc("/busy", s.busy.handleBusy)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)

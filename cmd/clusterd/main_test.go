@@ -1,0 +1,131 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"github.com/netaware/netcluster/internal/bgp"
+	"github.com/netaware/netcluster/internal/churn"
+	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/shard"
+)
+
+// testServer is a clusterd serving state over one 10.0.0.0/8 prefix,
+// with the limits small enough to hit.
+func testServer(t *testing.T) *server {
+	t.Helper()
+	mg := bgp.NewMerged()
+	mg.Add(&bgp.Snapshot{Name: "AADS", Kind: bgp.SourceBGP, Entries: []bgp.Entry{
+		{Prefix: netutil.MustParsePrefix("10.0.0.0/8")},
+	}})
+	tun := tunables{MaxInflight: 1, MaxBatch: 3, MaxBodyBytes: 64, BusyK: 4, SketchEpsilon: 1e-3, SketchDelta: 0.01, SketchSpill: "sketch"}
+	busy, err := newBusyTracker(tun.boundedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{table: churn.New(mg), sem: newDynamicSemaphore(tun.MaxInflight), busy: busy}
+	s.tun.Store(&tun)
+	return s
+}
+
+func post(t *testing.T, h http.Handler, contentType string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/cluster", bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestBatchHandlerMount drives clusterd's mount of the shared batch core:
+// both request forms answered from one pinned generation, this process's
+// limits, admission and busy accounting applied around it.
+func TestBatchHandlerMount(t *testing.T) {
+	s := testServer(t)
+	h := s.batchHandler()
+	batches, addrs, rejected := batchCount.Value(), batchAddrs.Value(), batchRejected.Value()
+
+	rec := post(t, h, "text/plain", []byte("10.1.2.3\n\n11.1.2.3\n"))
+	var br shard.BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("text batch: %d %v %s", rec.Code, err, rec.Body)
+	}
+	want := []shard.LookupResult{
+		{Addr: "10.1.2.3", Clustered: true, Prefix: "10.0.0.0/8", Kind: bgp.SourceBGP.String()},
+		{Addr: "11.1.2.3"},
+	}
+	if len(br.Results) != 2 || br.Results[0] != want[0] || br.Results[1] != want[1] {
+		t.Fatalf("text batch answered %+v, want %+v", br.Results, want)
+	}
+
+	probe := []netutil.Addr{netutil.MustParseAddr("11.1.2.3"), netutil.MustParseAddr("10.1.2.3")}
+	rec = post(t, h, shard.FrameContentType, shard.AppendRequestFrame(nil, probe))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != shard.FrameContentType {
+		t.Fatalf("frame batch: %d %q %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+	matches, gen, err := shard.DecodeResponseFrame(rec.Body.Bytes(), len(probe), nil)
+	if err != nil || gen != 0 || !matches[0].Prefix.IsZero() || matches[1].Prefix != netutil.MustParsePrefix("10.0.0.0/8") {
+		t.Fatalf("frame batch answered %+v gen %d: %v", matches, gen, err)
+	}
+
+	// Every resolved address reached the busy accumulator.
+	s.busy.mu.Lock()
+	observed, unclustered := s.busy.acc.Requests(), s.busy.acc.Unclustered()
+	s.busy.mu.Unlock()
+	if observed != 4 || unclustered != 2 {
+		t.Fatalf("busy tracker saw %d requests, %d unclustered, want 4 and 2", observed, unclustered)
+	}
+
+	// The limits are this process's tunables, and both refuse with 413.
+	if rec = post(t, h, "text/plain", []byte("1.1.1.1\n2.2.2.2\n3.3.3.3\n4.4.4.4\n")); rec.Code != http.StatusRequestEntityTooLarge ||
+		rec.Body.String() != "batch exceeds 3 addresses\n" {
+		t.Fatalf("4 addresses at max-batch 3: %d %q", rec.Code, rec.Body)
+	}
+	if rec = post(t, h, "text/plain", []byte(strings.Repeat("\n", 65))); rec.Code != http.StatusRequestEntityTooLarge ||
+		rec.Body.String() != "body exceeds 64 bytes\n" {
+		t.Fatalf("65 bytes at max-body 64: %d %q", rec.Code, rec.Body)
+	}
+
+	// Admission: with the one slot held by a request still sending its
+	// body, the next is refused with Retry-After, not queued.
+	slow, feed := io.Pipe()
+	held := make(chan *httptest.ResponseRecorder)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster", slow))
+		held <- rec
+	}()
+	feed.Write([]byte("10.0.0.1\n")) // returns once the handler is reading: the slot is taken
+	if rec = post(t, h, "text/plain", []byte("10.0.0.2\n")); rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("batch beside a held slot: %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	feed.Close()
+	if rec = <-held; rec.Code != http.StatusOK {
+		t.Fatalf("held batch: %d %s", rec.Code, rec.Body)
+	}
+	if rec = post(t, h, "text/plain", []byte("10.0.0.3\n")); rec.Code != http.StatusOK {
+		t.Fatalf("batch after the slot freed: %d %s", rec.Code, rec.Body)
+	}
+
+	// clusterd.batches counts admitted requests (2 answered, 2 refused
+	// for size, the held one, the last), clusterd.batch.addrs answered
+	// addresses, clusterd.batch.rejected the 503.
+	if b, a, r := batchCount.Value()-batches, batchAddrs.Value()-addrs, batchRejected.Value()-rejected; b != 6 || a != 6 || r != 1 {
+		t.Fatalf("counters moved by batches=%d addrs=%d rejected=%d, want 6, 6, 1", b, a, r)
+	}
+}
+
+func TestLookupAnswer(t *testing.T) {
+	s := testServer(t)
+	rec := httptest.NewRecorder()
+	s.handleLookup(rec, httptest.NewRequest(http.MethodGet, "/lookup?addr=10.9.8.7", nil))
+	want := `{"addr":"10.9.8.7","clustered":true,"prefix":"10.0.0.0/8","kind":"BGP routing table","generation":0}` + "\n"
+	if rec.Code != http.StatusOK || rec.Body.String() != want || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("GET /lookup = %d %q %q", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+}

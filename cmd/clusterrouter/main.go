@@ -3,7 +3,9 @@
 // shard nodes, and merges the answers back into input order. One router
 // plus N shard clusterds (each running with -feed and -shard-index)
 // serves the same wire format as a single clusterd, so clients migrate
-// by repointing a URL.
+// by repointing a URL. The router itself talks to the shard nodes in the
+// columnar batch frame (internal/shard frame.go), which every clusterd
+// serves on the same endpoint.
 //
 //	clusterrouter -addr 127.0.0.1:8350 \
 //	    -shards http://127.0.0.1:8361,http://127.0.0.1:8362,http://127.0.0.1:8363

@@ -66,6 +66,14 @@ func (p Prefix) String() string {
 	return p.addr.String() + "/" + strconv.Itoa(int(p.bits))
 }
 
+// Append appends the CIDR form of p to b and returns the extended slice,
+// for zero-allocation serialization on hot paths (batch responses).
+func (p Prefix) Append(b []byte) []byte {
+	b = p.addr.Append(b)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(p.bits), 10)
+}
+
 // MarshalText renders p in CIDR notation, so Prefix values survive JSON
 // (both as struct fields and as map keys) and other text codecs. Without
 // it the unexported fields would marshal as an empty object.

@@ -3,6 +3,7 @@ package netutil
 import (
 	"encoding/json"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -341,5 +342,19 @@ func TestPrefixTextRoundTrip(t *testing.T) {
 	}
 	if err := q.UnmarshalText([]byte("not-a-prefix")); err == nil {
 		t.Fatal("garbage must not parse")
+	}
+}
+
+func TestPrefixAppendMatchesString(t *testing.T) {
+	buf := []byte("x=")
+	for bits := 0; bits <= 32; bits++ {
+		p := PrefixFrom(MustParseAddr("255.255.255.255"), bits)
+		got := p.Append(buf[:2])
+		if want := "x=" + p.Addr().String() + "/" + strconv.Itoa(bits); string(got) != want || p.String() != want[2:] {
+			t.Fatalf("/%d: Append %q, String %q, want %q", bits, got, p.String(), want)
+		}
+		if q, err := ParsePrefix(string(got[2:])); err != nil || q != p {
+			t.Fatalf("/%d: %q does not parse back: %v %v", bits, got[2:], q, err)
+		}
 	}
 }

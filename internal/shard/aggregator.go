@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -162,7 +163,7 @@ func (a *Aggregator) pull(ctx context.Context, base string) (obsv.Snapshot, erro
 		return obsv.Snapshot{}, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	var snap obsv.Snapshot
-	if err := decodeJSONBody(resp.Body, &snap); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return obsv.Snapshot{}, err
 	}
 	return snap, nil

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -175,7 +176,7 @@ func (f *Follower) Step(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("feed deltas: %s", resp.Status)
 	}
 	var dr DeltaResponse
-	if err := decodeJSONBody(resp.Body, &dr); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
 		followerErrors.Inc()
 		return 0, fmt.Errorf("feed deltas: %w", err)
 	}
@@ -234,7 +235,7 @@ func (f *Follower) Lag(ctx context.Context) (uint64, error) {
 	var st struct {
 		Head uint64 `json:"head"`
 	}
-	if err := decodeJSONBody(resp.Body, &st); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return 0, fmt.Errorf("feed status: %w", err)
 	}
 	var lag uint64

@@ -1,14 +1,10 @@
 package shard
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
+	"strconv"
 
-	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/obsv"
 )
@@ -18,13 +14,9 @@ var (
 	nodeAddrs   = obsv.C("shard.node.addrs")
 )
 
-// DefaultMaxBatch caps addresses per /cluster batch on a shard node,
-// matching clusterd's -max-batch default.
-const DefaultMaxBatch = 100000
-
 // NodeServer serves one shard's slice of the clustering service over
-// the clusterd wire format: GET /lookup, POST /cluster (newline-
-// separated addresses), GET /healthz. It is the minimal single-table
+// the clusterd wire format: GET /lookup, POST /cluster (the BatchHandler
+// clusterd mounts too), GET /healthz. It is the minimal single-table
 // server the harness and the router tests stand up in-process; the
 // production equivalent is a full clusterd running with -feed and
 // -shard-index.
@@ -34,20 +26,24 @@ type NodeServer struct {
 	ShardID  int // annotates this node's trace spans with its shard index
 }
 
-// TableSource is the read surface a node serves from — *churn.Table
-// satisfies it.
-type TableSource interface {
-	Lookup(netutil.Addr) (bgp.Match, bool)
-	LookupBatch([]netutil.Addr, []bgp.Match) ([]bgp.Match, uint64)
-	Generation() uint64
-}
-
 // Handler returns the node's mux. /metrics.json serves the process
 // registry snapshot — what a router-side Aggregator federates.
 func (n *NodeServer) Handler() http.Handler {
+	lim := Limits{MaxBatch: n.MaxBatch, MaxBody: DefaultMaxBody}
+	if lim.MaxBatch <= 0 {
+		lim.MaxBatch = DefaultMaxBatch
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lookup", n.handleLookup)
-	mux.HandleFunc("/cluster", n.handleBatch)
+	mux.Handle("/cluster", &BatchHandler{
+		Table:     n.Table,
+		BatchSpan: "node.batch",
+		TableSpan: "node.table",
+		SpanAttrs: []obsv.Attr{{Key: "shard", Value: strconv.Itoa(n.ShardID)}},
+		Batches:   nodeBatches,
+		Addrs:     nodeAddrs,
+		Limits:    func() Limits { return lim },
+	})
 	mux.HandleFunc("/healthz", n.handleHealthz)
 	mux.Handle(MetricsSnapshotPath, obsv.SnapshotHandler())
 	return mux
@@ -66,83 +62,9 @@ func (n *NodeServer) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	gen := n.Table.Generation()
 	m, _ := n.Table.Lookup(addr)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(ResolveMatch(addr, m, gen))
-}
-
-func (n *NodeServer) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ctx, span := obsv.StartTraceSpan(obsv.HTTPExtract(r.Context(), r.Header), "node.batch")
-	span.SetAttrInt("shard", int64(n.ShardID))
-	defer span.End()
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST an address list", http.StatusMethodNotAllowed)
-		return
-	}
-	maxBatch := n.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	addrs, err := ParseAddrList(r.Body, maxBatch)
-	if err != nil {
-		span.Fail(err)
-		status := http.StatusBadRequest
-		if err == errBatchTooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	span.SetAttrInt("addrs", int64(len(addrs)))
-	_, lspan := obsv.StartTraceSpan(ctx, "node.table")
-	matches, gen := n.Table.LookupBatch(addrs, nil)
-	lspan.End()
-	resp := BatchResponse{Generation: gen, Results: make([]LookupResult, len(addrs))}
-	for i, a := range addrs {
-		resp.Results[i] = ResolveMatch(a, matches[i], gen)
-	}
-	nodeBatches.Inc()
-	nodeAddrs.Add(uint64(len(addrs)))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	WriteLookup(w, addr, m, gen)
 }
 
 func (n *NodeServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ok gen=%d\n", n.Table.Generation())
-}
-
-var errBatchTooLarge = fmt.Errorf("batch exceeds limit")
-
-// ParseAddrList reads a newline-separated address list (the /cluster
-// request body format), skipping blank lines, erroring on the first
-// unparsable line or past max addresses.
-func ParseAddrList(r io.Reader, max int) ([]netutil.Addr, error) {
-	sc := bufio.NewScanner(r)
-	addrs := make([]netutil.Addr, 0, 256)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if len(addrs) >= max {
-			return nil, errBatchTooLarge
-		}
-		addr, err := netutil.ParseAddr(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad addr %q", len(addrs)+1, line)
-		}
-		addrs = append(addrs, addr)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return addrs, nil
-}
-
-// decodeJSONBody strictly decodes one JSON value from r.
-func decodeJSONBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/obsv"
 )
@@ -28,10 +30,17 @@ var (
 // DefaultRouterTimeout bounds one shard's portion of a routed batch.
 const DefaultRouterTimeout = 5 * time.Second
 
+// shardIdleConns is how many idle keep-alive connections the router's
+// own transport holds per shard. Every in-flight batch occupies one
+// connection to each shard it touches, and net/http's default of 2 makes
+// the third concurrent batch dial and tear down a connection per shard
+// per request.
+const shardIdleConns = 64
+
 // RouterConfig configures a Router.
 type RouterConfig struct {
 	Map      *Map          // validated shard map with Addr filled in
-	Client   *http.Client  // nil = http.DefaultClient
+	Client   *http.Client  // nil = a transport keeping shardIdleConns per shard
 	Timeout  time.Duration // per-shard request budget; 0 = DefaultRouterTimeout
 	MaxBatch int           // addresses per routed batch; 0 = DefaultMaxBatch
 
@@ -50,6 +59,7 @@ type RouterConfig struct {
 // cluster the common failure is one node, not all of them.
 type Router struct {
 	cfg      RouterConfig
+	client   *http.Client // every shard-bound request: fan-out, health probes, federation
 	agg      *Aggregator
 	stats    []shardStat
 	draining atomic.Bool
@@ -89,16 +99,25 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			return nil, fmt.Errorf("shard router: shard %d has no addr", s.ID)
 		}
 	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultRouterTimeout
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	rt := &Router{cfg: cfg, stats: make([]shardStat, len(cfg.Map.Shards))}
+	// The client is built once; its Timeout is the per-shard budget.
+	client := &http.Client{Transport: &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: shardIdleConns,
+		IdleConnTimeout:     90 * time.Second,
+	}}
+	if cfg.Client != nil {
+		c := *cfg.Client
+		client = &c
+	}
+	client.Timeout = cfg.Timeout
+	rt := &Router{cfg: cfg, client: client, stats: make([]shardStat, len(cfg.Map.Shards))}
 	for i := range rt.stats {
 		prefix := "shard.router.s" + strconv.Itoa(i) + "."
 		rt.stats[i] = shardStat{
@@ -116,7 +135,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			}
 			return members
 		},
-		Client:  cfg.Client,
+		Client:  client,
 		Timeout: cfg.Timeout,
 		MaxAge:  cfg.FederateEvery,
 	})
@@ -163,125 +182,212 @@ func (rt *Router) Batch(addrs []netutil.Addr) *RouterBatchResponse {
 	return rt.BatchCtx(context.Background(), addrs)
 }
 
-// BatchCtx routes one probe batch: group by shard, one concurrent POST
-// /cluster per non-empty shard, scatter the answers back into input
-// order. Always returns a response; per-shard failures are recorded in
-// it, never escalated. The trace span tree roots in ctx — an inbound
-// request whose header carried a span context makes the whole fan-out,
-// including every shard's server-side spans, part of the caller's
-// trace.
+// BatchCtx routes one probe batch and renders the outcome as a
+// RouterBatchResponse: the struct form of what POST /cluster renders as
+// JSON from the same rows, for handleLookup, embedders and tests. Always
+// returns a response; per-shard failures are recorded in it, never
+// escalated. The trace span tree roots in ctx — an inbound request whose
+// header carried a span context makes the whole fan-out, including every
+// shard's server-side spans, part of the caller's trace.
 func (rt *Router) BatchCtx(ctx context.Context, addrs []netutil.Addr) *RouterBatchResponse {
+	sc := getScratch()
+	defer putScratch(sc)
+	rt.route(ctx, sc, addrs)
+	return sc.routedResponse(rt.cfg.Map, addrs)
+}
+
+// route fans addrs out: group by shard, one concurrent frame POST per
+// non-empty shard, each shard's answer columns scattered back into
+// sc.rows by input index. On return sc.reports holds every shard's slice
+// of the batch; the rows of a shard whose report carries an error were
+// never written and mean nothing.
+func (rt *Router) route(ctx context.Context, sc *scratch, addrs []netutil.Addr) {
 	m := rt.cfg.Map
 	start := time.Now()
 	ctx, span := obsv.StartTraceSpan(ctx, "router.batch")
 
-	groups := m.Group(addrs)
-	resp := &RouterBatchResponse{
-		MapVersion: m.Version,
-		Results:    make([]RouterResult, len(addrs)),
-	}
-
+	n, shards := len(addrs), len(m.Shards)
+	sc.group(m, addrs)
+	sc.rows = resize(sc.rows, n)
+	sc.dense = resize(sc.dense, n)
+	sc.wire = resize(sc.wire, wireFixed*shards+wirePerAddr*n)
+	sc.reports = resize(sc.reports, shards)
 	var wg sync.WaitGroup
-	reports := make([]ShardReport, len(groups))
-	for sid, idxs := range groups {
-		reports[sid] = ShardReport{ID: sid, Addr: m.Shards[sid].Addr, Addrs: len(idxs)}
-		if len(idxs) == 0 {
-			continue
+	for sid, s := range m.Shards {
+		k := sc.bounds[sid+1] - sc.bounds[sid]
+		sc.reports[sid] = ShardReport{ID: sid, Addr: s.Addr, Addrs: k}
+		if k > 0 {
+			wg.Add(1)
+			go rt.shardBatch(ctx, &wg, sc, sid)
 		}
-		wg.Add(1)
-		go func(sid int, idxs []int) {
-			defer wg.Done()
-			sctx, sspan := obsv.StartTraceSpan(ctx, "router.shard")
-			sspan.SetAttrInt("shard", int64(sid))
-			sspan.SetAttrInt("addrs", int64(len(idxs)))
-			shardStart := time.Now()
-			br, err := rt.shardBatch(sctx, m.Shards[sid].Addr, addrs, idxs)
-			rt.stats[sid].record(time.Since(shardStart), err != nil)
-			if err != nil {
-				routerShardErrs.Inc()
-				sspan.Fail(err)
-				sspan.End()
-				reports[sid].Error = err.Error()
-				for _, i := range idxs {
-					resp.Results[i] = RouterResult{
-						LookupResult: LookupResult{Addr: addrs[i].String()},
-						Shard:        sid,
-						Error:        err.Error(),
-					}
-				}
-				return
-			}
-			sspan.End()
-			reports[sid].Generation = br.Generation
-			for k, i := range idxs {
-				resp.Results[i] = RouterResult{LookupResult: br.Results[k], Shard: sid}
-			}
-		}(sid, idxs)
 	}
 	wg.Wait()
 
+	degraded := 0
+	for i := range sc.reports {
+		if sc.reports[i].Error != "" {
+			degraded++
+		}
+	}
+	routerBatches.Inc()
+	routerAddrs.Add(uint64(n))
+	if degraded > 0 {
+		routerDegraded.Inc()
+	}
+	routerFanoutNS.Observe(time.Since(start).Nanoseconds())
+	span.SetAttrInt("addrs", int64(n))
+	span.SetAttrInt("degraded_shards", int64(degraded))
+	span.End()
+}
+
+// group sorts the batch by owning shard, keeping input order within a
+// shard: one counting pass, one placing pass. bounds[s+1] first counts
+// shard s, then holds its start, and placing advances it to its end —
+// the next shard's start, which is what it must hold on return.
+func (sc *scratch) group(m *Map, addrs []netutil.Addr) {
+	n, shards := len(addrs), len(m.Shards)
+	sc.bounds = resize(sc.bounds, shards+1)
+	clear(sc.bounds)
+	for _, a := range addrs {
+		sc.bounds[m.owner[a>>24]+1]++
+	}
+	at := 0
+	for s := 1; s <= shards; s++ {
+		at, sc.bounds[s] = at+sc.bounds[s], at
+	}
+	sc.sorted = resize(sc.sorted, n)
+	sc.order = resize(sc.order, n)
+	for i, a := range addrs {
+		s := int(m.owner[a>>24]) + 1
+		sc.sorted[sc.bounds[s]], sc.order[sc.bounds[s]] = a, int32(i)
+		sc.bounds[s]++
+	}
+}
+
+// One shard's exchange takes its request frame, its response frame and
+// one byte to catch a response that runs long; every shard's lives in
+// sc.wire, in shard order.
+const (
+	wireFixed   = requestHeaderLen + responseHeaderLen + 1
+	wirePerAddr = 4 + 6
+)
+
+// shardBatch runs shard sid's portion of a routed batch and records the
+// outcome in its report.
+func (rt *Router) shardBatch(ctx context.Context, wg *sync.WaitGroup, sc *scratch, sid int) {
+	defer wg.Done()
+	rep := &sc.reports[sid]
+	lo, hi := sc.bounds[sid], sc.bounds[sid+1]
+	buf := sc.wire[wireFixed*sid+wirePerAddr*lo : wireFixed*(sid+1)+wirePerAddr*hi]
+	ctx, span := obsv.StartTraceSpan(ctx, "router.shard")
+	span.SetAttrInt("shard", int64(sid))
+	span.SetAttrInt("addrs", int64(hi-lo))
+	start := time.Now()
+	matches, gen, err := rt.askShard(ctx, rep.Addr, sc.sorted[lo:hi], sc.dense[lo:hi], buf)
+	rt.stats[sid].record(time.Since(start), err != nil)
+	if err != nil {
+		routerShardErrs.Inc()
+		span.Fail(err)
+		span.End()
+		rep.Error = err.Error()
+		return
+	}
+	span.End()
+	rep.Generation = gen
+	for k, i := range sc.order[lo:hi] {
+		sc.rows[i] = matches[k]
+	}
+}
+
+// askShard sends one shard its addresses as a request frame and decodes
+// the response frame into dst. Anything but a 200 carrying exactly the
+// frame those addresses imply — another content type, a missing or
+// different Content-Length, a short or long body, an invalid column, a
+// prefix that does not cover its address — is the shard's error. The
+// span context carried by ctx rides the request as an X-Netcluster-Trace
+// header, so the shard's server-side spans join this trace.
+func (rt *Router) askShard(ctx context.Context, base string, addrs []netutil.Addr, dst []bgp.Match, buf []byte) ([]bgp.Match, uint64, error) {
+	frame := AppendRequestFrame(buf[:0], addrs)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/cluster", bytes.NewReader(frame))
+	if err != nil {
+		return nil, 0, err
+	}
+	req.Header["Content-Type"] = frameContentType
+	obsv.HTTPInject(ctx, req.Header)
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		return nil, 0, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != FrameContentType {
+		return nil, 0, fmt.Errorf("shard answered content type %q, want %s", ct, FrameContentType)
+	}
+	want := responseFrameLen(len(addrs))
+	if resp.ContentLength != int64(want) {
+		return nil, 0, fmt.Errorf("shard declared %d bytes for %d addresses, want %d", resp.ContentLength, len(addrs), want)
+	}
+	// Asking for one byte too many makes the expected outcome "the body
+	// ended exactly at want".
+	body := buf[len(frame):]
+	switch got, err := io.ReadFull(resp.Body, body[:want+1]); {
+	case err == nil:
+		return nil, 0, fmt.Errorf("shard answered more than the %d bytes it declared", want)
+	case got != want || err != io.ErrUnexpectedEOF:
+		return nil, 0, fmt.Errorf("shard answered %d of %d bytes: %w", got, want, err)
+	}
+	matches, gen, err := DecodeResponseFrame(body[:want], len(addrs), dst)
+	if err != nil {
+		return nil, 0, err
+	}
+	for i, m := range matches {
+		if !m.Prefix.IsZero() && !m.Prefix.Contains(addrs[i]) {
+			return nil, 0, fmt.Errorf("batch frame: row %d: %s does not cover %s", i, m.Prefix, addrs[i])
+		}
+	}
+	return matches, gen, nil
+}
+
+// liveGeneration is a routed batch's generation: the newest among the
+// shards that answered.
+func liveGeneration(reports []ShardReport) (gen uint64) {
 	for _, rep := range reports {
+		if rep.Error == "" && rep.Generation > gen {
+			gen = rep.Generation
+		}
+	}
+	return gen
+}
+
+// routedResponse renders the routed rows as the RouterBatchResponse
+// struct.
+func (sc *scratch) routedResponse(m *Map, addrs []netutil.Addr) *RouterBatchResponse {
+	resp := &RouterBatchResponse{
+		MapVersion: m.Version,
+		Generation: liveGeneration(sc.reports),
+		Results:    make([]RouterResult, len(addrs)),
+		Shards:     append([]ShardReport(nil), sc.reports...),
+	}
+	for _, rep := range sc.reports {
 		if rep.Error != "" {
 			if resp.Degradation == nil {
 				resp.Degradation = make(map[string]string)
 			}
 			resp.Degradation[strconv.Itoa(rep.ID)] = rep.Error
-		} else if rep.Generation > resp.Generation {
-			resp.Generation = rep.Generation
 		}
 	}
-	resp.Shards = reports
-
-	routerBatches.Inc()
-	routerAddrs.Add(uint64(len(addrs)))
-	if len(resp.Degradation) > 0 {
-		routerDegraded.Inc()
+	for i, a := range addrs {
+		sid := m.ShardFor(a)
+		if rep := &sc.reports[sid]; rep.Error == "" {
+			resp.Results[i] = RouterResult{LookupResult: ResolveMatch(a, sc.rows[i], rep.Generation), Shard: sid}
+		} else {
+			resp.Results[i] = RouterResult{LookupResult: LookupResult{Addr: a.String()}, Shard: sid, Error: rep.Error}
+		}
 	}
-	routerFanoutNS.Observe(time.Since(start).Nanoseconds())
-	span.SetAttrInt("addrs", int64(len(addrs)))
-	span.SetAttrInt("degraded_shards", int64(len(resp.Degradation)))
-	span.End()
 	return resp
-}
-
-// shardBatch sends one shard its contiguous probe slice and validates
-// the response shape (one result per address, input order). The span
-// context carried by ctx rides the request as an X-Netcluster-Trace
-// header, so the shard's server-side spans join this trace.
-func (rt *Router) shardBatch(ctx context.Context, base string, addrs []netutil.Addr, idxs []int) (*BatchResponse, error) {
-	var body bytes.Buffer
-	for _, i := range idxs {
-		body.WriteString(addrs[i].String())
-		body.WriteByte('\n')
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/cluster", &body)
-	if err != nil {
-		return nil, err
-	}
-	obsv.HTTPInject(ctx, req.Header)
-	client := rt.cfg.Client
-	if rt.cfg.Timeout > 0 {
-		c := *client
-		c.Timeout = rt.cfg.Timeout
-		client = &c
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	var br BatchResponse
-	if err := decodeJSONBody(resp.Body, &br); err != nil {
-		return nil, err
-	}
-	if len(br.Results) != len(idxs) {
-		return nil, fmt.Errorf("shard returned %d results for %d addresses", len(br.Results), len(idxs))
-	}
-	return &br, nil
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -289,18 +395,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST an address list", http.StatusMethodNotAllowed)
 		return
 	}
-	addrs, err := ParseAddrList(r.Body, rt.cfg.MaxBatch)
-	if err != nil {
-		status := http.StatusBadRequest
-		if err == errBatchTooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+	lim := Limits{MaxBatch: rt.cfg.MaxBatch, MaxBody: DefaultMaxBody}
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.readBatch(r, false, lim); err != nil {
+		writeBatchError(w, err, lim)
 		return
 	}
-	resp := rt.BatchCtx(obsv.HTTPExtract(r.Context(), r.Header), addrs)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	rt.route(obsv.HTTPExtract(r.Context(), r.Header), sc, sc.addrs)
+	sc.out = appendRoutedJSON(sc.out[:0], rt.cfg.Map, sc.addrs, sc.rows, sc.reports)
+	writeBody(w, jsonContentType, sc.out)
 }
 
 // handleLookup proxies a single-address lookup to its owning shard.
@@ -338,9 +442,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ch := make(chan probe, len(m.Shards))
 	for _, s := range m.Shards {
 		go func(s Info) {
-			c := *rt.cfg.Client
-			c.Timeout = rt.cfg.Timeout
-			resp, err := c.Get(s.Addr + "/healthz")
+			resp, err := rt.client.Get(s.Addr + "/healthz")
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()

@@ -17,9 +17,10 @@
 //     (partial results plus a Degradation error map) instead of failing
 //     the whole batch when a node dies.
 //
-// Every component speaks the clusterd wire format (wire.go), so the
-// router fronts real clusterd processes and the in-process harness
-// (harness.go) interchangeably.
+// Clients see the clusterd wire format (wire.go) on every component;
+// router and nodes exchange the columnar batch frame (frame.go), which
+// clusterd and the in-process NodeServer (harness.go) serve from one
+// shared core (serve.go), so the router fronts either interchangeably.
 package shard
 
 import (
@@ -180,9 +181,9 @@ func FilterDelta(keep func(netutil.Prefix) bool, d bgp.Delta) bgp.Delta {
 
 // Group partitions a probe batch by owning shard, preserving input
 // order within each shard: groups[s] lists the indices into addrs that
-// shard s owns, ascending. The router uses it to build one contiguous
-// probe slice per shard and to scatter the merged answers back into
-// input order.
+// shard s owns, ascending. The router groups the same way into pooled
+// scratch (scratch.group); this allocating form is for callers that keep
+// the result.
 func (m *Map) Group(addrs []netutil.Addr) [][]int {
 	groups := make([][]int, len(m.Shards))
 	// Count first so each group is allocated exactly once.

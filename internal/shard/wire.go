@@ -7,10 +7,14 @@ import (
 	"github.com/netaware/netcluster/internal/netutil"
 )
 
-// Wire format shared by clusterd, the shard nodes and the router. The
-// lookup/batch shapes are exactly what cmd/clusterd has served since the
-// service landed, so the router fronts old single-node deployments
-// unchanged; the delta shapes are the feed protocol (feed.go).
+// The JSON wire shapes. The lookup and batch shapes are what clients
+// get — exactly what cmd/clusterd has served since the service landed,
+// so curl-able text in, JSON out is unchanged on every node and through
+// the router. Router and nodes do not exchange them: that hop speaks the
+// columnar batch frame (frame.go), and the router requires frame-speaking
+// nodes. The serving path renders these shapes without building them
+// (render.go); the structs remain for clients, tests and BatchCtx. The
+// delta shapes are the feed protocol (feed.go).
 
 // LookupResult is one address's clustering answer.
 type LookupResult struct {
