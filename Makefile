@@ -19,6 +19,7 @@ FUZZ_TARGETS = \
 	internal/weblog:FuzzReadCLF \
 	internal/weblog:FuzzStreamCLF \
 	internal/weblog:FuzzParseCLFLineFast \
+	internal/weblog:FuzzParseCLFTime \
 	internal/bgp:FuzzParsePrefixEntry \
 	internal/bgp:FuzzReadSnapshot \
 	internal/bgp:FuzzReadTable \

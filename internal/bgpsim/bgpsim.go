@@ -141,11 +141,12 @@ func (s *Sim) View(cfg ViewConfig, day int) *bgp.Snapshot {
 		Comment: cfg.Comment,
 	}
 	// Per-AS transit paths as seen from this vantage: synthesized once per
-	// view so that entries for one AS share a coherent path.
+	// view so that entries for one AS share a coherent path. VantageASes
+	// scans every AS, so it is taken once per view, not once per AS.
+	vantages := s.world.VantageASes()
 	pathFor := func(origin *inet.AS) []uint32 {
 		n := 1 + rng.Intn(3)
 		path := make([]uint32, 0, n+1)
-		vantages := s.world.VantageASes()
 		for i := 0; i < n && len(vantages) > 0; i++ {
 			path = append(path, vantages[rng.Intn(len(vantages))].Number)
 		}

@@ -69,34 +69,44 @@ func ClusterStreamCtx(ctx context.Context, r io.Reader, c Clusterer) (*StreamRes
 		Clusters:    make(map[netutil.Prefix]*StreamCluster),
 		Unclustered: make(map[netutil.Addr]struct{}),
 	}
-	byClient := make(map[netutil.Addr]*StreamCluster)
+	// byClient memoises the lookup and counts requests per distinct client;
+	// the Clients maps are filled from it once, after the pass, instead of
+	// by one map assignment per record. Accumulators are carved from
+	// fixed-size chunks: pointers stay valid and growth copies nothing. An
+	// unclusterable client's accumulator has no cluster.
+	type clientAcc struct {
+		cl *StreamCluster
+		n  int
+	}
+	byClient := make(map[netutil.Addr]*clientAcc)
+	var chunk []clientAcc
 	stats, err := weblog.StreamCLFCtx(sctx, r, func(rec weblog.StreamRecord) bool {
 		res.TotalRequests++
 		client := rec.Request.Client
-		cl, seen := byClient[client]
-		if !seen {
-			if _, bad := res.Unclustered[client]; bad {
-				return true
+		acc := byClient[client]
+		if acc == nil {
+			if len(chunk) == cap(chunk) {
+				chunk = make([]clientAcc, 0, 256)
 			}
-			p, ok := c.Cluster(client)
-			if !ok {
+			chunk = append(chunk, clientAcc{})
+			acc = &chunk[len(chunk)-1]
+			byClient[client] = acc
+			if p, ok := c.Cluster(client); !ok {
 				res.Unclustered[client] = struct{}{}
-				return true
-			}
-			cl = res.Clusters[p]
-			if cl == nil {
-				cl = &StreamCluster{
+			} else if acc.cl = res.Clusters[p]; acc.cl == nil {
+				acc.cl = &StreamCluster{
 					Prefix:  p,
 					Clients: make(map[netutil.Addr]int),
 					urls:    make(map[int32]struct{}),
 				}
-				res.Clusters[p] = cl
+				res.Clusters[p] = acc.cl
 			}
-			byClient[client] = cl
-		} else if cl == nil {
+		}
+		cl := acc.cl
+		if cl == nil {
 			return true
 		}
-		cl.Clients[client]++
+		acc.n++
 		cl.Requests++
 		cl.Bytes += int64(rec.Size)
 		cl.urls[rec.Request.URL] = struct{}{}
@@ -111,6 +121,11 @@ func ClusterStreamCtx(ctx context.Context, r io.Reader, c Clusterer) (*StreamRes
 		sp.Fail(err)
 		sp.End()
 		return nil, err
+	}
+	for client, acc := range byClient {
+		if acc.cl != nil {
+			acc.cl.Clients[client] = acc.n
+		}
 	}
 	sp.End()
 	return res, nil

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,6 +52,82 @@ func TestClusterStreamMatchesClusterLog(t *testing.T) {
 	if st.Coverage() != mem.Coverage() {
 		t.Fatalf("coverage: stream %g vs memory %g", st.Coverage(), mem.Coverage())
 	}
+}
+
+// TestClusterStreamPerClientCounts pins what the per-client accumulators
+// must reproduce: on a log whose clients repeat and interleave, across
+// two clusters and an unclusterable pair, every Clients map and the
+// unclustered set equal ClusterLog's — also on a prefix of the log, which
+// is what a pass sees that stops early, with clients seen only once.
+func TestClusterStreamPerClientCounts(t *testing.T) {
+	l := logOf(
+		[2]string{"12.65.147.94", "/a"},
+		[2]string{"24.48.3.87", "/a"},
+		[2]string{"99.99.99.99", "/c"}, // unclusterable
+		[2]string{"12.65.147.94", "/b"},
+		[2]string{"12.65.147.149", "/b"},
+		[2]string{"24.48.3.87", "/b"},
+		[2]string{"12.65.147.94", "/a"},
+		[2]string{"99.99.99.99", "/a"},
+		[2]string{"88.88.88.88", "/a"}, // unclusterable
+		[2]string{"24.48.2.166", "/c"},
+		[2]string{"12.65.147.94", "/c"},
+		[2]string{"24.48.3.87", "/a"},
+	)
+	na := NetworkAware{Table: mergedTable("12.65.128.0/19", "24.48.2.0/23")}
+	for _, n := range []int{len(l.Requests), 5, 1} {
+		part := *l
+		part.Requests = l.Requests[:n]
+		mem := ClusterLog(&part, na)
+		st, err := ClusterStream(strings.NewReader(clfOf(t, &part)), na)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Clusters) != len(mem.Clusters) || st.TotalRequests != mem.TotalRequests {
+			t.Fatalf("first %d: stream %d clusters / %d requests, memory %d / %d",
+				n, len(st.Clusters), st.TotalRequests, len(mem.Clusters), mem.TotalRequests)
+		}
+		for _, mc := range mem.Clusters {
+			sc := st.Clusters[mc.Prefix]
+			if sc == nil || !reflect.DeepEqual(sc.Clients, mc.Clients) || sc.Requests != mc.Requests {
+				t.Errorf("first %d, cluster %v: stream %+v, memory clients %v requests %d",
+					n, mc.Prefix, sc, mc.Clients, mc.Requests)
+			}
+		}
+		if len(st.Unclustered) != len(mem.Unclustered) {
+			t.Errorf("first %d: unclustered stream %v, memory %v", n, st.Unclustered, mem.Unclustered)
+		}
+		for _, a := range mem.Unclustered {
+			if _, ok := st.Unclustered[a]; !ok {
+				t.Errorf("first %d: %v missing from the stream's unclustered set", n, a)
+			}
+		}
+	}
+	// The prefix a consumer sees when fn stops the stream is exactly that
+	// prefix of the log.
+	var seen []weblog.Request
+	stats, err := weblog.StreamCLF(strings.NewReader(clfOf(t, l)), func(r weblog.StreamRecord) bool {
+		seen = append(seen, r.Request)
+		return len(seen) < 5
+	})
+	if err != nil || stats.Records != 5 || len(seen) != 5 {
+		t.Fatalf("early stop: %d records, %d delivered, err %v", stats.Records, len(seen), err)
+	}
+	for i, r := range seen {
+		if want := l.Requests[i]; r.Client != want.Client || r.URL != want.URL || r.Time != want.Time {
+			t.Errorf("record %d = %+v, want %+v", i, r, want)
+		}
+	}
+}
+
+// clfOf serializes l as CLF text.
+func clfOf(t *testing.T, l *weblog.Log) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := weblog.WriteCLF(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func TestClusterStreamSimple(t *testing.T) {

@@ -2,7 +2,6 @@ package weblog
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -71,113 +70,68 @@ func WriteCLF(w io.Writer, l *Log) error {
 
 // maybeGzip wraps r with a gzip reader when the stream starts with the
 // gzip magic bytes — server logs are customarily stored compressed, and
-// forcing callers to decompress first is a paper cut.
+// forcing callers to decompress first is a paper cut. The peek goes through
+// the smallest bufio.Reader there is: a read larger than its buffer — every
+// read the line scanner makes — bypasses it, so plain text is copied once,
+// into the scanner's buffer.
 func maybeGzip(r io.Reader) (io.Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, 16)
 	magic, err := br.Peek(2)
 	if err != nil || len(magic) < 2 || magic[0] != 0x1F || magic[1] != 0x8B {
 		return br, nil // not gzip (or too short to be): parse as-is
 	}
-	zr, err := gzip.NewReader(br)
+	zr, err := gzip.NewReader(bufio.NewReaderSize(br, 1<<16))
 	if err != nil {
 		return nil, fmt.Errorf("weblog: gzip header detected but unreadable: %w", err)
 	}
 	return zr, nil
 }
 
-// ReadCLF parses a combined/common log format stream into a Log. Gzipped
-// input is detected and decompressed transparently. Resource
-// and agent tables are interned; request times become offsets from the
-// earliest timestamp. Clients logged as 0.0.0.0 (the BOOTP placeholder the
-// paper excludes, footnote 6) are dropped here so no downstream stage needs
-// to re-check. Malformed lines produce an error with the line number.
+// ReadCLF parses a combined/common log format stream into a Log. It sits
+// on the same scanning core as StreamCLF (see stream.go) — gzip detection,
+// the fast/strict parse, interning and the 0.0.0.0 drop (the BOOTP
+// placeholder the paper excludes, footnote 6) happen there — and adds what
+// only a loaded log can have: request times relative to the earliest
+// timestamp rather than the first, in sorted order, and the largest size
+// seen per resource. Malformed lines produce an error with the physical
+// line number.
 func ReadCLF(r io.Reader, name string) (*Log, error) {
-	src, err := maybeGzip(r)
+	s, err := newCLFScanner(r)
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	defer s.tally.flush()
 	l := &Log{Name: name}
-	urlIndex := make(map[string]int32)
-	agentIndex := make(map[string]uint16)
-	var times []time.Time
-	var tc timeCache
-	lineno := 0
-	var tally parseTally
-	defer tally.flush()
-	for sc.Scan() {
-		lineno++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		tally.bytes += int64(len(line))
-		var req Request
-		var ts time.Time
-		var size int32
-		client, fts, pathb, agentb, fsize, fastOK := parseCLFLineFast(line, &tc)
-		if fastOK {
-			tally.fast++
-			req.Client, ts, size = client, fts, fsize
-		} else {
-			tally.strict++
-			var path, agent string
-			var err error
-			req, ts, path, size, agent, err = parseCLFLine(string(line))
-			if err != nil {
-				return nil, fmt.Errorf("weblog: line %d: %w", lineno, err)
-			}
-			pathb, agentb = []byte(path), []byte(agent)
-		}
-		if req.Client.IsUnspecified() {
-			continue
-		}
-		id, ok := urlIndex[string(pathb)]
-		if !ok {
-			id = int32(len(l.Resources))
-			path := string(pathb)
-			urlIndex[path] = id
-			l.Resources = append(l.Resources, Resource{Path: path, Size: size})
-		} else if l.Resources[id].Size < size {
+	var (
+		secs     []int64 // absolute Unix seconds, parallel to l.Requests
+		start    int64   // the earliest of them, and its zone offset
+		startOff int
+	)
+	for s.next() {
+		if id := int(s.rec.Request.URL); id == len(l.Resources) {
+			l.Resources = append(l.Resources, Resource{Path: s.rec.Path, Size: s.rec.Size})
+		} else if l.Resources[id].Size < s.rec.Size {
 			// Sizes can vary across responses (updates); keep the largest
 			// so byte-hit accounting is stable.
-			l.Resources[id].Size = size
+			l.Resources[id].Size = s.rec.Size
 		}
-		aid, ok := agentIndex[string(agentb)]
-		if !ok {
-			if len(l.Agents) >= 1<<16-1 {
-				return nil, fmt.Errorf("weblog: line %d: more than %d distinct user agents", lineno, 1<<16-1)
-			}
-			aid = uint16(len(l.Agents))
-			agent := string(agentb)
-			agentIndex[agent] = aid
-			l.Agents = append(l.Agents, agent)
+		if len(secs) == 0 || s.sec < start {
+			start, startOff = s.sec, s.off
 		}
-		req.URL = id
-		req.Agent = aid
-		l.Requests = append(l.Requests, req)
-		times = append(times, ts)
+		l.Requests = append(l.Requests, s.rec.Request)
+		secs = append(secs, s.sec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("weblog: reading CLF: %w", err)
+	if s.err != nil {
+		return nil, s.err
 	}
+	l.Agents = s.agents
 	if len(l.Requests) == 0 {
 		return l, nil
 	}
-	start, end := times[0], times[0]
-	for _, t := range times {
-		if t.Before(start) {
-			start = t
-		}
-		if t.After(end) {
-			end = t
-		}
-	}
-	l.Start = start
-	l.Duration = end.Sub(start)
+	l.Start = clfTime(start, startOff)
+	l.Duration = time.Duration(s.end-start) * time.Second
 	for i := range l.Requests {
-		l.Requests[i].Time = uint32(times[i].Sub(start) / time.Second)
+		l.Requests[i].Time = uint32(secs[i] - start)
 	}
 	l.SortByTime()
 	return l, nil

@@ -3,6 +3,7 @@ package weblog
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzReadCLF asserts the log parser never panics, and that whatever it
@@ -34,12 +35,14 @@ func FuzzReadCLF(f *testing.F) {
 	})
 }
 
-// FuzzStreamCLF asserts streaming parse agrees with batch parse on record
-// counts for every input both accept.
+// FuzzStreamCLF asserts streaming parse agrees with batch parse: on record
+// counts for every input both accept, and on the error — the physical
+// line it names included — for every input both reject.
 func FuzzStreamCLF(f *testing.F) {
 	f.Add(`1.2.3.4 - - [13/Feb/1998:06:15:04 +0000] "GET /a HTTP/1.0" 200 10`)
 	f.Add(`1.2.3.4 - - [13/Feb/1998:06:15:04 +0000] "GET /a HTTP/1.0" 200 10
 5.6.7.8 - - [13/Feb/1998:06:15:05 +0000] "GET /b HTTP/1.0" 200 20`)
+	f.Add("\n1.2.3.4 - - [13/Feb/1998:06:15:04 +0000] \"GET /a HTTP/1.0\" 200 10\n\n \nbad\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		batch, batchErr := ReadCLF(strings.NewReader(text), "b")
 		records := 0
@@ -49,6 +52,9 @@ func FuzzStreamCLF(f *testing.F) {
 		})
 		if (batchErr == nil) != (streamErr == nil) {
 			t.Fatalf("accept disagreement: batch=%v stream=%v", batchErr, streamErr)
+		}
+		if batchErr != nil && batchErr.Error() != streamErr.Error() {
+			t.Fatalf("the readers reject differently: batch=%v stream=%v", batchErr, streamErr)
 		}
 		if batchErr == nil && records != len(batch.Requests) {
 			t.Fatalf("record counts differ: stream %d vs batch %d", records, len(batch.Requests))
@@ -84,8 +90,8 @@ func FuzzParseCLFLineFast(f *testing.F) {
 		if strings.ContainsAny(line, "\n\r") {
 			return // the scanners only ever see single lines
 		}
-		var tc timeCache
-		client, ts, pathB, agentB, size, ok := parseCLFLineFast([]byte(line), &tc)
+		var tally parseTally
+		client, sec, off, pathB, agentB, size, ok := parseCLFLineFast([]byte(line), &tally)
 		if !ok {
 			return // deferring is always allowed
 		}
@@ -96,8 +102,8 @@ func FuzzParseCLFLineFast(f *testing.F) {
 		if req.Client != client {
 			t.Errorf("client: fast %v, strict %v (line %q)", client, req.Client, line)
 		}
-		if !ts.Equal(sts) {
-			t.Errorf("timestamp: fast %v, strict %v (line %q)", ts, sts, line)
+		if _, soff := sts.Zone(); sec != sts.Unix() || off != soff {
+			t.Errorf("timestamp: fast %d%+d, strict %v (line %q)", sec, off, sts, line)
 		}
 		if string(pathB) != spath {
 			t.Errorf("path: fast %q, strict %q (line %q)", pathB, spath, line)
@@ -107,6 +113,58 @@ func FuzzParseCLFLineFast(f *testing.F) {
 		}
 		if string(agentB) != sagent {
 			t.Errorf("agent: fast %q, strict %q (line %q)", agentB, sagent, line)
+		}
+	})
+}
+
+// FuzzParseCLFTime is the differential target for the hand-rolled
+// timestamp decoder: whenever parseCLFTime accepts, time.Parse with the
+// CLF layout accepts too and yields the same Unix seconds and the same
+// zone offset. Deferring (ok=false) is always allowed — the caller then
+// asks time.Parse — so the decoder can only ever be too cautious, never
+// differently right.
+func FuzzParseCLFTime(f *testing.F) {
+	for _, s := range []string{
+		"13/Feb/1998:06:15:04 +0000",
+		"29/Feb/2000:00:00:00 +0000", // leap: divisible by 400
+		"29/Feb/1900:00:00:00 +0000", // not leap: divisible by 100 only
+		"29/Feb/1996:23:59:59 -0800",
+		"31/Apr/1998:06:15:04 +0000",
+		"00/Jan/1998:06:15:04 +0000",
+		"13/Feb/1998:24:00:00 +0000",
+		"13/Feb/1998:06:15:60 +0000",
+		"13/Feb/1998:06:15:04 +2400",
+		"13/Feb/1998:06:15:04 +2500",
+		"13/Feb/1998:06:15:04 +0060",
+		"13/Feb/1998:06:15:04 -0000",
+		"13/Feb/1998:06:15:04 +1400",
+		"13/Feb/1998:06:15:04 -1200",
+		"13/feb/1998:06:15:04 +0000",
+		"13/FEB/1998:06:15:04 +0000",
+		"13/Foo/1998:06:15:04 +0000",
+		"3/Feb/1998:06:15:04 +0000",
+		"13/Feb/19980:06:15:04 +0000",
+		"13/Feb/0000:06:15:04 +0000",
+		"01/Jan/0001:00:00:00 +1400",
+		"31/Dec/9999:23:59:59 -1200",
+		"13/Feb/1998:06:15:04 +000",   // 25 bytes
+		"13/Feb/1998:06:15:04 +00000", // 27 bytes
+		"13/Feb/1998:06:15:04  0000",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sec, off, ok := parseCLFTime([]byte(s))
+		if !ok {
+			return
+		}
+		want, err := time.Parse(clfTimeLayout, s)
+		if err != nil {
+			t.Fatalf("parseCLFTime accepted %q, time.Parse rejects it: %v", s, err)
+		}
+		if _, wantOff := want.Zone(); sec != want.Unix() || off != wantOff {
+			t.Fatalf("%q: parseCLFTime = %d%+d, time.Parse = %d%+d", s, sec, off, want.Unix(), wantOff)
 		}
 	})
 }

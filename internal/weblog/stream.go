@@ -11,25 +11,25 @@ import (
 	"github.com/netaware/netcluster/internal/obsv"
 )
 
-// Streaming access to Common Log Format data. The paper's largest trace
-// has 46 million requests; at 16 bytes per packed request that still fits
-// in memory, but the raw CLF text does not always, and clustering —
-// which needs only (client, URL id, size, time) per line — can run in one
-// pass. StreamCLF parses incrementally and hands each record to a
-// callback; cluster.ClusterStream and cluster.ClusterStreamParallel build
-// on it.
+// Common Log Format ingestion: one scanning core, clfScanner, under every
+// entry point. The paper's largest trace has 46 million requests; the raw
+// CLF text does not always fit in memory, and clustering — which needs only
+// (client, URL id, size) per line — can run in one pass. StreamCLF hands
+// each record the core yields to a callback (cluster.ClusterStream,
+// ClusterStreamParallel and ClusterStreamBounded build on it); ReadCLF
+// collects the same records into a Log. Line reading, the fast/strict
+// parse, the 0.0.0.0 drop, interning, line numbering and the parse
+// counters exist once, here.
 
 // StreamRecord is one parsed log line plus the interned metadata a
 // consumer needs without retaining the line.
 type StreamRecord struct {
+	// Request carries the client, the interned URL and agent ids, and
+	// Time in seconds since the stream's first record.
 	Request Request
-	// Abs is the absolute timestamp (Request.Time is relative to the
-	// stream's first record).
-	Abs time.Time
-	// Path and Agent reference interned strings valid beyond the callback.
-	Path  string
-	Agent string
-	Size  int32
+	// Path references an interned string valid beyond the callback.
+	Path string
+	Size int32
 }
 
 // StreamStats accumulates what a single pass can know.
@@ -42,26 +42,124 @@ type StreamStats struct {
 	End     time.Time
 }
 
+// clfScanner yields the records of one CLF stream, one per next call.
+// Timestamps stay int64 Unix seconds throughout; time.Time values are
+// built once per stream, by the entry point that reports them.
+type clfScanner struct {
+	sc    *bufio.Scanner
+	tally parseTally
+	err   error
+
+	// Intern tables: URL and agent bytes to dense ids and stable strings.
+	urlIndex   map[string]int32
+	agentIndex map[string]uint16
+	paths      []string
+	agents     []string
+
+	// The current record: rec as StreamCLF delivers it, plus the absolute
+	// (unclamped) timestamp ReadCLF rebases on the log's earliest record.
+	rec StreamRecord
+	sec int64 // Unix seconds
+	off int   // zone offset, seconds east of UTC
+
+	lineno int         // physical line of the current record, blanks included
+	st     StreamStats // Lines and Records so far; StreamCLFCtx fills in the rest
+	// The stream's origin (its first record) and latest instant.
+	start, end       int64
+	startOff, endOff int
+}
+
+// newCLFScanner starts a scan of r, decompressing gzipped input
+// transparently. The caller flushes s.tally once, when the scan is over.
+func newCLFScanner(r io.Reader) (clfScanner, error) {
+	src, err := maybeGzip(r)
+	if err != nil {
+		return clfScanner{}, err
+	}
+	sc := bufio.NewScanner(src)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	return clfScanner{sc: sc, urlIndex: make(map[string]int32), agentIndex: make(map[string]uint16)}, nil
+}
+
+// next advances to the next record, skipping blank lines and the 0.0.0.0
+// placeholder clients the paper excludes (footnote 6). It returns false at
+// the end of the stream or on the first malformed line, which s.err then
+// names by its physical line number.
+func (s *clfScanner) next() bool {
+	for s.sc.Scan() {
+		s.lineno++
+		line := bytes.TrimSpace(s.sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		s.st.Lines++
+		s.tally.bytes += int64(len(line))
+		client, sec, off, pathb, agentb, size, ok := parseCLFLineFast(line, &s.tally)
+		if ok {
+			s.tally.fast++
+		} else {
+			s.tally.strict++
+			req, ts, path, ssize, agent, err := parseCLFLine(string(line))
+			if err != nil {
+				s.err = fmt.Errorf("weblog: line %d: %w", s.lineno, err)
+				return false
+			}
+			client, sec, size = req.Client, ts.Unix(), ssize
+			_, off = ts.Zone()
+			pathb, agentb = []byte(path), []byte(agent)
+		}
+		if client.IsUnspecified() {
+			continue
+		}
+		if s.st.Records == 0 {
+			s.start, s.startOff = sec, off
+		}
+		if s.st.Records == 0 || sec > s.end {
+			s.end, s.endOff = sec, off
+		}
+		s.sec, s.off = sec, off
+		id, path := s.internURL(pathb)
+		aid, err := s.internAgent(agentb)
+		if err != nil {
+			s.err = fmt.Errorf("weblog: line %d: %w", s.lineno, err)
+			return false
+		}
+		s.st.Records++
+		s.rec = StreamRecord{
+			// An out-of-order record is clamped to the stream origin: a
+			// one-pass consumer cannot rebase the records before it.
+			Request: Request{Time: uint32(max(sec-s.start, 0)), Client: client, URL: id, Agent: aid},
+			Path:    path,
+			Size:    size,
+		}
+		return true
+	}
+	if err := s.sc.Err(); err != nil {
+		s.err = fmt.Errorf("weblog: reading CLF: %w", err)
+	}
+	return false
+}
+
 // StreamCLF parses r line by line, invoking fn for every request record.
 // Unlike ReadCLF it retains only interning tables, not the records, so
 // arbitrarily large logs stream in constant memory (modulo distinct URL
 // and agent counts). Request.Time is seconds since the first record's
 // timestamp; CLF files are chronological in practice, and records arriving
 // out of order carry a clamped offset rather than an error. fn returning
-// false stops the stream early without error.
+// false stops the stream early without error; a malformed line ends it
+// with an error naming the physical line (blanks count), as in ReadCLF.
 //
-// Parsing runs on the zero-allocation byte fast path (see fastparse.go):
-// steady-state lines cost no allocations — the timestamp parse is cached
-// across same-second runs and URL/agent strings are interned once — with
-// the strict string parser as the fallback for unusual layouts and for
-// error reporting.
+// Steady-state lines cost no allocations (see fastparse.go): fields are
+// scanned in place, the timestamp decoded by hand, URL and agent strings
+// interned once. The strict string parser is the fallback for unusual
+// layouts and for error reporting.
 func StreamCLF(r io.Reader, fn func(StreamRecord) bool) (StreamStats, error) {
 	return StreamCLFCtx(context.Background(), r, fn)
 }
 
 // StreamCLFCtx is StreamCLF under a trace context: the whole pass
-// records one "weblog.stream" span (line/record/byte totals as
-// attributes) into the flight recorder. The per-line loop itself stays
+// records one "weblog.stream" span (line/record totals as attributes)
+// into the flight recorder. The per-line loop itself stays
 // uninstrumented — one span per stream, never per record.
 func StreamCLFCtx(ctx context.Context, r io.Reader, fn func(StreamRecord) bool) (stats StreamStats, err error) {
 	_, sp := obsv.StartTraceSpan(ctx, "weblog.stream")
@@ -73,117 +171,48 @@ func StreamCLFCtx(ctx context.Context, r io.Reader, fn func(StreamRecord) bool) 
 		}
 		sp.End()
 	}()
-	src, err := maybeGzip(r)
+	s, err := newCLFScanner(r)
 	if err != nil {
 		return StreamStats{}, err
 	}
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var st StreamStats
-	in := newInterner()
-	var tc timeCache
-	var started bool
-	var tally parseTally
-	defer tally.flush()
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		st.Lines++
-		tally.bytes += int64(len(line))
-		var req Request
-		client, ts, pathb, agentb, size, ok := parseCLFLineFast(line, &tc)
-		if ok {
-			tally.fast++
-			req.Client = client
-		} else {
-			tally.strict++
-			var path, agent string
-			req, ts, path, size, agent, err = parseCLFLine(string(line))
-			if err != nil {
-				return st, fmt.Errorf("weblog: line %d: %w", st.Lines, err)
-			}
-			pathb, agentb = []byte(path), []byte(agent)
-		}
-		if req.Client.IsUnspecified() {
-			continue
-		}
-		if !started {
-			st.Start, started = ts, true
-		}
-		if ts.After(st.End) {
-			st.End = ts
-		}
-		if ts.Before(st.Start) {
-			// Clamp out-of-order records to the stream origin; a one-pass
-			// consumer cannot rebase earlier records.
-			ts = st.Start
-		}
-		req.Time = uint32(ts.Sub(st.Start) / time.Second)
-
-		id, path := in.url(pathb)
-		req.URL = id
-		aid, agent, aerr := in.agent(agentb)
-		if aerr != nil {
-			return st, fmt.Errorf("weblog: line %d: %w", st.Lines, aerr)
-		}
-		req.Agent = aid
-
-		st.Records++
-		if !fn(StreamRecord{Request: req, Abs: ts, Path: path, Agent: agent, Size: size}) {
+	defer s.tally.flush()
+	for s.next() {
+		if !fn(s.rec) {
 			break
 		}
 	}
-	st.URLs = in.numURLs()
-	st.Agents = in.numAgents()
-	if err := sc.Err(); err != nil {
-		return st, fmt.Errorf("weblog: streaming CLF: %w", err)
+	stats = s.st
+	stats.URLs, stats.Agents = len(s.paths), len(s.agents)
+	if stats.Records > 0 {
+		stats.Start, stats.End = clfTime(s.start, s.startOff), clfTime(s.end, s.endOff)
 	}
-	return st, nil
+	return stats, s.err
 }
 
-// interner maps URL and agent byte slices to dense ids and stable interned
-// strings. Lookups on the hit path do not allocate (the compiler elides
-// the string conversion inside a map index).
-type interner struct {
-	urlIndex   map[string]int32
-	agentIndex map[string]uint16
-	paths      []string
-	agents     []string
-}
-
-func newInterner() *interner {
-	return &interner{
-		urlIndex:   make(map[string]int32),
-		agentIndex: make(map[string]uint16),
-	}
-}
-
-func (in *interner) url(b []byte) (int32, string) {
-	if id, ok := in.urlIndex[string(b)]; ok {
-		return id, in.paths[id]
+// internURL and internAgent map a field's bytes to its dense id. Lookups on
+// the hit path do not allocate (the compiler elides the string conversion
+// inside a map index); a miss makes the one stable copy.
+func (s *clfScanner) internURL(b []byte) (int32, string) {
+	if id, ok := s.urlIndex[string(b)]; ok {
+		return id, s.paths[id]
 	}
 	p := string(b) // the one allocation per distinct URL
-	id := int32(len(in.paths))
-	in.urlIndex[p] = id
-	in.paths = append(in.paths, p)
+	id := int32(len(s.paths))
+	s.urlIndex[p] = id
+	s.paths = append(s.paths, p)
 	return id, p
 }
 
-func (in *interner) agent(b []byte) (uint16, string, error) {
-	if id, ok := in.agentIndex[string(b)]; ok {
-		return id, in.agents[id], nil
+func (s *clfScanner) internAgent(b []byte) (uint16, error) {
+	if id, ok := s.agentIndex[string(b)]; ok {
+		return id, nil
 	}
-	if len(in.agents) >= 1<<16-1 {
-		return 0, "", fmt.Errorf("more than %d distinct user agents", 1<<16-1)
+	if len(s.agents) >= 1<<16-1 {
+		return 0, fmt.Errorf("more than %d distinct user agents", 1<<16-1)
 	}
 	a := string(b)
-	id := uint16(len(in.agents))
-	in.agentIndex[a] = id
-	in.agents = append(in.agents, a)
-	return id, a, nil
+	id := uint16(len(s.agents))
+	s.agentIndex[a] = id
+	s.agents = append(s.agents, a)
+	return id, nil
 }
-
-func (in *interner) numURLs() int   { return len(in.paths) }
-func (in *interner) numAgents() int { return len(in.agents) }

@@ -116,9 +116,10 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		// are replayed by the memoized cluster layer (ClusterBatch), never
 		// inside the kernel, so batching cannot tax the per-address cost.
 		{"BenchmarkLookupBatch", 0, 0, 0, 0, 0},
-		// StreamCLF: one parseTally flush (fast+strict+bytes counters)
-		// and one "weblog.stream" trace span wrapping the whole pass.
-		{"BenchmarkCLFParseStream", 3, 0, 0, 1, 0},
+		// StreamCLF: one parseTally flush (fast+strict+time_slow+bytes
+		// counters) and one "weblog.stream" trace span wrapping the
+		// whole pass.
+		{"BenchmarkCLFParseStream", 4, 0, 0, 1, 0},
 		// Sequential ClusterLog, plain table: one lookup counter per
 		// distinct client plus at most one no-match counter, then the
 		// three result flushes. One "cluster.log" trace span wraps the
