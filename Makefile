@@ -26,6 +26,7 @@ FUZZ_TARGETS = \
 	internal/dnswire:FuzzDecode \
 	internal/sketch:FuzzSketchMerge \
 	internal/shard:FuzzDecodeBatchFrame \
+	internal/shard:FuzzServeStream \
 	internal/shard:FuzzParseAddrList \
 	internal/shard:FuzzDecodeDelta
 FUZZTIME ?= 20s

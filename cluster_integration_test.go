@@ -10,6 +10,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -272,4 +274,139 @@ func TestClusterDeploymentEquivalence(t *testing.T) {
 	waitFor("warm-started shard to rejoin", func() bool {
 		return routerAgrees(t, router.base, compiler.base, probes)
 	})
+}
+
+// TestClusterShardDrainUnderLoad SIGTERMs a shard clusterd while clients
+// keep routing batches through a clusterrouter that holds batch streams
+// open to it. Those streams are hijacked connections, which
+// http.Server.Shutdown neither waits for nor closes, so the drain has to
+// end them itself: the node must exit promptly, not sit out its drain
+// timeout, and no stream may be cut mid-frame into a row — every routed
+// batch is either complete and equal to the compiler node's answer, or
+// names the shard it lost and answers that shard's rows with the error.
+func TestClusterShardDrainUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test builds and runs binaries")
+	}
+	// Churn is off: generation 0 answers every batch, so one reference
+	// answer from the compiler node is the oracle for the whole run.
+	compiler := startDaemon(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
+		"-churn-every", "0", "-feed-serve")
+	shardArgs := func(i int) []string {
+		return []string{"-addr", "127.0.0.1:0", "-feed", compiler.base, "-feed-poll", "50ms",
+			"-shard-index", fmt.Sprint(i), "-shard-count", "2", "-max-inflight", "64"}
+	}
+	shard0 := startDaemon(t, "clusterd", shardArgs(0)...)
+	shard1 := startDaemon(t, "clusterd", shardArgs(1)...)
+	router := startDaemon(t, "clusterrouter", "-addr", "127.0.0.1:0", "-timeout", "2s",
+		"-shards", shard0.base+","+shard1.base)
+
+	var sb strings.Builder
+	for i := 0; i < 512; i++ {
+		fmt.Fprintf(&sb, "%d.%d.%d.%d\n", (i*37)%256, (i*11)%256, (i*7)%256, 1+i%250)
+	}
+	probes := sb.String()
+	var ref wireBatch
+	postBatch(t, compiler.base, probes, &ref)
+	if len(ref.Results) != 512 || ref.Generation != 0 {
+		t.Fatalf("reference: %d rows at generation %d", len(ref.Results), ref.Generation)
+	}
+
+	// check holds one routed answer to the contract and reports whether it
+	// was degraded.
+	check := func(out *wireRouterBatch) (degraded bool, err error) {
+		if len(out.Results) != len(ref.Results) {
+			return false, fmt.Errorf("%d rows for %d addresses", len(out.Results), len(ref.Results))
+		}
+		lost := out.Degradation["1"]
+		if len(out.Degradation) > 1 || (len(out.Degradation) == 1 && lost == "") {
+			return false, fmt.Errorf("degradation %v, only shard 1 was stopped", out.Degradation)
+		}
+		for i, r := range out.Results {
+			want := ref.Results[i]
+			switch {
+			case r.Shard == 1 && lost != "":
+				if r.Error != lost || r.Clustered || r.Prefix != "" || r.Addr != want.Addr {
+					return false, fmt.Errorf("row %d of the lost shard: %+v", i, r)
+				}
+			case r.Error != "" || r.Addr != want.Addr || r.Clustered != want.Clustered ||
+				r.Prefix != want.Prefix || r.Kind != want.Kind || r.Generation != 0:
+				return false, fmt.Errorf("row %d: router %+v != compiler %+v", i, r, want)
+			}
+		}
+		return lost != "", nil
+	}
+
+	var clean, degraded atomic.Int64
+	stop := make(chan struct{})
+	failed := make(chan error, 8)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(router.base+"/cluster", "text/plain", strings.NewReader(probes))
+				if err == nil {
+					var out wireRouterBatch
+					if resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("POST /cluster = %s", resp.Status)
+					} else if err = json.NewDecoder(resp.Body).Decode(&out); err == nil {
+						var lost bool
+						if lost, err = check(&out); lost {
+							degraded.Add(1)
+						} else {
+							clean.Add(1)
+						}
+					}
+					resp.Body.Close()
+				}
+				if err != nil {
+					select {
+					case failed <- err:
+					default:
+					}
+					return
+				}
+			}
+		}()
+	}
+	waitCount := func(what string, n *atomic.Int64, min int64) {
+		t.Helper()
+		deadline := time.Now().Add(60 * time.Second)
+		for n.Load() < min {
+			select {
+			case err := <-failed:
+				close(stop)
+				wg.Wait()
+				t.Fatal(err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %s (clean %d, degraded %d)", what, clean.Load(), degraded.Load())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	waitCount("clean batches on warm streams", &clean, 200)
+
+	began := time.Now()
+	stopDaemon(t, shard1)
+	if took := time.Since(began); took > 5*time.Second {
+		t.Fatalf("shard took %v to drain under load; the drain timeout is 10s", took)
+	}
+	waitCount("degraded batches after the drain", &degraded, 20)
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-failed:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("%d clean batches, %d degraded", clean.Load(), degraded.Load())
 }

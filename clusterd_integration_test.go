@@ -265,6 +265,21 @@ func TestClusterdBackpressure(t *testing.T) {
 		slowDone <- err
 	}()
 	slowWriter.Write([]byte("10.0.0.1\n"))
+	// The write returns once the client's transport has the bytes, which
+	// can be before the server has admitted the request: wait until the
+	// slot is seen taken, or the first probe below can win it instead.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var snap struct {
+			Gauges map[string]int64 `json:"gauges"`
+		}
+		getJSON(t, base+"/metrics.json", &snap)
+		if snap.Gauges["clusterd.batch.inflight"] == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the slow batch never took the slot")
+		}
+	}
 
 	// The slot is held until we close the writer; a concurrent batch must
 	// be rejected with 503 + Retry-After.

@@ -10,10 +10,11 @@
 // Endpoints:
 //
 //	GET  /lookup?addr=12.65.147.94   one address → cluster prefix JSON
-//	POST /cluster                    newline-separated addresses → JSON;
-//	                                 a clusterrouter posts the columnar
-//	                                 batch frame instead and gets one
-//	                                 back (internal/shard frame.go)
+//	POST /cluster                    newline-separated addresses → JSON
+//	GET  /cluster/stream             a clusterrouter's upgrade to a batch
+//	                                 stream: columnar batch frames in and
+//	                                 out on a connection that stays open
+//	                                 (internal/shard stream.go)
 //	GET  /busy?k=20                  current top-K busy clusters, from
 //	                                 the bounded accumulator every batch
 //	                                 feeds (-busy-k, -sketch-epsilon)
@@ -53,8 +54,9 @@
 // serving path.
 //
 // SIGTERM/SIGINT drain gracefully: readiness flips false, the listener
-// stops accepting, in-flight requests finish (bounded by the drain
-// timeout), the churn loop stops, export queues flush and fsync within
+// stops accepting, in-flight requests finish and routers' batch streams
+// close behind the answer they owe (bounded by the drain timeout), the
+// churn loop stops, export queues flush and fsync within
 // the same deadline (a wedged sink cannot hang shutdown — its backlog
 // stays persisted in the WAL), and -metrics-out receives a final
 // snapshot that agrees with the pushed series.
@@ -132,11 +134,9 @@ type server struct {
 func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	_, span := obsv.StartTraceSpan(obsv.HTTPExtract(r.Context(), r.Header), "clusterd.lookup")
 	defer span.End()
-	q := r.URL.Query().Get("addr")
-	addr, err := netutil.ParseAddr(q)
+	addr, err := shard.LookupAddr(w, r)
 	if err != nil {
 		span.Fail(err)
-		http.Error(w, fmt.Sprintf("bad addr %q: %v", q, err), http.StatusBadRequest)
 		return
 	}
 	start := time.Now()
@@ -555,7 +555,9 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lookup", s.handleLookup)
-	mux.Handle("/cluster", s.batchHandler())
+	batch := s.batchHandler()
+	mux.Handle("/cluster", batch)
+	mux.HandleFunc(shard.StreamPath, batch.ServeStream)
 	mux.HandleFunc("/busy", s.busy.handleBusy)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
@@ -622,6 +624,13 @@ loop:
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), s.tun.Load().DrainTimeout.Std())
 	defer cancel()
+	// A router's batch streams are hijacked connections, which
+	// srv.Shutdown neither waits for nor closes: end them first — idle
+	// ones at once, a busy one behind its answer — so the router sees a
+	// closed connection, not a node that stopped mid-frame.
+	if err := batch.Shutdown(dctx); err != nil {
+		fmt.Fprintf(os.Stderr, "clusterd: drain: batch streams: %v\n", err)
+	}
 	if err := srv.Shutdown(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "clusterd: drain: %v\n", err)
 	}

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/churn"
@@ -63,12 +66,33 @@ func TestBatchHandlerMount(t *testing.T) {
 		t.Fatalf("text batch answered %+v, want %+v", br.Results, want)
 	}
 
-	probe := []netutil.Addr{netutil.MustParseAddr("11.1.2.3"), netutil.MustParseAddr("10.1.2.3")}
-	rec = post(t, h, shard.FrameContentType, shard.AppendRequestFrame(nil, probe))
-	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != shard.FrameContentType {
-		t.Fatalf("frame batch: %d %q %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	// A router's batch arrives as a frame on a batch stream, spoken here
+	// byte by byte as internal/shard's stream.go lays it out.
+	mux := http.NewServeMux()
+	mux.HandleFunc(shard.StreamPath, h.ServeStream)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer h.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	matches, gen, err := shard.DecodeResponseFrame(rec.Body.Bytes(), len(probe), nil)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	io.WriteString(conn, "GET /cluster/stream HTTP/1.1\r\nHost: node\r\nConnection: Upgrade\r\nUpgrade: netcluster-batch\r\n\r\n")
+	accept := "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: netcluster-batch\r\n\r\n"
+	got := make([]byte, len(accept))
+	if _, err := io.ReadFull(conn, got); err != nil || string(got) != accept {
+		t.Fatalf("upgrade answered %q, %v", got, err)
+	}
+	probe := []netutil.Addr{netutil.MustParseAddr("11.1.2.3"), netutil.MustParseAddr("10.1.2.3")}
+	header := []byte("trace-idspan-id!") // 16 bytes the answer must echo
+	conn.Write(shard.AppendRequestFrame(header[:16:16], probe))
+	answer := make([]byte, 16+16+6*len(probe))
+	if _, err := io.ReadFull(conn, answer); err != nil || !bytes.Equal(answer[:16], header) {
+		t.Fatalf("frame batch answered %x: %v", answer, err)
+	}
+	matches, gen, err := shard.DecodeResponseFrame(answer[16:], len(probe), nil)
 	if err != nil || gen != 0 || !matches[0].Prefix.IsZero() || matches[1].Prefix != netutil.MustParsePrefix("10.0.0.0/8") {
 		t.Fatalf("frame batch answered %+v gen %d: %v", matches, gen, err)
 	}

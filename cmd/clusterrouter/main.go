@@ -3,9 +3,10 @@
 // shard nodes, and merges the answers back into input order. One router
 // plus N shard clusterds (each running with -feed and -shard-index)
 // serves the same wire format as a single clusterd, so clients migrate
-// by repointing a URL. The router itself talks to the shard nodes in the
-// columnar batch frame (internal/shard frame.go), which every clusterd
-// serves on the same endpoint.
+// by repointing a URL. The router itself talks to the shard nodes on
+// persistent batch streams (internal/shard stream.go) carrying columnar
+// batch frames, which every clusterd serves at /cluster/stream on the
+// same listener.
 //
 //	clusterrouter -addr 127.0.0.1:8350 \
 //	    -shards http://127.0.0.1:8361,http://127.0.0.1:8362,http://127.0.0.1:8363
@@ -137,6 +138,7 @@ func main() {
 	if err := srv.Shutdown(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "clusterrouter: drain: %v\n", err)
 	}
+	rt.Close()
 	if *metricsOut != "" {
 		if err := obsv.WriteFile(*metricsOut); err != nil {
 			fatal(fmt.Errorf("metrics snapshot: %w", err))

@@ -11,7 +11,6 @@ package netutil
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -35,14 +34,23 @@ func (a Addr) String() string {
 // Append appends the dotted-quad form of a to b and returns the extended
 // slice, for zero-allocation serialization on hot paths (CLF writing).
 func (a Addr) Append(b []byte) []byte {
-	o := a.Octets()
-	for i, oct := range o {
-		if i > 0 {
-			b = append(b, '.')
-		}
-		b = strconv.AppendUint(b, uint64(oct), 10)
+	b = appendOctet(b, byte(a>>24))
+	b = appendOctet(append(b, '.'), byte(a>>16))
+	b = appendOctet(append(b, '.'), byte(a>>8))
+	return appendOctet(append(b, '.'), byte(a))
+}
+
+// appendOctet appends the one to three decimal digits of v. An octet is
+// rendered per row of every JSON answer, and strconv.AppendUint's
+// no-division path stops at 99.
+func appendOctet(b []byte, v byte) []byte {
+	switch {
+	case v >= 100:
+		return append(b, '0'+v/100, '0'+v/10%10, '0'+v%10)
+	case v >= 10:
+		return append(b, '0'+v/10, '0'+v%10)
 	}
-	return b
+	return append(b, '0'+v)
 }
 
 // IsUnspecified reports whether a is 0.0.0.0.

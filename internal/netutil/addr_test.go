@@ -1,6 +1,7 @@
 package netutil
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,35 @@ func TestAddrStringRoundTrip(t *testing.T) {
 		a := Addr(v)
 		back, err := ParseAddr(a.String())
 		return err == nil && back == a
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendDigitsMatchStrconv holds the hand-rolled digit rendering to
+// strconv over its whole domain: every octet, and through Prefix.Append
+// every prefix length.
+func TestAppendDigitsMatchStrconv(t *testing.T) {
+	for v := 0; v <= 255; v++ {
+		if got, want := string(appendOctet([]byte("x"), byte(v))), "x"+strconv.Itoa(v); got != want {
+			t.Fatalf("octet %d rendered %q, want %q", v, got, want)
+		}
+	}
+	for bits := 0; bits <= 32; bits++ {
+		p := PrefixFrom(0, bits)
+		if got, want := string(p.Append(nil)), "0.0.0.0/"+strconv.Itoa(bits); got != want {
+			t.Fatalf("/%d rendered %q, want %q", bits, got, want)
+		}
+	}
+}
+
+func TestAddrAppendMatchesString(t *testing.T) {
+	f := func(v uint32) bool {
+		a := Addr(v)
+		want := strconv.Itoa(int(v>>24)) + "." + strconv.Itoa(int(v>>16&0xff)) + "." +
+			strconv.Itoa(int(v>>8&0xff)) + "." + strconv.Itoa(int(v&0xff))
+		return a.String() == want && string(a.Append([]byte("x="))) == "x="+want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -69,9 +69,7 @@ func (p Prefix) String() string {
 // Append appends the CIDR form of p to b and returns the extended slice,
 // for zero-allocation serialization on hot paths (batch responses).
 func (p Prefix) Append(b []byte) []byte {
-	b = p.addr.Append(b)
-	b = append(b, '/')
-	return strconv.AppendUint(b, uint64(p.bits), 10)
+	return appendOctet(append(p.addr.Append(b), '/'), byte(p.bits))
 }
 
 // MarshalText renders p in CIDR notation, so Prefix values survive JSON

@@ -74,6 +74,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	spans    map[string]*spanMetrics // by trace span name; see trace.go
 
 	// ring, when set, receives every completed trace span started from
 	// this registry (the flight recorder). See ring.go and trace.go.
@@ -93,6 +94,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		spans:    make(map[string]*spanMetrics),
 	}
 }
 

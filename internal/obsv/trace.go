@@ -36,6 +36,13 @@ type traceCtxKey struct{}
 // ContextWithSpan returns ctx carrying sc; spans started from the
 // returned context become children of sc.
 func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
+	return withSpanContext(ctx, &sc)
+}
+
+// withSpanContext carries the context by pointer: a pointer rides in the
+// interface value itself, where a SpanContext would be boxed into a copy
+// of its own. A span's context points into the TSpan.
+func withSpanContext(ctx context.Context, sc *SpanContext) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, sc)
 }
 
@@ -44,8 +51,11 @@ func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
 	if ctx == nil {
 		return SpanContext{}, false
 	}
-	sc, ok := ctx.Value(traceCtxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	sc, ok := ctx.Value(traceCtxKey{}).(*SpanContext)
+	if !ok {
+		return SpanContext{}, false
+	}
+	return *sc, sc.Valid()
 }
 
 // Attr is one key/value annotation on a span: shard index, record count,
@@ -80,6 +90,31 @@ var (
 	idSalt atomic.Uint64
 )
 
+// spanMetrics is the <name>.count / <name>.ns pair a trace span feeds,
+// resolved once per span name so that ending a span builds no metric
+// name and takes the registry lock once, to read.
+type spanMetrics struct {
+	count *Counter
+	ns    *Histogram
+}
+
+func (r *Registry) spanMetrics(name string) *spanMetrics {
+	r.mu.RLock()
+	m := r.spans[name]
+	r.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	m = &spanMetrics{count: r.Counter(name + ".count"), ns: r.Histogram(name + ".ns")}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if first := r.spans[name]; first != nil {
+		return first
+	}
+	r.spans[name] = m
+	return m
+}
+
 // TSpan is an open trace span. The zero value and nil are inert: every
 // method is safe to call on them, so error paths need no guards.
 type TSpan struct {
@@ -107,7 +142,7 @@ func (r *Registry) StartTraceSpan(ctx context.Context, name string) (context.Con
 		s.sc.TraceID = idSalt.Load() | traceIDSeq.Add(1)
 	}
 	s.sc.SpanID = idSalt.Load() | spanIDSeq.Add(1)
-	return ContextWithSpan(ctx, s.sc), s
+	return withSpanContext(ctx, &s.sc), s
 }
 
 // StartTraceSpan opens a span on the Default registry.
@@ -156,8 +191,9 @@ func (s *TSpan) End() time.Duration {
 	reg := s.reg
 	s.reg = nil
 	d := time.Since(s.start)
-	reg.Counter(s.name + ".count").Inc()
-	reg.Histogram(s.name + ".ns").Observe(d.Nanoseconds())
+	m := reg.spanMetrics(s.name)
+	m.count.Inc()
+	m.ns.Observe(d.Nanoseconds())
 	if ring := reg.ring.Load(); ring != nil {
 		ring.Record(&SpanRecord{
 			TraceID:  s.sc.TraceID,

@@ -88,6 +88,27 @@ func TestTraceSpanHierarchy(t *testing.T) {
 	}
 }
 
+// TestTraceSpanAllocations pins what a span costs the allocator: the
+// span, the context that carries it and the record the ring keeps. A
+// fourth would be a metric name built, or the span context boxed, per
+// call.
+func TestTraceSpanAllocations(t *testing.T) {
+	reg, _ := tracedRegistry(64)
+	ctx, root := reg.StartTraceSpan(context.Background(), "alloc.root")
+	defer root.End()
+	// AllocsPerRun's warm-up call resolves the name's metric handles.
+	allocs := testing.AllocsPerRun(200, func() {
+		_, span := reg.StartTraceSpan(ctx, "alloc.child")
+		span.End()
+	})
+	if allocs > 3 {
+		t.Fatalf("starting and ending a child span allocates %.0f times, want at most 3", allocs)
+	}
+	if got := reg.Counter("alloc.child.count").Value(); got != 201 {
+		t.Fatalf("alloc.child.count = %d after 201 ended spans", got)
+	}
+}
+
 func TestTraceSpanNilSafety(t *testing.T) {
 	var s *TSpan
 	s.SetAttr("k", "v")

@@ -140,7 +140,15 @@ func TestClusterEquivalence(t *testing.T) {
 // TestClusterKillNode kills one shard mid-churn: the batch must degrade
 // to live-shard answers plus an explicit error map — never a wrong
 // answer — and the revived node must catch back up into lockstep.
-func TestClusterKillNode(t *testing.T) {
+func TestClusterKillNode(t *testing.T) { killNode(t, false) }
+
+// TestClusterKillNodeWarmPool is the same with the router holding open
+// batch streams to the node when it dies. http.Server.Close does not
+// reach them: a killed node that kept answering on them would serve the
+// generation it died at as healthy.
+func TestClusterKillNodeWarmPool(t *testing.T) { killNode(t, true) }
+
+func killNode(t *testing.T, warm bool) {
 	defer clusterArtifacts(t)
 	c, err := NewCluster(ClusterConfig{Shards: 3, Logf: t.Logf})
 	if err != nil {
@@ -154,6 +162,14 @@ func TestClusterKillNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	addrs := probeSet(rng, 2_000)
+	if warm {
+		for i := 0; i < 3; i++ {
+			if got := routedBatch(t, c.RouterBase(), addrs); len(got.Degradation) != 0 {
+				t.Fatalf("healthy cluster degraded: %v", got.Degradation)
+			}
+		}
+	}
 	c.KillNode(1)
 	for g := 0; g < 10; g++ { // the cluster keeps churning around the corpse
 		if err := c.Step(); err != nil {
@@ -161,7 +177,6 @@ func TestClusterKillNode(t *testing.T) {
 		}
 	}
 
-	addrs := probeSet(rng, 2_000)
 	want := referenceBatch(c, addrs)
 	got := routedBatch(t, c.RouterBase(), addrs)
 	if len(got.Degradation) != 1 || got.Degradation["1"] == "" {

@@ -10,9 +10,9 @@ import (
 	"github.com/netaware/netcluster/internal/netutil"
 )
 
-// The columnar batch frame is what a Router and its nodes speak to each
-// other on POST /cluster, selected by Content-Type. All integers are
-// little-endian.
+// The columnar batch frame is the payload a Router and its nodes exchange
+// on a batch stream (stream.go, which adds a 16-byte header to each
+// message and an error frame). All integers are little-endian.
 //
 //	request   offset 0  magic "NCQ1"
 //	                 4  count   uint32
@@ -28,12 +28,12 @@ import (
 //	          exactly 16+6n bytes
 //
 // Row i of the response answers address i of the request. The all-zero
-// row is a miss, as the zero bgp.Match is. Decoders reject rather than
-// trust: a frame is accepted whole or not at all, and every accepted
-// frame re-encodes to the same bytes.
-
-// FrameContentType marks a request or response body as a batch frame.
-const FrameContentType = "application/x-netcluster-batch"
+// row is a miss, as the zero bgp.Match is. A frame's length follows from
+// its count, and the count is checked — against the batch limit on a
+// node, against the addresses sent on the router — before anything past
+// the header is read. Decoders reject rather than trust: a frame is
+// accepted whole or not at all, and every accepted frame re-encodes to
+// the same bytes.
 
 const (
 	requestMagic      = "NCQ1"

@@ -56,6 +56,7 @@ type Cluster struct {
 type serverHandle struct {
 	ln   net.Listener
 	srv  *http.Server
+	node *NodeServer // set on a shard node: its batch streams end with the server
 	base string
 }
 
@@ -69,9 +70,26 @@ func startServer(h http.Handler) (*serverHandle, error) {
 	return sh, nil
 }
 
+func startNode(n *NodeServer) (*serverHandle, error) {
+	sh, err := startServer(n.Handler())
+	if err == nil {
+		sh.node = n
+	}
+	return sh, err
+}
+
+// close kills the server: the listener and every connection go at once,
+// the batch streams http.Server.Close cannot see included — a dead node
+// must not keep answering on the streams a router has pooled.
 func (sh *serverHandle) close() {
-	if sh != nil {
-		sh.srv.Close()
+	if sh == nil {
+		return
+	}
+	sh.srv.Close()
+	if sh.node != nil {
+		dead, cancel := context.WithCancel(context.Background())
+		cancel()
+		sh.node.Shutdown(dead)
 	}
 }
 
@@ -142,7 +160,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		f.Logf = logf
 		c.Followers = append(c.Followers, f)
-		sh, err := startServer((&NodeServer{Table: f.Table, ShardID: i}).Handler())
+		sh, err := startNode(&NodeServer{Table: f.Table, ShardID: i})
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -207,9 +225,9 @@ func (c *Cluster) CatchUp() error {
 	return nil
 }
 
-// KillNode shuts shard i's HTTP server down and stops driving its
-// follower — from the router's point of view the node is gone
-// mid-deployment.
+// KillNode shuts shard i's server down, batch streams included, and
+// stops driving its follower — from the router's point of view the node
+// is gone mid-deployment.
 func (c *Cluster) KillNode(i int) {
 	if !c.dead[i] {
 		c.dead[i] = true
@@ -226,7 +244,7 @@ func (c *Cluster) ReviveNode(i int) error {
 	if !c.dead[i] {
 		return nil
 	}
-	sh, err := startServer((&NodeServer{Table: c.Followers[i].Table, ShardID: i}).Handler())
+	sh, err := startNode(&NodeServer{Table: c.Followers[i].Table, ShardID: i})
 	if err != nil {
 		return err
 	}
@@ -240,6 +258,9 @@ func (c *Cluster) ReviveNode(i int) error {
 // Close shuts every server down.
 func (c *Cluster) Close() {
 	c.routerSrv.close()
+	if c.Router != nil {
+		c.Router.Close()
+	}
 	for _, sh := range c.nodeSrvs {
 		sh.close()
 	}

@@ -194,13 +194,10 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-var (
-	jsonContentType  = []string{"application/json"}
-	frameContentType = []string{FrameContentType}
-)
+var jsonContentType = []string{"application/json"}
 
-// writeBody answers with one header-complete Write. contentType is one
-// of the shared slices above; net/http only reads header values.
+// writeBody answers with one header-complete Write. contentType is a
+// shared slice such as the one above; net/http only reads header values.
 func writeBody(w http.ResponseWriter, contentType []string, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = contentType

@@ -1,13 +1,15 @@
 package shard
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -30,19 +32,17 @@ var (
 // DefaultRouterTimeout bounds one shard's portion of a routed batch.
 const DefaultRouterTimeout = 5 * time.Second
 
-// shardIdleConns is how many idle keep-alive connections the router's
-// own transport holds per shard. Every in-flight batch occupies one
-// connection to each shard it touches, and net/http's default of 2 makes
-// the third concurrent batch dial and tear down a connection per shard
-// per request.
-const shardIdleConns = 64
-
 // RouterConfig configures a Router.
 type RouterConfig struct {
 	Map      *Map          // validated shard map with Addr filled in
-	Client   *http.Client  // nil = a transport keeping shardIdleConns per shard
+	Client   *http.Client  // health probes and metrics federation; nil = http.DefaultTransport
 	Timeout  time.Duration // per-shard request budget; 0 = DefaultRouterTimeout
 	MaxBatch int           // addresses per routed batch; 0 = DefaultMaxBatch
+
+	// Dial opens the connection a batch stream to a shard node runs on;
+	// addr is the host:port of the shard's base URL. Nil dials TCP. It is
+	// a seam for tests, which hand back pipes and fault injectors.
+	Dial func(ctx context.Context, addr string) (net.Conn, error)
 
 	// FederateEvery bounds how stale the metrics aggregator behind
 	// /metrics/cluster and /readyz may get before a request triggers a
@@ -59,7 +59,8 @@ type RouterConfig struct {
 // cluster the common failure is one node, not all of them.
 type Router struct {
 	cfg      RouterConfig
-	client   *http.Client // every shard-bound request: fan-out, health probes, federation
+	client   *http.Client // health probes and federation; batches travel on conns
+	conns    []shardConns // idle batch streams, by shard
 	agg      *Aggregator
 	stats    []shardStat
 	draining atomic.Bool
@@ -98,6 +99,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if s.Addr == "" {
 			return nil, fmt.Errorf("shard router: shard %d has no addr", s.ID)
 		}
+		if _, err := shardHost(s.Addr); err != nil {
+			return nil, fmt.Errorf("shard router: shard %d: %w", s.ID, err)
+		}
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultRouterTimeout
@@ -105,19 +109,21 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
+	if cfg.Dial == nil {
+		dialer := &net.Dialer{KeepAlive: 30 * time.Second}
+		cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			return dialer.DialContext(ctx, "tcp", addr)
+		}
+	}
 	// The client is built once; its Timeout is the per-shard budget.
-	client := &http.Client{Transport: &http.Transport{
-		Proxy:               http.ProxyFromEnvironment,
-		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-		MaxIdleConnsPerHost: shardIdleConns,
-		IdleConnTimeout:     90 * time.Second,
-	}}
+	client := &http.Client{}
 	if cfg.Client != nil {
 		c := *cfg.Client
 		client = &c
 	}
 	client.Timeout = cfg.Timeout
-	rt := &Router{cfg: cfg, client: client, stats: make([]shardStat, len(cfg.Map.Shards))}
+	shards := len(cfg.Map.Shards)
+	rt := &Router{cfg: cfg, client: client, conns: make([]shardConns, shards), stats: make([]shardStat, shards)}
 	for i := range rt.stats {
 		prefix := "shard.router.s" + strconv.Itoa(i) + "."
 		rt.stats[i] = shardStat{
@@ -159,6 +165,14 @@ func (rt *Router) SetDraining(v bool) { rt.draining.Store(v) }
 // Map returns the router's shard map.
 func (rt *Router) Map() *Map { return rt.cfg.Map }
 
+// Close closes the router's idle batch streams. A batch still in flight
+// finishes, and closes its connections behind it.
+func (rt *Router) Close() {
+	for i := range rt.conns {
+		rt.conns[i].close()
+	}
+}
+
 // Handler returns the router's mux: POST /cluster (fan-out batch),
 // GET /lookup (single-address proxy), GET /shardmap (the live map),
 // GET /healthz (fan-out probe), GET /readyz (readiness: draining state,
@@ -196,8 +210,8 @@ func (rt *Router) BatchCtx(ctx context.Context, addrs []netutil.Addr) *RouterBat
 	return sc.routedResponse(rt.cfg.Map, addrs)
 }
 
-// route fans addrs out: group by shard, one concurrent frame POST per
-// non-empty shard, each shard's answer columns scattered back into
+// route fans addrs out: group by shard, one concurrent stream exchange
+// per non-empty shard, each shard's answer columns scattered back into
 // sc.rows by input index. On return sc.reports holds every shard's slice
 // of the batch; the rows of a shard whose report carries an error were
 // never written and mean nothing.
@@ -264,11 +278,11 @@ func (sc *scratch) group(m *Map, addrs []netutil.Addr) {
 	}
 }
 
-// One shard's exchange takes its request frame, its response frame and
-// one byte to catch a response that runs long; every shard's lives in
-// sc.wire, in shard order.
+// One shard's exchange takes its request and its answer, a stream header
+// and a frame each, and one byte to catch an answer that runs long; every
+// shard's lives in sc.wire, in shard order.
 const (
-	wireFixed   = requestHeaderLen + responseHeaderLen + 1
+	wireFixed   = 2*streamHeaderLen + requestHeaderLen + responseHeaderLen + 1
 	wirePerAddr = 4 + 6
 )
 
@@ -283,7 +297,7 @@ func (rt *Router) shardBatch(ctx context.Context, wg *sync.WaitGroup, sc *scratc
 	span.SetAttrInt("shard", int64(sid))
 	span.SetAttrInt("addrs", int64(hi-lo))
 	start := time.Now()
-	matches, gen, err := rt.askShard(ctx, rep.Addr, sc.sorted[lo:hi], sc.dense[lo:hi], buf)
+	matches, gen, err := rt.askShard(ctx, sid, rep.Addr, sc.sorted[lo:hi], sc.dense[lo:hi], buf)
 	rt.stats[sid].record(time.Since(start), err != nil)
 	if err != nil {
 		routerShardErrs.Inc()
@@ -299,56 +313,52 @@ func (rt *Router) shardBatch(ctx context.Context, wg *sync.WaitGroup, sc *scratc
 	}
 }
 
-// askShard sends one shard its addresses as a request frame and decodes
-// the response frame into dst. Anything but a 200 carrying exactly the
-// frame those addresses imply — another content type, a missing or
-// different Content-Length, a short or long body, an invalid column, a
-// prefix that does not cover its address — is the shard's error. The
-// span context carried by ctx rides the request as an X-Netcluster-Trace
-// header, so the shard's server-side spans join this trace.
-func (rt *Router) askShard(ctx context.Context, base string, addrs []netutil.Addr, dst []bgp.Match, buf []byte) ([]bgp.Match, uint64, error) {
-	frame := AppendRequestFrame(buf[:0], addrs)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/cluster", bytes.NewReader(frame))
-	if err != nil {
-		return nil, 0, err
+// askShard runs one exchange with shard sid on a batch stream: its
+// addresses go out as a request frame behind the span context ctx
+// carries — which makes the shard's server-side spans part of this trace
+// — and the response frame is decoded into dst. Anything but exactly the
+// frame those addresses imply, down to each prefix covering the address
+// it answers, is the shard's error. The exchange has until ctx's deadline
+// or the per-shard timeout, whichever is sooner.
+//
+// The connection comes off the shard's idle stack, or is dialed, and goes
+// back only after an answer that passed every check or a 503 refusal;
+// after anything else it is closed. One failure is retried, on a fresh
+// connection: an idle connection that broke before the first byte of an
+// answer arrived, which is how a node that restarted or closed it while
+// it sat idle shows — net/http's rule for a kept-alive connection.
+func (rt *Router) askShard(ctx context.Context, sid int, base string, addrs []netutil.Addr, dst []bgp.Match, buf []byte) ([]bgp.Match, uint64, error) {
+	span, _ := obsv.SpanContextFrom(ctx)
+	req := binary.LittleEndian.AppendUint64(buf[:0], span.TraceID)
+	req = binary.LittleEndian.AppendUint64(req, span.SpanID)
+	req = AppendRequestFrame(req, addrs)
+	answer := buf[len(req):]
+
+	now := time.Now()
+	deadline := now.Add(rt.cfg.Timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
-	req.Header["Content-Type"] = frameContentType
-	obsv.HTTPInject(ctx, req.Header)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, 0, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != FrameContentType {
-		return nil, 0, fmt.Errorf("shard answered content type %q, want %s", ct, FrameContentType)
-	}
-	want := responseFrameLen(len(addrs))
-	if resp.ContentLength != int64(want) {
-		return nil, 0, fmt.Errorf("shard declared %d bytes for %d addresses, want %d", resp.ContentLength, len(addrs), want)
-	}
-	// Asking for one byte too many makes the expected outcome "the body
-	// ended exactly at want".
-	body := buf[len(frame):]
-	switch got, err := io.ReadFull(resp.Body, body[:want+1]); {
-	case err == nil:
-		return nil, 0, fmt.Errorf("shard answered more than the %d bytes it declared", want)
-	case got != want || err != io.ErrUnexpectedEOF:
-		return nil, 0, fmt.Errorf("shard answered %d of %d bytes: %w", got, want, err)
-	}
-	matches, gen, err := DecodeResponseFrame(body[:want], len(addrs), dst)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, m := range matches {
-		if !m.Prefix.IsZero() && !m.Prefix.Contains(addrs[i]) {
-			return nil, 0, fmt.Errorf("batch frame: row %d: %s does not cover %s", i, m.Prefix, addrs[i])
+	pool := &rt.conns[sid]
+	conn := pool.get(base, now)
+	for reused := conn != nil; ; reused = false {
+		if conn == nil {
+			var err error
+			if conn, err = rt.openStream(ctx, base, deadline); err != nil {
+				return nil, 0, err
+			}
 		}
+		matches, gen, started, inStep, err := exchange(conn, deadline, req, answer, addrs, dst)
+		if inStep {
+			pool.put(conn, base, now)
+		} else {
+			conn.Close()
+		}
+		if err == nil || !reused || started || errors.Is(err, os.ErrDeadlineExceeded) {
+			return matches, gen, err
+		}
+		conn = nil
 	}
-	return matches, gen, nil
 }
 
 // liveGeneration is a routed batch's generation: the newest among the
@@ -398,7 +408,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	lim := Limits{MaxBatch: rt.cfg.MaxBatch, MaxBody: DefaultMaxBody}
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.readBatch(r, false, lim); err != nil {
+	if err := sc.readBatch(r, lim); err != nil {
 		writeBatchError(w, err, lim)
 		return
 	}
@@ -409,10 +419,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleLookup proxies a single-address lookup to its owning shard.
 func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("addr")
-	addr, err := netutil.ParseAddr(q)
+	addr, err := LookupAddr(w, r)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad addr %q: %v", q, err), http.StatusBadRequest)
 		return
 	}
 	sid := rt.cfg.Map.ShardFor(addr)

@@ -2,7 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -10,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,38 +45,64 @@ func fixtureTables() []*churn.Table {
 	return tables
 }
 
-func newRouterFixture(t *testing.T, client *http.Client, timeout time.Duration) *routerFixture {
+// killed is the context a test hands Shutdown to end batch streams at
+// once, as a crash would.
+func killed() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// newRouter builds a router that is closed with the test.
+func newRouter(t testing.TB, cfg RouterConfig) *Router {
+	t.Helper()
+	rt, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// newRouterFixture serves the three shards on loopback sockets. dial, when
+// set, replaces the router's TCP dial.
+func newRouterFixture(t *testing.T, dial func(context.Context, string) (net.Conn, error), timeout time.Duration) *routerFixture {
 	t.Helper()
 	fx := &routerFixture{m: NewMap(3), tables: fixtureTables()}
 	for i, table := range fx.tables {
-		srv := httptest.NewServer((&NodeServer{Table: table, ShardID: i}).Handler())
-		t.Cleanup(srv.Close)
+		node := &NodeServer{Table: table, ShardID: i}
+		srv := httptest.NewServer(node.Handler())
+		t.Cleanup(func() {
+			srv.Close()
+			node.Shutdown(killed())
+		})
 		fx.srvs = append(fx.srvs, srv)
 		fx.m.Shards[i].Addr = srv.URL
 	}
-	rt, err := NewRouter(RouterConfig{Map: fx.m, Client: client, Timeout: timeout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx.router = rt
+	fx.router = newRouter(t, RouterConfig{Map: fx.m, Dial: dial, Timeout: timeout})
 	return fx
 }
 
-// newLoopbackRouter stands the same three shards up behind a loopback
-// transport instead of sockets.
-func newLoopbackRouter(t testing.TB) (*Router, loopback, []*churn.Table) {
+// pipeNodes stands the same three shards up on a pipeNet instead of
+// sockets: shard i is a real NodeServer behind a real http.Server at
+// http://shardi.
+func pipeNodes(t testing.TB) (*Map, *pipeNet, []*churn.Table) {
 	t.Helper()
-	m, nodes, tables := NewMap(3), loopback{}, fixtureTables()
+	m, pn, tables := NewMap(3), &pipeNet{nodes: map[string]func(net.Conn){}}, fixtureTables()
 	for i, table := range tables {
+		node := &NodeServer{Table: table, ShardID: i}
 		host := "shard" + strconv.Itoa(i)
-		nodes[host] = &loopNode{handler: (&NodeServer{Table: table, ShardID: i}).Handler()}
+		pn.nodes[host+":80"] = servePipes(t, node.Handler(), node.Shutdown)
 		m.Shards[i].Addr = "http://" + host
 	}
-	rt, err := NewRouter(RouterConfig{Map: m, Client: &http.Client{Transport: nodes}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt, nodes, tables
+	return m, pn, tables
+}
+
+// newPipeRouter is a router over pipeNodes.
+func newPipeRouter(t testing.TB) (*Router, *pipeNet, []*churn.Table) {
+	t.Helper()
+	m, pn, tables := pipeNodes(t)
+	return newRouter(t, RouterConfig{Map: m, Dial: pn.dial}), pn, tables
 }
 
 // fixtureOracle is the single-node answer to addr: the three tables hold
@@ -168,23 +196,6 @@ func TestRouterPartialDegradation(t *testing.T) {
 	}
 }
 
-// faultTransport injects faults only on requests to one target host, so
-// the router sees a partitioned shard while the rest of the cluster
-// stays healthy — the faultnet-backed version of the one-shard-down
-// contract.
-type faultTransport struct {
-	host    string
-	faulty  http.RoundTripper
-	healthy http.RoundTripper
-}
-
-func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Host == ft.host {
-		return ft.faulty.RoundTrip(req)
-	}
-	return ft.healthy.RoundTrip(req)
-}
-
 // fixtureProbes draws n addresses per shard around the fixture's three
 // prefixes: mostly hits, some misses in the same /8 ranges.
 func fixtureProbes(n int) []netutil.Addr {
@@ -238,140 +249,90 @@ func checkDegraded(t *testing.T, out *RouterBatchResponse, tables []*churn.Table
 
 func TestRouterDegradationUnderFaultnet(t *testing.T) {
 	// 256 addresses per shard: faultnet's corruption flips one bit per 64
-	// bytes, so shard 2's 1,552-byte answer takes two dozen flips. The
-	// frame carries no checksum — that is TCP's job — but nearly every
-	// bit of it is checked (columns, lengths, and that each prefix covers
-	// the address it answers), so that many flips cannot all land on the
-	// few that are not.
+	// bytes, so shard 2's 1,568-byte answer takes two dozen flips. The
+	// stream carries no checksum — that is TCP's job — but nearly every
+	// bit of an answer is checked (the echoed header, columns, lengths,
+	// and that each prefix covers the address it answers), so that many
+	// flips cannot all land on the few that are not.
 	addrs := fixtureProbes(256)
+	const timeout = 250 * time.Millisecond
 	for _, tc := range []struct {
 		name    string
 		profile faultnet.Profile
 	}{
-		{"drop", faultnet.Profile{Seed: 1, Outbound: faultnet.Faults{Drop: 1}}},
+		// A dropped segment on a stream is a retransmission delay; this one
+		// outlasts the per-shard budget.
+		{"drop", faultnet.Profile{Seed: 1, Outbound: faultnet.Faults{Drop: 1, Latency: timeout / 2}}},
 		{"reset", faultnet.Profile{Seed: 1, Outbound: faultnet.Faults{Reset: 1}}},
 		{"truncate", faultnet.Profile{Seed: 1, Inbound: faultnet.Faults{Truncate: 1}}},
 		{"corrupt", faultnet.Profile{Seed: 1, Inbound: faultnet.Faults{Corrupt: 1}}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fx := newRouterFixture(t, nil, 0)
-			inj := faultnet.New(tc.profile)
-			client := &http.Client{Transport: &faultTransport{
-				host:    strings.TrimPrefix(fx.srvs[2].URL, "http://"),
-				faulty:  inj.RoundTripper(nil),
-				healthy: http.DefaultTransport,
-			}}
-			rt, err := NewRouter(RouterConfig{Map: fx.m, Client: client, Timeout: time.Second})
-			if err != nil {
-				t.Fatal(err)
+		// cold: the faults meet a fresh connection, handshake first. warm:
+		// they set in on a pooled connection between two exchanges.
+		for _, warm := range []bool{false, true} {
+			name := tc.name
+			if warm {
+				name += "/warm"
 			}
+			t.Run(name, func(t *testing.T) {
+				inj := faultnet.New(faultnet.Profile{Seed: tc.profile.Seed})
+				var fx *routerFixture
+				var dialer net.Dialer
+				// Faults are injected only on connections to shard 2, so the
+				// router sees one partitioned shard in a healthy cluster.
+				fx = newRouterFixture(t, func(ctx context.Context, addr string) (net.Conn, error) {
+					conn, err := dialer.DialContext(ctx, "tcp", addr)
+					if err == nil && "http://"+addr == fx.srvs[2].URL {
+						conn = inj.Conn(conn)
+					}
+					return conn, err
+				}, timeout)
+				rt := fx.router
+				if warm {
+					if out := rt.Batch(addrs); len(out.Degradation) != 0 {
+						t.Fatalf("cluster degraded before any fault: %v", out.Degradation)
+					}
+				}
+				inj.SetProfile(tc.profile)
 
-			degraded := routerDegraded.Value()
-			out := rt.Batch(addrs)
-			checkDegraded(t, out, fx.tables, fx.m, addrs, 2)
-			if got := routerDegraded.Value() - degraded; got != 1 {
-				t.Fatalf("shard.router.degraded_batches moved by %d, want 1", got)
-			}
-			if st := inj.Stats(); st.Ops == 0 {
-				t.Fatal("injector never saw the partitioned shard's traffic")
-			}
-		})
+				degraded := routerDegraded.Value()
+				out := rt.Batch(addrs)
+				checkDegraded(t, out, fx.tables, fx.m, addrs, 2)
+				t.Logf("shard 2: %s", out.Degradation["2"])
+				if got := routerDegraded.Value() - degraded; got != 1 {
+					t.Fatalf("shard.router.degraded_batches moved by %d, want 1", got)
+				}
+				if st := inj.Stats(); st.Total() == 0 {
+					t.Fatal("no fault was injected into the partitioned shard's traffic")
+				}
+			})
+		}
 	}
 }
 
-// TestRouterRejectsBadFrames hands the router one hand-built bad answer
-// per rejection rule from shard 1 and holds the routed JSON to the
-// degrade-never-lie contract each time.
-func TestRouterRejectsBadFrames(t *testing.T) {
-	rt, nodes, tables := newLoopbackRouter(t)
-	m := rt.Map()
-	addrs := fixtureProbes(8)
+// postText routes addrs through rt's own POST /cluster handler.
+func postText(t *testing.T, rt *Router, addrs []netutil.Addr) *RouterBatchResponse {
+	t.Helper()
 	var body []byte
 	for _, a := range addrs {
 		body = append(a.Append(body), '\n')
 	}
-	// Shard 1's frame holds 8 rows; row 0 answers a hit in 100.0.0.0/8.
-	const rows = 8
-	bits, kind := responseHeaderLen+4*rows, responseHeaderLen+5*rows
-	declare := func(resp *http.Response, n int) {
-		resp.ContentLength = int64(n)
-		resp.Header.Set("Content-Length", strconv.Itoa(n))
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /cluster = %d: %s", rec.Code, rec.Body)
 	}
-
-	for _, tc := range []struct {
-		name   string
-		tamper func(resp *http.Response, frame []byte) []byte
-	}{
-		{"wrong magic", func(_ *http.Response, f []byte) []byte { f[0] ^= 0xff; return f }},
-		{"wrong count", func(_ *http.Response, f []byte) []byte { f[4]++; return f }},
-		{"one row short", func(resp *http.Response, f []byte) []byte {
-			matches, gen, err := DecodeResponseFrame(f, rows, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f = AppendResponseFrame(nil, gen, matches[:rows-1])
-			declare(resp, len(f))
-			return f
-		}},
-		{"bits 33", func(_ *http.Response, f []byte) []byte { f[bits] = 33; return f }},
-		{"host bits set", func(_ *http.Response, f []byte) []byte { f[responseHeaderLen] |= 1; return f }},
-		{"unknown kind", func(_ *http.Response, f []byte) []byte { f[kind] = 2; return f }},
-		{"miss with kind", func(_ *http.Response, f []byte) []byte {
-			f[bits], f[kind] = 0, 1
-			copy(f[responseHeaderLen:], "\x00\x00\x00\x00")
-			return f
-		}},
-		{"prefix of another address", func(_ *http.Response, f []byte) []byte { f[responseHeaderLen+3] = 99; return f }},
-		{"trailing byte", func(_ *http.Response, f []byte) []byte { return append(f, 0) }},
-		{"trailing byte declared", func(resp *http.Response, f []byte) []byte { declare(resp, len(f)+1); return append(f, 0) }},
-		{"short body", func(_ *http.Response, f []byte) []byte { return f[:len(f)-1] }},
-		{"no Content-Length", func(resp *http.Response, f []byte) []byte { resp.ContentLength = -1; return f }},
-		{"application/json", func(resp *http.Response, f []byte) []byte {
-			// What a node predating the frame would answer.
-			matches, gen, err := DecodeResponseFrame(f, rows, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var shard1 []netutil.Addr
-			for _, a := range addrs {
-				if m.ShardFor(a) == 1 {
-					shard1 = append(shard1, a)
-				}
-			}
-			f = AppendBatchJSON(nil, shard1, matches, gen)
-			resp.Header.Set("Content-Type", "application/json")
-			declare(resp, len(f))
-			return f
-		}},
-		{"503", func(resp *http.Response, f []byte) []byte {
-			resp.StatusCode, resp.Status = http.StatusServiceUnavailable, "503 Service Unavailable"
-			return []byte("batch capacity exhausted, retry later\n")
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nodes["shard1"].tamper = tc.tamper
-			degraded := routerDegraded.Value()
-			rec := httptest.NewRecorder()
-			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster", bytes.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("POST /cluster = %d: %s", rec.Code, rec.Body)
-			}
-			var out RouterBatchResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-				t.Fatal(err)
-			}
-			checkDegraded(t, &out, tables, m, addrs, 1)
-			t.Logf("shard 1: %s", out.Degradation["1"])
-			if got := routerDegraded.Value() - degraded; got != 1 {
-				t.Fatalf("shard.router.degraded_batches moved by %d, want 1", got)
-			}
-		})
+	var out RouterBatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
 	}
+	return &out
+}
 
-	// Untampered, the same batch is clean: the rules above reject the
-	// edits, not the node.
-	nodes["shard1"].tamper = nil
-	out := rt.Batch(addrs)
+// checkClean holds a routed answer to the healthy contract: no
+// degradation, every row the single-node oracle's.
+func checkClean(t *testing.T, out *RouterBatchResponse, tables []*churn.Table, m *Map, addrs []netutil.Addr) {
+	t.Helper()
 	if len(out.Degradation) != 0 {
 		t.Fatalf("healthy cluster degraded: %v", out.Degradation)
 	}
@@ -382,71 +343,269 @@ func TestRouterRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// TestRouterReusesShardConnections pins the router's own transport:
-// rounds of 16 concurrent batches must settle on the connections the
-// first round opened. On net/http's default transport, which keeps two
-// idle connections per host, every round dials a dozen new ones per
-// shard.
+// TestRouterRejectsBadFrames hands the router one hand-built bad answer
+// per rejection rule from shard 1 — to the upgrade or to a request — and
+// holds the routed JSON to the degrade-never-lie contract each time.
+func TestRouterRejectsBadFrames(t *testing.T) {
+	m, real, tables := pipeNodes(t)
+	addrs := fixtureProbes(8)
+	// Shard 1's answer is the echoed stream header and a frame of 8 rows;
+	// row 0 answers a hit in 100.0.0.0/8.
+	const rows = 8
+	const frame = streamHeaderLen
+	base, bits, kind := frame+responseHeaderLen, frame+responseHeaderLen+4*rows, frame+responseHeaderLen+5*rows
+
+	// edit sends the answer changed, cut sends it short of its last n
+	// bytes and hangs up, refuse sends an error frame in its place.
+	type answer = func(w io.Writer, n int, ans []byte) bool
+	edit := func(fn func(a []byte) []byte) answer {
+		return func(w io.Writer, _ int, ans []byte) bool { w.Write(fn(ans)); return false }
+	}
+	cut := func(keep func(ans []byte) int) answer {
+		return func(w io.Writer, _ int, ans []byte) bool { w.Write(ans[:keep(ans)]); return true }
+	}
+	refuse := func(status int, msg string) answer {
+		return edit(func(a []byte) []byte { return appendErrorFrame(a[:frame], status, msg) })
+	}
+	// A node that never heard of the stream, and one that hears the
+	// upgrade as an ordinary request.
+	noStream := http.NewServeMux()
+	noStream.Handle("/cluster", &BatchHandler{Table: tables[1], Batches: nodeBatches, Addrs: nodeAddrs})
+	deaf := http.NewServeMux()
+	deaf.HandleFunc(StreamPath, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(AppendBatchJSON(nil, nil, nil, 0))
+	})
+
+	for _, tc := range []struct {
+		name      string
+		warm      bool // route one clean batch first; the answer under test is the second
+		node      func(net.Conn)
+		handshake func(w io.Writer, resp []byte) bool
+		answer    answer
+	}{
+		{name: "wrong magic", answer: edit(func(a []byte) []byte { a[frame] ^= 0xff; return a })},
+		{name: "wrong count", answer: edit(func(a []byte) []byte { a[frame+4]++; return a })},
+		{name: "one row short", answer: edit(func(a []byte) []byte {
+			matches, gen, err := DecodeResponseFrame(a[frame:], rows, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			return AppendResponseFrame(a[:frame], gen, matches[:rows-1])
+		})},
+		{name: "bits 33", answer: edit(func(a []byte) []byte { a[bits] = 33; return a })},
+		{name: "host bits set", answer: edit(func(a []byte) []byte { a[base] |= 1; return a })},
+		{name: "unknown kind", answer: edit(func(a []byte) []byte { a[kind] = 2; return a })},
+		{name: "miss with kind", answer: edit(func(a []byte) []byte {
+			a[bits], a[kind] = 0, 1
+			copy(a[base:], "\x00\x00\x00\x00")
+			return a
+		})},
+		{name: "prefix of another address", answer: edit(func(a []byte) []byte { a[base+3] = 99; return a })},
+		{name: "trailing byte", answer: edit(func(a []byte) []byte { return append(a, 0) })},
+		{name: "short body", answer: cut(func(a []byte) int { return len(a) - 1 })},
+		{name: "truncated header", answer: cut(func([]byte) int { return frame + 3 })},
+		{name: "truncated columns", answer: cut(func([]byte) int { return bits + 2 })},
+		{name: "header of another request", answer: edit(func(a []byte) []byte { a[8] ^= 1; return a })},
+		// The node answers the first request twice. The router has its
+		// answer and asks again; what it reads next is the duplicate, a
+		// well-formed answer to the very same addresses.
+		{name: "second answer with no request", warm: true, answer: func(w io.Writer, n int, ans []byte) bool {
+			if n == 1 {
+				w.Write(ans)
+				go w.Write(ans)
+				return false
+			}
+			// The duplicate goes out ahead of this answer: writes to a pipe
+			// queue in order.
+			w.Write(ans)
+			return false
+		}},
+		{name: "503", answer: refuse(http.StatusServiceUnavailable, "batch capacity exhausted, retry later")},
+		{name: "413", answer: refuse(http.StatusRequestEntityTooLarge, "batch exceeds 2 addresses")},
+		{name: "400", answer: refuse(http.StatusBadRequest, "batch frame: not a request frame")},
+		{name: "error frame over 512", answer: edit(func(a []byte) []byte {
+			a = appendErrorFrame(a[:frame], http.StatusBadRequest, "")
+			binary.LittleEndian.PutUint16(a[frame+6:], maxErrorMessage+1)
+			return append(a, make([]byte, maxErrorMessage+1)...)
+		})},
+		{name: "error frame cut short", answer: func(w io.Writer, _ int, ans []byte) bool {
+			full := appendErrorFrame(ans[:frame], http.StatusBadRequest, "batch frame: not a request frame")
+			w.Write(full[:len(full)-5])
+			return true
+		}},
+		// What a node predating the stream answers the upgrade with.
+		{name: "404", node: servePipes(t, noStream, nil)},
+		{name: "application/json", node: servePipes(t, deaf, nil)},
+		{name: "101 for another protocol", handshake: func(w io.Writer, resp []byte) bool {
+			w.Write(bytes.Replace(resp, []byte(streamProtocol), []byte("websocket"), 1))
+			return false
+		}},
+		{name: "answer before any request", handshake: func(w io.Writer, resp []byte) bool {
+			w.Write(AppendResponseFrame(append(resp, make([]byte, streamHeaderLen)...), 0, make([]bgp.Match, rows)))
+			return false
+		}},
+		{name: "truncated handshake", handshake: func(w io.Writer, resp []byte) bool {
+			w.Write(resp[:len(resp)-2])
+			return true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := real.nodes["shard1:80"]
+			if tc.node != nil {
+				node = tc.node
+			}
+			pn := &pipeNet{nodes: map[string]func(net.Conn){
+				"shard0:80": real.nodes["shard0:80"],
+				"shard1:80": (&tamperer{node: node, handshake: tc.handshake, answer: tc.answer}).serve,
+				"shard2:80": real.nodes["shard2:80"],
+			}}
+			rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial, Timeout: time.Second})
+			if tc.warm {
+				checkClean(t, postText(t, rt, addrs), tables, m, addrs)
+			}
+			degraded := routerDegraded.Value()
+			out := postText(t, rt, addrs)
+			checkDegraded(t, out, tables, m, addrs, 1)
+			t.Logf("shard 1: %s", out.Degradation["1"])
+			if got := routerDegraded.Value() - degraded; got != 1 {
+				t.Fatalf("shard.router.degraded_batches moved by %d, want 1", got)
+			}
+		})
+	}
+
+	// Relayed untampered, the same batch is clean: the rules above reject
+	// the edits, not the node or the relay.
+	real.nodes["shard1:80"] = (&tamperer{node: real.nodes["shard1:80"]}).serve
+	rt := newRouter(t, RouterConfig{Map: m, Dial: real.dial})
+	checkClean(t, rt.Batch(addrs), tables, m, addrs)
+}
+
+// TestRouterReusesShardConnections counts dials: the router keeps the
+// batch streams it opened, reuses them whatever the concurrency, and
+// replaces one only under the retry rule.
 func TestRouterReusesShardConnections(t *testing.T) {
-	const concurrent = 16
-	var opened atomic.Int64
-	// Each node holds its requests until a whole round has arrived, so a
-	// round needs `concurrent` connections per shard at once.
-	var arrived sync.WaitGroup
-	fx := &routerFixture{m: NewMap(3), tables: fixtureTables()}
-	for i, table := range fx.tables {
-		node := (&NodeServer{Table: table, ShardID: i}).Handler()
-		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			arrived.Done()
-			arrived.Wait()
-			node.ServeHTTP(w, r)
-		}))
-		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-			if st == http.StateNew {
-				opened.Add(1)
+	addrs := fixtureProbes(4)
+
+	t.Run("sequential", func(t *testing.T) {
+		rt, pn, tables := newPipeRouter(t)
+		for i := 0; i < 20; i++ {
+			checkClean(t, rt.Batch(addrs), tables, rt.Map(), addrs)
+		}
+		if n := pn.dials.Load(); n != 3 {
+			t.Fatalf("20 sequential batches dialed %d connections, want one per shard", n)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		// Each node holds its answers until a whole round has arrived, so a
+		// round needs `concurrent` connections per shard at once; the next
+		// round must find them all idle.
+		const concurrent = 16
+		m, pn, _ := pipeNodes(t)
+		var arrived sync.WaitGroup
+		for host, node := range pn.nodes {
+			pn.nodes[host] = (&tamperer{node: node, answer: func(w io.Writer, _ int, ans []byte) bool {
+				arrived.Done()
+				arrived.Wait()
+				w.Write(ans)
+				return false
+			}}).serve
+		}
+		rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial})
+		round := func() int64 {
+			before := pn.dials.Load()
+			arrived.Add(concurrent * len(m.Shards))
+			var wg sync.WaitGroup
+			for i := 0; i < concurrent; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if out := rt.Batch(addrs); len(out.Degradation) != 0 {
+						t.Errorf("healthy cluster degraded: %v", out.Degradation)
+					}
+				}()
+			}
+			wg.Wait()
+			return pn.dials.Load() - before
+		}
+		if n := round(); n != concurrent*int64(len(m.Shards)) {
+			t.Fatalf("first round opened %d connections, want %d", n, concurrent*len(m.Shards))
+		}
+		for i := 0; i < 3; i++ {
+			if n := round(); n != 0 {
+				t.Fatalf("round %d dialed %d new connections, want 0", i+2, n)
 			}
 		}
-		srv.Start()
-		t.Cleanup(srv.Close)
-		fx.m.Shards[i].Addr = srv.URL
-	}
-	rt, err := NewRouter(RouterConfig{Map: fx.m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := fixtureProbes(4)
-	round := func() int64 {
-		before := opened.Load()
-		arrived.Add(concurrent * len(fx.m.Shards))
-		var wg sync.WaitGroup
-		for i := 0; i < concurrent; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if out := rt.Batch(addrs); len(out.Degradation) != 0 {
-					t.Errorf("healthy cluster degraded: %v", out.Degradation)
-				}
-			}()
+	})
+
+	t.Run("closed while idle", func(t *testing.T) {
+		// The node drops shard 1's connection between two batches: the next
+		// exchange fails before any answer byte on a reused connection, which
+		// is the one failure retried — one redial, and a clean answer.
+		m, pn, tables := pipeNodes(t)
+		var nodeEnd net.Conn
+		node := pn.nodes["shard1:80"]
+		pn.nodes["shard1:80"] = func(c net.Conn) { nodeEnd = c; node(c) }
+		rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial})
+		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		nodeEnd.Close()
+		errs := routerShardErrs.Value()
+		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		if n := pn.dials.Load(); n != 4 {
+			t.Fatalf("%d dials, want 3 and one redial", n)
 		}
-		wg.Wait()
-		return opened.Load() - before
-	}
-	if n := round(); n != concurrent*int64(len(fx.m.Shards)) {
-		t.Fatalf("first round opened %d connections, want %d", n, concurrent*len(fx.m.Shards))
-	}
-	// The transport returns a connection to its idle pool just after the
-	// caller sees the end of the body, so a round started right behind
-	// another may still dial once or twice; one of the next few opens
-	// nothing if connections are kept at all.
-	var dialed []int64
-	for i := 0; i < 4; i++ {
-		n := round()
-		if n == 0 {
-			return
+		if got := routerShardErrs.Value() - errs; got != 0 {
+			t.Fatalf("the retried exchange counted %d shard errors", got)
 		}
-		dialed = append(dialed, n)
-	}
-	t.Fatalf("every later round dialed new connections: %v", dialed)
+	})
+
+	t.Run("broken mid-answer", func(t *testing.T) {
+		// A reused connection that fails after the first byte of an answer
+		// is not retried: the shard degrades, and only the batch after
+		// dials again.
+		m, pn, tables := pipeNodes(t)
+		pn.nodes["shard1:80"] = (&tamperer{node: pn.nodes["shard1:80"], answer: func(w io.Writer, n int, ans []byte) bool {
+			if n == 2 {
+				w.Write(ans[:len(ans)/2])
+				return true
+			}
+			w.Write(ans)
+			return false
+		}}).serve
+		rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial})
+		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		checkDegraded(t, rt.Batch(addrs), tables, m, addrs, 1)
+		if n := pn.dials.Load(); n != 3 {
+			t.Fatalf("%d dials after the broken answer, want 3: no retry", n)
+		}
+		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		if n := pn.dials.Load(); n != 4 {
+			t.Fatalf("%d dials, want 4: the broken connection replaced once", n)
+		}
+	})
+
+	t.Run("503 keeps the connection", func(t *testing.T) {
+		m, pn, tables := pipeNodes(t)
+		pn.nodes["shard1:80"] = (&tamperer{node: pn.nodes["shard1:80"], answer: func(w io.Writer, n int, ans []byte) bool {
+			if n == 2 {
+				ans = appendErrorFrame(ans[:streamHeaderLen], http.StatusServiceUnavailable, errNoCapacity.Error())
+			}
+			w.Write(ans)
+			return false
+		}}).serve
+		rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial})
+		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		out := rt.Batch(addrs)
+		checkDegraded(t, out, tables, m, addrs, 1)
+		if want := "503 Service Unavailable: " + errNoCapacity.Error(); out.Degradation["1"] != want {
+			t.Fatalf("degradation %q, want %q", out.Degradation["1"], want)
+		}
+		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		if n := pn.dials.Load(); n != 3 {
+			t.Fatalf("%d dials, want 3: a refused batch leaves the stream in step", n)
+		}
+	})
 }
 
 func TestRouterLookupProxyAndShardMap(t *testing.T) {

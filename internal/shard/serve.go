@@ -3,6 +3,7 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -47,12 +48,14 @@ type Admission interface {
 	Release()
 }
 
-// BatchHandler is the POST /cluster pipeline, written once: NodeServer
-// and cmd/clusterd both mount it. One request reads its capped body into
-// pooled scratch, decodes a batch frame (frame.go) or a newline-separated
-// address list into the slice LookupBatch consumes, resolves it against
-// one pinned table generation, and answers in kind — frame columns for a
-// frame, the BatchResponse JSON for text — with a single Write.
+// BatchHandler is the batch-serving pipeline, written once: NodeServer
+// and cmd/clusterd both mount it, ServeHTTP on /cluster for clients and
+// ServeStream on StreamPath for routers. A client posts a
+// newline-separated address list and gets the BatchResponse JSON; a
+// router sends request frames down a batch stream (stream.go) and gets
+// response frames. Either way one request is decoded into the slice
+// LookupBatch consumes, resolved against one pinned table generation and
+// answered with a single Write from reused scratch.
 type BatchHandler struct {
 	Table TableSource
 
@@ -72,29 +75,25 @@ type BatchHandler struct {
 	Admission Admission
 	// Observe, when set, sees every resolved batch before it is answered.
 	Observe func([]bgp.Match)
+
+	streams streamSet
 }
 
 func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// The span context arrives on the X-Netcluster-Trace header when a
-	// router fanned this batch out; extracting it makes this node's
-	// spans part of the router's trace.
-	ctx, span := obsv.StartTraceSpan(obsv.HTTPExtract(r.Context(), r.Header), h.BatchSpan)
+	// The span context arrives on the X-Netcluster-Trace header when the
+	// caller is traced; extracting it makes this node's spans part of that
+	// trace.
+	ctx, span := h.startSpan(obsv.HTTPExtract(r.Context(), r.Header))
 	defer span.End()
-	for _, a := range h.SpanAttrs {
-		span.SetAttr(a.Key, a.Value)
-	}
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST an address list", http.StatusMethodNotAllowed)
 		return
 	}
-	lim := Limits{MaxBatch: DefaultMaxBatch, MaxBody: DefaultMaxBody}
-	if h.Limits != nil {
-		lim = h.Limits()
-	}
+	lim := h.limits()
 	if h.Admission != nil {
 		if !h.Admission.TryAcquire() {
 			w.Header().Set("Retry-After", "1")
-			http.Error(w, "batch capacity exhausted, retry later", http.StatusServiceUnavailable)
+			http.Error(w, errNoCapacity.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		defer h.Admission.Release()
@@ -103,55 +102,76 @@ func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	sc := getScratch()
 	defer putScratch(sc)
-	framed := r.Header.Get("Content-Type") == FrameContentType
-	if err := sc.readBatch(r, framed, lim); err != nil {
+	if err := sc.readBatch(r, lim); err != nil {
 		span.Fail(err)
 		writeBatchError(w, err, lim)
 		return
 	}
-	span.SetAttrInt("addrs", int64(len(sc.addrs)))
+	gen := h.resolve(ctx, span, sc)
+	sc.out = AppendBatchJSON(sc.out[:0], sc.addrs, sc.rows, gen)
+	writeBody(w, jsonContentType, sc.out)
+}
 
-	// One pinned generation answers the whole batch: a swap mid-batch
-	// cannot produce a mixed-generation answer set.
+func (h *BatchHandler) startSpan(ctx context.Context) (context.Context, *obsv.TSpan) {
+	ctx, span := obsv.StartTraceSpan(ctx, h.BatchSpan)
+	for _, a := range h.SpanAttrs {
+		span.SetAttr(a.Key, a.Value)
+	}
+	return ctx, span
+}
+
+func (h *BatchHandler) limits() Limits {
+	if h.Limits != nil {
+		return h.Limits()
+	}
+	return Limits{MaxBatch: DefaultMaxBatch, MaxBody: DefaultMaxBody}
+}
+
+// resolve answers sc.addrs into sc.rows and returns the generation that
+// answered. One pinned generation answers the whole batch: a swap
+// mid-batch cannot produce a mixed-generation answer set.
+func (h *BatchHandler) resolve(ctx context.Context, span *obsv.TSpan, sc *scratch) (gen uint64) {
+	span.SetAttrInt("addrs", int64(len(sc.addrs)))
 	_, lspan := obsv.StartTraceSpan(ctx, h.TableSpan)
-	var gen uint64
 	sc.rows, gen = h.Table.LookupBatch(sc.addrs, sc.rows)
 	lspan.End()
 	if h.Observe != nil {
 		h.Observe(sc.rows)
 	}
 	h.Addrs.Add(uint64(len(sc.addrs)))
-	if framed {
-		sc.out = AppendResponseFrame(sc.out[:0], gen, sc.rows)
-		writeBody(w, frameContentType, sc.out)
-	} else {
-		sc.out = AppendBatchJSON(sc.out[:0], sc.addrs, sc.rows, gen)
-		writeBody(w, jsonContentType, sc.out)
-	}
+	return gen
 }
 
 var (
 	errBatchTooLarge = errors.New("batch exceeds limit")
 	errBodyTooLarge  = errors.New("body exceeds limit")
+	errNoCapacity    = errors.New("batch capacity exhausted, retry later")
 )
 
-// writeBatchError answers a request readBatch refused: 413 past either
-// limit, 400 otherwise.
-func writeBatchError(w http.ResponseWriter, err error, lim Limits) {
+// refusal is the status and message a refused request is answered with,
+// over HTTP and in a stream's error frame alike: 413 past either limit,
+// 400 otherwise.
+func refusal(err error, lim Limits) (status int, msg string) {
 	switch {
 	case errors.Is(err, errBatchTooLarge):
-		http.Error(w, fmt.Sprintf("batch exceeds %d addresses", lim.MaxBatch), http.StatusRequestEntityTooLarge)
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds %d addresses", lim.MaxBatch)
 	case errors.Is(err, errBodyTooLarge):
-		http.Error(w, fmt.Sprintf("body exceeds %d bytes", lim.MaxBody), http.StatusRequestEntityTooLarge)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", lim.MaxBody)
 	}
+	return http.StatusBadRequest, err.Error()
+}
+
+// writeBatchError answers a request readBatch refused.
+func writeBatchError(w http.ResponseWriter, err error, lim Limits) {
+	status, msg := refusal(err, lim)
+	http.Error(w, msg, status)
 }
 
 // scratch is the per-request working memory of the node core and the
-// router, recycled through scratchPool so a steady stream of batches
-// allocates nothing per address. A node uses body, addrs, rows and out;
-// the rest is the router's fan-out state (router.go).
+// router, recycled through scratchPool — or kept by a batch stream for
+// as long as its connection lives — so a steady run of batches allocates
+// nothing per address. A node uses body, addrs, rows and out; the rest is
+// the router's fan-out state (router.go).
 type scratch struct {
 	body  []byte         // request body as read
 	addrs []netutil.Addr // the batch, in input order
@@ -176,29 +196,28 @@ const maxPooledScratch = 1 << 20
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) {
-	size := cap(sc.body) + cap(sc.out) + cap(sc.wire) +
-		4*(cap(sc.addrs)+cap(sc.sorted)+cap(sc.order)) + 8*(cap(sc.rows)+cap(sc.dense))
-	if size <= maxPooledScratch {
+	if sc.size() <= maxPooledScratch {
 		scratchPool.Put(sc)
 	}
+}
+
+// size is the bytes sc's slices hold on to.
+func (sc *scratch) size() int {
+	return cap(sc.body) + cap(sc.out) + cap(sc.wire) +
+		4*(cap(sc.addrs)+cap(sc.sorted)+cap(sc.order)) + 8*(cap(sc.rows)+cap(sc.dense))
 }
 
 // resize returns s with length n, reusing its array when that is large
 // enough. What the elements hold is unspecified.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// readBatch reads r's body, at most lim.MaxBody bytes of it, and decodes
-// it into sc.addrs: a batch frame when framed, a text address list
-// otherwise.
-func (sc *scratch) readBatch(r *http.Request, framed bool, lim Limits) (err error) {
+// readBatch reads r's body, at most lim.MaxBody bytes of it, and parses
+// the address list it holds into sc.addrs.
+func (sc *scratch) readBatch(r *http.Request, lim Limits) (err error) {
 	if sc.body, err = readCapped(sc.body, r.Body, r.ContentLength, lim.MaxBody); err != nil {
 		return err
 	}
-	if framed {
-		sc.addrs, err = DecodeRequestFrame(sc.body, lim.MaxBatch, sc.addrs)
-	} else {
-		sc.addrs, err = parseAddrLines(sc.body, lim.MaxBatch, sc.addrs[:0])
-	}
+	sc.addrs, err = parseAddrLines(sc.body, lim.MaxBatch, sc.addrs[:0])
 	return err
 }
 

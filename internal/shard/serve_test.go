@@ -6,10 +6,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/netaware/netcluster/internal/netutil"
 )
@@ -167,29 +169,43 @@ func TestNodeServerCapsBatchBody(t *testing.T) {
 	defer srv.Close()
 	postOversized(t, srv.URL+"/cluster")
 
-	// The address cap answers 413 too, in text and in frame form.
-	for contentType, body := range map[string][]byte{
-		"text/plain":     []byte("0.0.0.1\n0.0.0.2\n0.0.0.3\n"),
-		FrameContentType: AppendRequestFrame(nil, []netutil.Addr{1, 2, 3}),
-	} {
-		resp, err := http.Post(srv.URL+"/cluster", contentType, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || string(msg) != "batch exceeds 2 addresses\n" {
-			t.Fatalf("%s: %s %q, want 413", contentType, resp.Status, msg)
-		}
+	// The address cap answers 413 too: over HTTP for a client's text, in
+	// an error frame for a router's batch frame.
+	resp, err := http.Post(srv.URL+"/cluster", "text/plain", strings.NewReader("0.0.0.1\n0.0.0.2\n0.0.0.3\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A malformed frame is the client's error, not a crash or an answer.
-	resp, err := http.Post(srv.URL+"/cluster", FrameContentType, strings.NewReader("0.0.0.1\n"))
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || string(msg) != "batch exceeds 2 addresses\n" {
+		t.Fatalf("text: %s %q, want 413", resp.Status, msg)
+	}
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	upgradeOn(t, conn)
+	three := []netutil.Addr{1, 2, 3}
+	request := streamRequest(5, 6, AppendRequestFrame(nil, three))
+	answer := make([]byte, streamHeaderLen+responseFrameLen(3)+1)
+	_, _, _, inStep, err := exchange(conn, time.Now().Add(10*time.Second), request, answer, three, nil)
+	if err == nil || err.Error() != "413 Request Entity Too Large: batch exceeds 2 addresses" || inStep {
+		t.Fatalf("frame: %v (in step: %v), want the 413 and a closed stream", err, inStep)
+	}
+	// Closed with the refused addresses unread, which TCP may report as a
+	// reset rather than an end of file.
+	if n, err := conn.Read(answer); n != 0 || err == nil {
+		t.Fatalf("after the 413: read %d bytes, %v; want the stream closed", n, err)
+	}
+	// The frame is not spoken over POST any more: it is text, and bad text.
+	resp, err = http.Post(srv.URL+"/cluster", "application/x-netcluster-batch", bytes.NewReader(request[streamHeaderLen:]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("text under the frame content type: %s, want 400", resp.Status)
+		t.Fatalf("a frame posted to /cluster: %s, want 400", resp.Status)
 	}
 }
 
@@ -230,18 +246,19 @@ func perAddress(t *testing.T, serve func(addrs []netutil.Addr) func()) float64 {
 }
 
 func TestBatchHandlerFrameAllocsPerAddress(t *testing.T) {
-	h := (&NodeServer{Table: fixtureTables()[0]}).Handler()
+	h := (&NodeServer{Table: fixtureTables()[0]}).batchHandler()
+	// One stream serves every run, as one connection would.
+	conn := &scriptConn{}
+	st := &nodeStream{conn: conn}
 	per := perAddress(t, func(addrs []netutil.Addr) func() {
-		frame := AppendRequestFrame(nil, addrs)
-		req := httptest.NewRequest(http.MethodPost, "/cluster", nil)
-		req.Header.Set("Content-Type", FrameContentType)
-		req.ContentLength = int64(len(frame))
-		body := bytes.NewReader(frame)
-		req.Body = io.NopCloser(body)
-		w := discard{http.Header{}}
+		request := streamRequest(1, 2, AppendRequestFrame(nil, addrs))
 		return func() {
-			body.Reset(frame)
-			h.ServeHTTP(w, req)
+			conn.in.Reset(request)
+			conn.out = conn.out[:0]
+			h.serveStream(st)
+			if len(conn.out) != streamHeaderLen+responseFrameLen(len(addrs)) {
+				t.Fatalf("%d addresses answered with %d bytes", len(addrs), len(conn.out))
+			}
 		}
 	})
 	if per != 0 {
@@ -250,7 +267,9 @@ func TestBatchHandlerFrameAllocsPerAddress(t *testing.T) {
 }
 
 func TestRouterScatterRenderAllocsPerAddress(t *testing.T) {
-	rt, _, _ := newLoopbackRouter(t)
+	// Router and nodes run in this process, joined by pipes, so the count
+	// covers both sides of every exchange.
+	rt, _, _ := newPipeRouter(t)
 	per := perAddress(t, func(addrs []netutil.Addr) func() {
 		return func() {
 			sc := getScratch()
@@ -263,7 +282,7 @@ func TestRouterScatterRenderAllocsPerAddress(t *testing.T) {
 		}
 	})
 	if per != 0 {
-		t.Fatalf("fan-out, scatter and render allocate %.4f per address, want 0", per)
+		t.Fatalf("fan-out, exchange, scatter and render allocate %.4f per address, want 0", per)
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 // The JSON wire shapes. The lookup and batch shapes are what clients
 // get — exactly what cmd/clusterd has served since the service landed,
 // so curl-able text in, JSON out is unchanged on every node and through
-// the router. Router and nodes do not exchange them: that hop speaks the
-// columnar batch frame (frame.go), and the router requires frame-speaking
-// nodes. The serving path renders these shapes without building them
-// (render.go); the structs remain for clients, tests and BatchCtx. The
-// delta shapes are the feed protocol (feed.go).
+// the router. Router and nodes do not exchange them: that hop is a batch
+// stream (stream.go) carrying columnar batch frames (frame.go), and the
+// router requires nodes that serve it. The serving path renders these
+// shapes without building them (render.go); the structs remain for
+// clients, tests and BatchCtx. The delta shapes are the feed protocol
+// (feed.go).
 
 // LookupResult is one address's clustering answer.
 type LookupResult struct {
