@@ -710,8 +710,8 @@ func BenchmarkChurnLookup(b *testing.B) {
 
 // A Zipf-distributed /24 population far larger than the summary
 // capacity, so the bounded path exercises its steady state: heavy
-// hitters monitored, the tail spilling to the sketch on every
-// eviction. Shared by both firehose benchmarks.
+// hitters monitored, each eviction spilling its victim to the tail
+// sketches. Shared by both firehose benchmarks.
 var (
 	firehoseOnce     sync.Once
 	firehoseKeys     []uint64
@@ -735,9 +735,10 @@ func firehoseBenchSetup() {
 }
 
 // BenchmarkSketchUpdate prices one conservative count-min update at the
-// accumulator's default dimensions — the per-eviction cost of the spill
-// path. Gated in cmd/benchdiff with allocs/op == 0: the whole point of
-// the sketch is that the hot path never touches the allocator.
+// accumulator's default dimensions — what each eviction pays per tail
+// sketch it spills into (a summary hit touches no sketch). Gated in
+// cmd/benchdiff with allocs/op == 0: the whole point of the sketch is
+// that the hot path never touches the allocator.
 func BenchmarkSketchUpdate(b *testing.B) {
 	firehoseBenchSetup()
 	cm, err := sketch.NewCountMinError(1e-4, 0.01)
@@ -806,22 +807,30 @@ func shardSetup(b testing.TB) {
 	}
 }
 
-// BenchmarkRouterFanout measures a routed batch spread across all three
-// shards: group, three concurrent shard POSTs, merge back into input
-// order. The ns/addr metric is the router's per-address overhead.
-func BenchmarkRouterFanout(b *testing.B) {
-	shardSetup(b)
-	const batch = 512
-	addrs := shardMixed[:batch]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// routerBatch is the size of the routed batches the router benchmarks
+// (and the overhead guard's fan-out row) send.
+const routerBatch = 512
+
+// routeBatches sends n routed batches of addrs through the shared
+// cluster's router, failing b on any degraded answer.
+func routeBatches(b *testing.B, addrs []netutil.Addr, n int) {
+	for i := 0; i < n; i++ {
 		resp := shardCluster.Router.Batch(addrs)
 		if len(resp.Degradation) != 0 {
 			b.Fatalf("degraded: %v", resp.Degradation)
 		}
 	}
+}
+
+// BenchmarkRouterFanout measures a routed batch spread across all three
+// shards: group, three concurrent shard POSTs, merge back into input
+// order. The ns/addr metric is the router's per-address overhead.
+func BenchmarkRouterFanout(b *testing.B) {
+	shardSetup(b)
+	b.ResetTimer()
+	routeBatches(b, shardMixed[:routerBatch], b.N)
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/addr")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*routerBatch), "ns/addr")
 }
 
 // BenchmarkRouterSingleShard is the same batch size confined to one
@@ -830,17 +839,10 @@ func BenchmarkRouterFanout(b *testing.B) {
 // fanning out must not cost more than the floor says.
 func BenchmarkRouterSingleShard(b *testing.B) {
 	shardSetup(b)
-	const batch = 512
-	addrs := shardFirstOnly[:batch]
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp := shardCluster.Router.Batch(addrs)
-		if len(resp.Degradation) != 0 {
-			b.Fatalf("degraded: %v", resp.Degradation)
-		}
-	}
+	routeBatches(b, shardFirstOnly[:routerBatch], b.N)
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/addr")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*routerBatch), "ns/addr")
 }
 
 // BenchmarkTraceHeaderInject prices stamping the X-Netcluster-Trace

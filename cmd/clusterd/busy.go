@@ -5,10 +5,11 @@ package main
 // summary + count-min tail sketch, internal/cluster), so a clusterd
 // absorbing a firehose of lookups can always answer "which clusters
 // are busiest right now" in fixed memory — the Section 4.1.3
-// thresholding view, live. The accumulator is not thread-safe; the
-// tracker locks once per batch, never per address, keeping the hot
-// path's added cost to one mutex acquisition amortized over the whole
-// batch.
+// thresholding view, live. An address costs one summary update; only
+// the few that push a cluster out of the summary write the tail
+// sketch. The accumulator is not thread-safe; the tracker locks once
+// per batch, never per address, keeping the hot path's added cost to
+// one mutex acquisition amortized over the whole batch.
 
 import (
 	"encoding/json"

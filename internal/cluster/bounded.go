@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/obsv"
@@ -26,9 +27,10 @@ import (
 type SpillPolicy string
 
 const (
-	// SpillSketch (the default) counts every record in a count-min
-	// sketch too, so any cluster's request/byte volume stays queryable
-	// within ε·N — the evicted tail is approximated, never lost.
+	// SpillSketch (the default) spills an evicted cluster's counters
+	// into count-min sketches, so any cluster's request/byte volume
+	// stays queryable within ε·N — the evicted tail is approximated,
+	// never lost.
 	SpillSketch SpillPolicy = "sketch"
 	// SpillDrop skips the tail sketch: unmonitored clusters are bounded
 	// only by the summary's minimum counter. Halves the footprint when
@@ -117,11 +119,18 @@ type BusyCluster struct {
 // BoundedAccumulator tracks per-cluster request and byte volume in
 // fixed memory. Not safe for concurrent use; callers serialize (the
 // clusterd batch path locks once per batch, not per record).
+//
+// The tail sketches see only what leaves the summary: every
+// observation lands on a monitored entry (space-saving admits each
+// newcomer), and an entry that is evicted or dropped by a merge spills
+// the traffic of its own stint, Count-Err requests and Bytes-ByteErr
+// bytes. So a cluster's true volume is always its spills plus, while
+// monitored, its current stint.
 type BoundedAccumulator struct {
 	cfg     BoundedConfig
 	summary *sketch.SpaceSaving
-	tailReq *sketch.CountMin // nil under SpillDrop
-	tailByt *sketch.CountMin // nil under SpillDrop
+	tailReq *sketch.CountMin // spilled requests; nil under SpillDrop
+	tailByt *sketch.CountMin // spilled bytes; nil under SpillDrop
 
 	requests    uint64
 	bytes       uint64
@@ -158,16 +167,29 @@ func NewBoundedAccumulator(cfg BoundedConfig) (*BoundedAccumulator, error) {
 func (b *BoundedAccumulator) Config() BoundedConfig { return b.cfg }
 
 // Observe records one request of the given byte size for cluster p.
-// The hot path: one summary update plus (under SpillSketch) two
-// conservative sketch updates — no allocations, no map growth.
+// The hot path is one summary update; only a takeover touches the tail
+// sketches, spilling the displaced cluster's stint — no allocations.
 func (b *BoundedAccumulator) Observe(p netutil.Prefix, size int64) {
 	b.requests++
 	b.bytes += uint64(size)
-	key := prefixKey(p)
-	b.summary.Add(key, 1, uint64(size))
-	if b.tailReq != nil {
-		b.tailReq.AddConservative(key, 1)
-		b.tailByt.AddConservative(key, uint64(size))
+	if victim, evicted := b.summary.Add(prefixKey(p), 1, uint64(size)); evicted {
+		b.spill(victim)
+	}
+}
+
+// spill folds an entry leaving the summary into the tail sketches: the
+// traffic it gathered while monitored, not the slack it inherited (its
+// own victim already spilled that). A zero weight is skipped, since a
+// conservative update by zero changes no cell.
+func (b *BoundedAccumulator) spill(e sketch.Entry) {
+	if b.tailReq == nil {
+		return
+	}
+	if n := e.Count - e.Err; n != 0 {
+		b.tailReq.AddConservative(e.Key, n)
+	}
+	if n := e.Bytes - e.ByteErr; n != 0 {
+		b.tailByt.AddConservative(e.Key, n)
 	}
 }
 
@@ -200,13 +222,16 @@ func (b *BoundedAccumulator) Evictions() uint64 { return b.summary.Evictions() }
 // counter overstates by more. Zero while the monitored set has room.
 func (b *BoundedAccumulator) TailBound() uint64 { return b.summary.MinCount() }
 
-// ErrorBound returns the tail sketch's current absolute error ceiling
-// ε·N (0 under SpillDrop, where no tail estimate exists).
+// ErrorBound returns the tail estimates' absolute error ceiling ε·N,
+// N the clustered requests observed (0 under SpillDrop, where no tail
+// estimate exists). The spill sketch holds less than N, but its cells
+// never exceed a plain sketch of the whole stream's, so ε·N is the
+// bound that holds with probability 1-δ.
 func (b *BoundedAccumulator) ErrorBound() uint64 {
 	if b.tailReq == nil {
 		return 0
 	}
-	return b.tailReq.ErrorBound()
+	return uint64(math.Ceil(b.tailReq.Epsilon() * float64(b.summary.Total())))
 }
 
 // Busy returns the k busiest clusters by request count, descending,
@@ -261,9 +286,11 @@ func (b *BoundedAccumulator) GuaranteedTopK(k int) bool {
 
 // EstimateRequests returns an upper-bound request count for any
 // cluster. exact is true when the cluster is monitored eviction-free
-// (the value equals the true count); otherwise the estimate comes from
-// the tail sketch (≤ true + ε·N) or, under SpillDrop, from the
-// summary's eviction threshold.
+// (the value equals the true count). A monitored cluster answers its
+// counter; an unmonitored one answers from the tail sketch (every
+// request it made was spilled there, so ≥ true, and ≤ true + ε·N with
+// probability 1-δ) or, under SpillDrop, from the summary's eviction
+// threshold.
 func (b *BoundedAccumulator) EstimateRequests(p netutil.Prefix) (est uint64, exact bool) {
 	key := prefixKey(p)
 	if e, ok := b.summary.Get(key); ok {
@@ -278,18 +305,24 @@ func (b *BoundedAccumulator) EstimateRequests(p netutil.Prefix) (est uint64, exa
 // EstimateBytes is EstimateRequests for byte volume, with one twist:
 // the summary's eviction invariant (the minimum counter dominates any
 // evicted key) holds for request counts — the heap's order key — but
-// not for bytes, so a monitored-but-evicted-before entry's byte counter
-// is not an upper bound. For those entries the byte sketch, which
-// counts everything, supplies the valid overestimate; under SpillDrop
-// only the bracketed summary value exists and exact stays false.
+// not for bytes, so an inexact entry's byte counter is not an upper
+// bound (it inherited its victim's bytes, not its own earlier ones).
+// Exact therefore needs both slacks zero. An inexact monitored entry
+// answers its earlier stints' spills from the byte sketch plus its
+// current stint, Bytes-ByteErr; under SpillDrop only the bracketed
+// summary value exists and exact stays false.
 func (b *BoundedAccumulator) EstimateBytes(p netutil.Prefix) (est uint64, exact bool) {
 	key := prefixKey(p)
 	e, ok := b.summary.Get(key)
-	if ok && e.ByteErr == 0 {
+	if ok && e.Err == 0 && e.ByteErr == 0 {
 		return e.Bytes, true
 	}
 	if b.tailByt != nil {
-		return b.tailByt.Estimate(key), false
+		est = b.tailByt.Estimate(key)
+		if ok {
+			est += e.Bytes - e.ByteErr
+		}
+		return est, false
 	}
 	if ok {
 		return e.Bytes, false
@@ -297,31 +330,43 @@ func (b *BoundedAccumulator) EstimateBytes(p netutil.Prefix) (est uint64, exact 
 	return 0, false
 }
 
-// Merge folds a shard's accumulator into b: summaries merge with the
-// space-saving rule, tail sketches cell-wise. Configurations must
-// agree (capacity and sketch dimensions), or the merge is rejected.
+// Merge folds a shard's accumulator into b: tail sketches cell-wise,
+// then summaries with the space-saving rule, the entries that no
+// longer fit spilling into the merged tail. Configurations must agree
+// (capacity, spill policy and sketch dimensions), or the merge is
+// rejected with b untouched.
 func (b *BoundedAccumulator) Merge(o *BoundedAccumulator) error {
 	if o == nil {
 		return fmt.Errorf("cluster: merge with nil bounded accumulator")
 	}
+	if b.summary.Capacity() != o.summary.Capacity() {
+		return fmt.Errorf("cluster: merge capacity mismatch: %d vs %d", b.summary.Capacity(), o.summary.Capacity())
+	}
 	if (b.tailReq == nil) != (o.tailReq == nil) {
 		return fmt.Errorf("cluster: merge across spill policies (%q vs %q)", b.cfg.Spill, o.cfg.Spill)
 	}
-	if err := b.summary.Merge(o.summary); err != nil {
-		return err
-	}
 	if b.tailReq != nil {
-		if err := b.tailReq.Merge(o.tailReq); err != nil {
-			return err
+		if !sameDims(b.tailReq, o.tailReq) || !sameDims(b.tailByt, o.tailByt) {
+			return fmt.Errorf("cluster: merge sketch dimension mismatch: %dx%d vs %dx%d",
+				b.tailReq.Width(), b.tailReq.Depth(), o.tailReq.Width(), o.tailReq.Depth())
 		}
-		if err := b.tailByt.Merge(o.tailByt); err != nil {
-			return err
-		}
+		// Dimensions checked above: neither merge can fail.
+		_ = b.tailReq.Merge(o.tailReq)
+		_ = b.tailByt.Merge(o.tailByt)
+	}
+	// Capacity checked above: the merge cannot fail.
+	dropped, _ := b.summary.Merge(o.summary)
+	for _, e := range dropped {
+		b.spill(e)
 	}
 	b.requests += o.requests
 	b.bytes += o.bytes
 	b.unclustered += o.unclustered
 	return nil
+}
+
+func sameDims(a, b *sketch.CountMin) bool {
+	return a.Width() == b.Width() && a.Depth() == b.Depth()
 }
 
 // FootprintBytes returns the accumulator's fixed memory budget — the

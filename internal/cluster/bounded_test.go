@@ -2,9 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/sketch"
 	"github.com/netaware/netcluster/internal/weblog"
 )
 
@@ -196,5 +201,193 @@ func TestClusterStreamBoundedMatchesExact(t *testing.T) {
 		if !b.Exact {
 			t.Fatalf("busy[%d] %v not flagged exact", i, b.Prefix)
 		}
+	}
+}
+
+// TestBoundedAccumulatorProperties is the accumulator's contract over
+// seeded streams split across 1–3 shards and merged, under both spill
+// policies, with all-zero, all-nonzero and mixed request sizes (mixed
+// is where a re-admitted cluster inherits a zero-byte victim). For
+// every cluster, observed or not:
+//
+//   - the request estimate is ≥ the true count, and so is the byte
+//     estimate wherever a byte sketch exists (SpillSketch);
+//   - an estimate flagged exact equals the true value;
+//   - an unmonitored cluster's estimates are ≤ a plain-update
+//     count-min of the whole stream with the tail's dimensions — the
+//     spill sketch only ever holds part of what that sketch holds;
+//
+// and ErrorBound is ⌈ε·clustered⌉ for the tail's ε (0 under SpillDrop).
+func TestBoundedAccumulatorProperties(t *testing.T) {
+	const eps, delta = 0.01, 0.05
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spill := []SpillPolicy{SpillSketch, SpillDrop}[seed%2]
+		sizing := []string{"zero", "nonzero", "mixed"}[seed/2%3]
+		cfg := BoundedConfig{K: 1, Capacity: 1 + rng.Intn(40), Epsilon: eps, Delta: delta, Spill: spill}
+		universe := make([]netutil.Prefix, 2+rng.Intn(300))
+		for i := range universe {
+			bits := 16 + rng.Intn(9)
+			universe[i] = netutil.PrefixFrom(netutil.Addr(uint32(i+1)<<(32-bits)), bits)
+		}
+		size := func(i uint64) int64 {
+			switch {
+			case sizing == "zero", sizing == "mixed" && i%3 == 0:
+				return 0
+			}
+			return int64(1 + rng.Intn(1500))
+		}
+		plainReq, _ := sketch.NewCountMinError(eps, delta)
+		plainByt, _ := sketch.NewCountMinError(eps, delta)
+		trueReq := make(map[netutil.Prefix]uint64)
+		trueByt := make(map[netutil.Prefix]uint64)
+		var acc *BoundedAccumulator
+		var clustered, unclustered, bytesTotal uint64
+		shards := 1 + rng.Intn(3)
+		for sh := 0; sh < shards; sh++ {
+			a, err := NewBoundedAccumulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			z := rand.NewZipf(rng, 1.05+rng.Float64(), 1, uint64(len(universe)-1))
+			for n := rng.Intn(4000); n > 0; n-- {
+				if rng.Intn(50) == 0 {
+					a.ObserveUnclustered()
+					unclustered++
+					continue
+				}
+				i := z.Uint64()
+				p, sz := universe[i], size(i)
+				a.Observe(p, sz)
+				trueReq[p]++
+				trueByt[p] += uint64(sz)
+				plainReq.Add(prefixKey(p), 1)
+				plainByt.Add(prefixKey(p), uint64(sz))
+				clustered++
+				bytesTotal += uint64(sz)
+			}
+			if acc == nil {
+				acc = a
+			} else if err := acc.Merge(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		where := fmt.Sprintf("seed %d (%s, %s sizes, capacity %d, %d shards)", seed, spill, sizing, cfg.Capacity, shards)
+		if acc.Requests() != clustered+unclustered || acc.Bytes() != bytesTotal || acc.Unclustered() != unclustered {
+			t.Fatalf("%s: totals %d/%d/%d, want %d/%d/%d", where,
+				acc.Requests(), acc.Bytes(), acc.Unclustered(), clustered+unclustered, bytesTotal, unclustered)
+		}
+		wantBound := uint64(0)
+		if spill == SpillSketch {
+			wantBound = uint64(math.Ceil(plainReq.Epsilon() * float64(clustered)))
+		}
+		if got := acc.ErrorBound(); got != wantBound {
+			t.Fatalf("%s: ErrorBound %d, want ⌈ε·%d⌉ = %d", where, got, clustered, wantBound)
+		}
+		for _, p := range universe {
+			req, reqExact := acc.EstimateRequests(p)
+			byt, bytExact := acc.EstimateBytes(p)
+			if req < trueReq[p] || (reqExact && req != trueReq[p]) {
+				t.Fatalf("%s: %v requests %d (exact=%v), true %d", where, p, req, reqExact, trueReq[p])
+			}
+			if (spill == SpillSketch && byt < trueByt[p]) || (bytExact && byt != trueByt[p]) {
+				t.Fatalf("%s: %v bytes %d (exact=%v), true %d", where, p, byt, bytExact, trueByt[p])
+			}
+			if _, monitored := acc.summary.Get(prefixKey(p)); !monitored && spill == SpillSketch {
+				if max := plainReq.Estimate(prefixKey(p)); req > max {
+					t.Fatalf("%s: unmonitored %v requests %d above the whole-stream sketch's %d", where, p, req, max)
+				}
+				if max := plainByt.Estimate(prefixKey(p)); byt > max {
+					t.Fatalf("%s: unmonitored %v bytes %d above the whole-stream sketch's %d", where, p, byt, max)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundedMergeRejectedLeavesReceiver: a merge refused for a
+// mismatched capacity, spill policy, ε or δ changes nothing the
+// receiver reports — the checks run before either structure is
+// touched.
+func TestBoundedMergeRejectedLeavesReceiver(t *testing.T) {
+	base := BoundedConfig{K: 4, Capacity: 16, Epsilon: 1e-3, Delta: 0.01}
+	universe := make([]netutil.Prefix, 64)
+	for i := range universe {
+		universe[i] = netutil.PrefixFrom(netutil.Addr(uint32(i+1)<<8), 24)
+	}
+	fill := func(cfg BoundedConfig, seed int64) *BoundedAccumulator {
+		acc, err := NewBoundedAccumulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			acc.Observe(universe[rng.Intn(len(universe))], int64(rng.Intn(900)))
+		}
+		return acc
+	}
+	type estimate struct {
+		req, byt           uint64
+		reqExact, bytExact bool
+	}
+	type view struct {
+		Requests, Bytes, ErrorBound uint64
+		Busy                        []BusyCluster
+		Estimates                   []estimate
+	}
+	look := func(acc *BoundedAccumulator) view {
+		v := view{Requests: acc.Requests(), Bytes: acc.Bytes(), ErrorBound: acc.ErrorBound(), Busy: acc.Busy(base.Capacity)}
+		for _, p := range universe {
+			var e estimate
+			e.req, e.reqExact = acc.EstimateRequests(p)
+			e.byt, e.bytExact = acc.EstimateBytes(p)
+			v.Estimates = append(v.Estimates, e)
+		}
+		return v
+	}
+	for name, edit := range map[string]func(*BoundedConfig){
+		"capacity": func(c *BoundedConfig) { c.Capacity = 32 },
+		"spill":    func(c *BoundedConfig) { c.Spill = SpillDrop },
+		"epsilon":  func(c *BoundedConfig) { c.Epsilon = 1e-2 },
+		"delta":    func(c *BoundedConfig) { c.Delta = 1e-4 },
+	} {
+		other := base
+		edit(&other)
+		acc := fill(base, 1)
+		before := look(acc)
+		if err := acc.Merge(fill(other, 2)); err == nil {
+			t.Fatalf("%s: mismatched merge accepted", name)
+		}
+		if after := look(acc); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: rejected merge changed what the receiver reports", name)
+		}
+	}
+}
+
+// TestBoundedObserveAllocs: Observe allocates nothing on a summary hit
+// nor on a takeover that spills its victim into both tail sketches.
+func TestBoundedObserveAllocs(t *testing.T) {
+	a, b := mustPrefix(t, "10.0.0.0/8"), mustPrefix(t, "11.0.0.0/8")
+	hit, err := NewBoundedAccumulator(BoundedConfig{K: 1, Capacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { hit.Observe(a, 512) }); n != 0 {
+		t.Fatalf("hit: %v allocs/op, want 0", n)
+	}
+	// One counter, two clusters taking turns: every Observe is a takeover.
+	take, err := NewBoundedAccumulator(BoundedConfig{K: 1, Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		i++
+		take.Observe([]netutil.Prefix{a, b}[i&1], 512)
+	}); n != 0 {
+		t.Fatalf("takeover: %v allocs/op, want 0", n)
+	}
+	if take.Evictions() < 1000 {
+		t.Fatalf("%d evictions over 1001 alternating observations", take.Evictions())
 	}
 }

@@ -56,6 +56,8 @@ type CountMin struct {
 	mask  uint64
 	total uint64   // N: sum of all added weights
 	rows  []uint64 // depth consecutive segments of width cells
+	seeds []uint64 // rowSeed(i) per row, hashed once at construction
+	cells []uint64 // AddConservative's per-row cell indices, reused
 }
 
 // NewCountMin builds a sketch with the given dimensions; width is
@@ -71,12 +73,25 @@ func NewCountMin(width, depth int) *CountMin {
 	for w < uint64(width) {
 		w <<= 1
 	}
-	return &CountMin{
+	return newCountMin(w, depth)
+}
+
+// newCountMin allocates a zeroed sketch of power-of-two width w — the
+// one place rows, row seeds and the update scratch are sized, shared
+// by the constructors, UnmarshalCountMin and Clone.
+func newCountMin(w uint64, depth int) *CountMin {
+	c := &CountMin{
 		width: w,
 		depth: depth,
 		mask:  w - 1,
 		rows:  make([]uint64, w*uint64(depth)),
+		seeds: make([]uint64, depth),
+		cells: make([]uint64, depth),
 	}
+	for i := range c.seeds {
+		c.seeds[i] = rowSeed(i)
+	}
+	return c
 }
 
 // NewCountMinError sizes the sketch from an accuracy target: estimates
@@ -116,7 +131,7 @@ func (c *CountMin) ErrorBound() uint64 {
 
 // cell returns the row-i cell index for key.
 func (c *CountMin) cell(i int, key uint64) uint64 {
-	return uint64(i)*c.width + (splitmix64(key^rowSeed(i)) & c.mask)
+	return uint64(i)*c.width + (splitmix64(key^c.seeds[i]) & c.mask)
 }
 
 // Add records weight w for key with the plain update rule: every row's
@@ -133,18 +148,23 @@ func (c *CountMin) Add(key, w uint64) {
 // only cells below the item's new estimate grow, and only up to it.
 // Collisions inflate far fewer cells than plain update, so estimates
 // tighten — at the cost of exact mergeability (see package comment).
-// It returns the key's new estimate.
+// It returns the key's new estimate. Each row's cell is hashed once:
+// the first pass parks the indices in the sketch's scratch for the
+// second, so the update allocates nothing at any depth.
 func (c *CountMin) AddConservative(key, w uint64) uint64 {
 	c.total += w
+	cells := c.cells
 	est := uint64(math.MaxUint64)
-	for i := 0; i < c.depth; i++ {
-		if v := c.rows[c.cell(i, key)]; v < est {
+	for i := range cells {
+		j := c.cell(i, key)
+		cells[i] = j
+		if v := c.rows[j]; v < est {
 			est = v
 		}
 	}
 	est += w
-	for i := 0; i < c.depth; i++ {
-		if j := c.cell(i, key); c.rows[j] < est {
+	for _, j := range cells {
+		if c.rows[j] < est {
 			c.rows[j] = est
 		}
 	}
@@ -185,13 +205,14 @@ func (c *CountMin) Merge(o *CountMin) error {
 
 // Clone returns an independent deep copy (snapshots for merge trees).
 func (c *CountMin) Clone() *CountMin {
-	out := &CountMin{width: c.width, depth: c.depth, mask: c.mask, total: c.total}
-	out.rows = append([]uint64(nil), c.rows...)
+	out := newCountMin(c.width, c.depth)
+	out.total = c.total
+	copy(out.rows, c.rows)
 	return out
 }
 
 // FootprintBytes returns the fixed memory the sketch holds — the number
 // the bounded accumulator's RSS ceiling is computed from.
 func (c *CountMin) FootprintBytes() int {
-	return len(c.rows)*8 + 64
+	return (len(c.rows)+len(c.seeds)+len(c.cells))*8 + 64
 }

@@ -105,7 +105,7 @@ func FuzzSketchMerge(f *testing.F) {
 			ssb.Add(k, 1, k)
 		}
 		merged := ssa.Clone()
-		if err := merged.Merge(ssb); err != nil {
+		if _, err := merged.Merge(ssb); err != nil {
 			t.Fatalf("equal-capacity merge failed: %v", err)
 		}
 		if merged.Len() > merged.Capacity() {
@@ -114,7 +114,7 @@ func FuzzSketchMerge(f *testing.F) {
 		if merged.Total() != ssa.Total()+ssb.Total() {
 			t.Fatal("merged total diverged")
 		}
-		if err := ssa.Merge(NewSpaceSaving(9)); err == nil {
+		if _, err := ssa.Merge(NewSpaceSaving(9)); err == nil {
 			t.Fatal("capacity-mismatched space-saving merge accepted")
 		}
 
@@ -141,7 +141,7 @@ func FuzzSketchMerge(f *testing.F) {
 				t.Fatalf("space-saving snapshot round trip diverged (err %v)", err)
 			}
 			peer := NewSpaceSaving(ss.Capacity())
-			if err := peer.Merge(ss); err != nil {
+			if _, err := peer.Merge(ss); err != nil {
 				t.Fatalf("accepted snapshot refuses same-capacity merge: %v", err)
 			}
 		}

@@ -255,7 +255,7 @@ func TestSpaceSavingMergePreservesGuarantee(t *testing.T) {
 		for _, k := range sb {
 			b.Add(k, 1, 2)
 		}
-		if err := a.Merge(b); err != nil {
+		if _, err := a.Merge(b); err != nil {
 			t.Fatal(err)
 		}
 		if a.Len() > capacity {
@@ -284,10 +284,10 @@ func TestSpaceSavingMergePreservesGuarantee(t *testing.T) {
 // TestSpaceSavingMergeMismatchRejected mirrors the count-min rule.
 func TestSpaceSavingMergeMismatchRejected(t *testing.T) {
 	a := NewSpaceSaving(16)
-	if err := a.Merge(NewSpaceSaving(32)); err == nil {
+	if _, err := a.Merge(NewSpaceSaving(32)); err == nil {
 		t.Fatal("capacity-mismatched merge accepted")
 	}
-	if err := a.Merge(nil); err == nil {
+	if _, err := a.Merge(nil); err == nil {
 		t.Fatal("nil merge accepted")
 	}
 }
@@ -374,4 +374,73 @@ func mustMarshal(t *testing.T, c *CountMin) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestCountMinCellsMatchRowSeed: the row seeds hashed once at
+// construction (and again by UnmarshalCountMin and Clone) address
+// exactly the cells the package-level rowSeed family names, at every
+// depth a snapshot may carry, under both update rules — so snapshots
+// and merges see the same cells they always did.
+func TestCountMinCellsMatchRowSeed(t *testing.T) {
+	const width = 64
+	rng := rand.New(rand.NewSource(64))
+	for depth := 1; depth <= 64; depth++ {
+		plain, cons := NewCountMin(width, depth), NewCountMin(width, depth)
+		wantPlain := make([]uint64, width*depth)
+		wantCons := make([]uint64, width*depth)
+		idx := make([]uint64, depth)
+		for n := 0; n < 200; n++ {
+			k, w := rng.Uint64()%97, uint64(1+rng.Intn(5))
+			est := ^uint64(0)
+			for i := range idx {
+				idx[i] = uint64(i)*width + (splitmix64(k^rowSeed(i)) & (width - 1))
+				wantPlain[idx[i]] += w
+				est = min(est, wantCons[idx[i]])
+			}
+			est += w
+			for _, j := range idx {
+				wantCons[j] = max(wantCons[j], est)
+			}
+			plain.Add(k, w)
+			if got := cons.AddConservative(k, w); got != est {
+				t.Fatalf("depth %d: AddConservative returned %d, want %d", depth, got, est)
+			}
+		}
+		for j := range wantPlain {
+			if plain.rows[j] != wantPlain[j] || cons.rows[j] != wantCons[j] {
+				t.Fatalf("depth %d cell %d: plain %d conservative %d, want %d and %d",
+					depth, j, plain.rows[j], cons.rows[j], wantPlain[j], wantCons[j])
+			}
+		}
+		restored, err := UnmarshalCountMin(mustMarshal(t, cons))
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		for name, c := range map[string]*CountMin{"new": cons, "clone": cons.Clone(), "unmarshal": restored} {
+			if len(c.seeds) != depth || len(c.cells) != depth {
+				t.Fatalf("depth %d %s: %d seeds, %d scratch cells", depth, name, len(c.seeds), len(c.cells))
+			}
+			for i, seed := range c.seeds {
+				if seed != rowSeed(i) {
+					t.Fatalf("depth %d %s: row %d seed %#x, want %#x", depth, name, i, seed, rowSeed(i))
+				}
+			}
+		}
+	}
+}
+
+// TestCountMinAddConservativeAllocs: the update the spill path runs
+// on every eviction allocates nothing, at the accumulator's default
+// dimensions and at the deepest sketch a snapshot may carry.
+func TestCountMinAddConservativeAllocs(t *testing.T) {
+	def, err := NewCountMinError(1e-4, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*CountMin{def, NewCountMin(64, 64)} {
+		k := uint64(0)
+		if n := testing.AllocsPerRun(1000, func() { k++; c.AddConservative(k, 3) }); n != 0 {
+			t.Fatalf("%dx%d AddConservative: %v allocs/op, want 0", c.Width(), c.Depth(), n)
+		}
+	}
 }

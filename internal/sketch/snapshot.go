@@ -55,12 +55,10 @@ func UnmarshalCountMin(data []byte) (*CountMin, error) {
 	if uint64(len(body)) != width*depth*8 {
 		return nil, fmt.Errorf("sketch: snapshot body %d bytes, want %d", len(body), width*depth*8)
 	}
-	c := &CountMin{width: width, depth: int(depth), mask: width - 1, total: total}
-	c.rows = make([]uint64, width*depth)
-	var sum uint64
+	c := newCountMin(width, int(depth))
+	c.total = total
 	for i := range c.rows {
 		c.rows[i] = binary.LittleEndian.Uint64(body[i*8:])
-		sum += c.rows[i]
 	}
 	// Each plain Add of weight w adds w to every row, so no row's cell
 	// sum can exceed total per row; conservative update only lowers it.
@@ -141,16 +139,15 @@ func UnmarshalSpaceSaving(data []byte) (*SpaceSaving, error) {
 		if e.Err > e.Count || e.ByteErr > e.Bytes {
 			return nil, fmt.Errorf("sketch: snapshot entry %d slack exceeds its bound", i)
 		}
-		if _, dup := s.pos[e.Key]; dup {
+		slot, dup := s.find(e.Key)
+		if dup {
 			return nil, fmt.Errorf("sketch: snapshot repeats key %#x", e.Key)
 		}
 		if e.Count > math.MaxUint64-countSum {
 			return nil, fmt.Errorf("sketch: snapshot counts overflow")
 		}
 		countSum += e.Count
-		s.heap = append(s.heap, e)
-		s.pos[e.Key] = len(s.heap) - 1
-		s.siftUp(len(s.heap) - 1)
+		s.push(slot, e)
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -25,12 +26,20 @@ type Entry struct {
 // as slack (Err) — so any key whose true count exceeds Total/Capacity
 // is guaranteed monitored, and the summary never grows. Not safe for
 // concurrent use.
+//
+// Keys are found through an open-addressed index rather than a Go map:
+// index holds heap position+1 (0 marks an empty slot), probed linearly
+// from a Fibonacci hash of the key, at most half full; where[i] is the
+// index slot that points at heap[i], so a heap swap is four slice
+// stores and a delete can shift later probes back into its hole.
 type SpaceSaving struct {
 	capacity  int
 	total     uint64
 	evictions uint64
-	heap      []Entry        // min-heap on Count
-	pos       map[uint64]int // key -> heap index
+	heap      []Entry // min-heap on Count
+	where     []int32 // heap position -> its index slot
+	index     []int32 // key slot -> heap position+1; power-of-two length
+	shift     uint    // 64 - log2(len(index)): the hash keeps the top bits
 }
 
 // NewSpaceSaving builds a summary with the given counter capacity.
@@ -38,10 +47,13 @@ func NewSpaceSaving(capacity int) *SpaceSaving {
 	if capacity < 1 {
 		capacity = 1
 	}
+	logSize := bits.Len(uint(2*capacity - 1)) // 2^logSize ≥ 2·capacity
 	return &SpaceSaving{
 		capacity: capacity,
 		heap:     make([]Entry, 0, capacity),
-		pos:      make(map[uint64]int, capacity),
+		where:    make([]int32, 0, capacity),
+		index:    make([]int32, 1<<logSize),
+		shift:    uint(64 - logSize),
 	}
 }
 
@@ -68,41 +80,50 @@ func (s *SpaceSaving) MinCount() uint64 {
 	return s.heap[0].Count
 }
 
-// Add records count weight w (and byte weight b) for key.
-func (s *SpaceSaving) Add(key, w, b uint64) {
+// Add records count weight w (and byte weight b) for key. When the
+// key takes over the minimum counter, the displaced entry is returned
+// with evicted true — the caller's one chance to account for the
+// traffic it gathered while monitored (Count-Err requests, Bytes-ByteErr
+// bytes).
+func (s *SpaceSaving) Add(key, w, b uint64) (victim Entry, evicted bool) {
 	s.total += w
-	if i, ok := s.pos[key]; ok {
+	slot, ok := s.find(key)
+	if ok {
+		i := s.index[slot] - 1
 		s.heap[i].Count += w
 		s.heap[i].Bytes += b
-		s.siftDown(i)
-		return
+		s.siftDown(int(i))
+		return Entry{}, false
 	}
 	if len(s.heap) < s.capacity {
-		s.heap = append(s.heap, Entry{Key: key, Count: w, Bytes: b})
-		s.pos[key] = len(s.heap) - 1
-		s.siftUp(len(s.heap) - 1)
-		return
+		s.push(slot, Entry{Key: key, Count: w, Bytes: b})
+		return Entry{}, false
 	}
 	// Takeover: the newcomer replaces the minimum counter, inheriting
-	// its count (and bytes) as both ballast and declared slack.
+	// its count (and bytes) as both ballast and declared slack. The
+	// victim leaves the index first: its backward shift can move the
+	// slot the newcomer's probe ended on.
 	s.evictions++
-	root := &s.heap[0]
-	delete(s.pos, root.Key)
-	s.pos[key] = 0
-	*root = Entry{
+	victim = s.heap[0]
+	s.unindex(0)
+	slot, _ = s.find(key)
+	s.index[slot] = 1
+	s.where[0] = slot
+	s.heap[0] = Entry{
 		Key:     key,
-		Count:   root.Count + w,
-		Err:     root.Count,
-		Bytes:   root.Bytes + b,
-		ByteErr: root.Bytes,
+		Count:   victim.Count + w,
+		Err:     victim.Count,
+		Bytes:   victim.Bytes + b,
+		ByteErr: victim.Bytes,
 	}
 	s.siftDown(0)
+	return victim, true
 }
 
 // Get returns the monitored entry for key, if present.
 func (s *SpaceSaving) Get(key uint64) (Entry, bool) {
-	if i, ok := s.pos[key]; ok {
-		return s.heap[i], true
+	if slot, ok := s.find(key); ok {
+		return s.heap[s.index[slot]-1], true
 	}
 	return Entry{}, false
 }
@@ -135,45 +156,39 @@ func (s *SpaceSaving) Top(k int) []Entry {
 // additionally inherits the other side's MinCount as slack (its count
 // there is unknown but bounded by that minimum). The result keeps the
 // top Capacity entries, preserving the merged guarantee: any key with
-// true combined count > (Na+Nb)/Capacity stays monitored.
-func (s *SpaceSaving) Merge(o *SpaceSaving) error {
+// true combined count > (Na+Nb)/Capacity stays monitored. The merged
+// entries that did not fit are returned, largest first; as with Add's
+// victim, Count-Err and Bytes-ByteErr is the traffic they leave with.
+func (s *SpaceSaving) Merge(o *SpaceSaving) (dropped []Entry, err error) {
 	if o == nil {
-		return fmt.Errorf("sketch: merge with nil space-saving summary")
+		return nil, fmt.Errorf("sketch: merge with nil space-saving summary")
 	}
 	if s.capacity != o.capacity {
-		return fmt.Errorf("sketch: merge capacity mismatch: %d vs %d", s.capacity, o.capacity)
+		return nil, fmt.Errorf("sketch: merge capacity mismatch: %d vs %d", s.capacity, o.capacity)
 	}
 	sMin, oMin := s.MinCount(), o.MinCount()
-	merged := make(map[uint64]Entry, len(s.heap)+len(o.heap))
+	all := make([]Entry, 0, len(s.heap)+len(o.heap))
 	for _, e := range s.heap {
-		merged[e.Key] = e
+		if slot, ok := o.find(e.Key); ok {
+			m := o.heap[o.index[slot]-1]
+			e.Count += m.Count
+			e.Err += m.Err
+			e.Bytes += m.Bytes
+			e.ByteErr += m.ByteErr
+		} else {
+			// Monitored only in s: its count in o's stream is at most o's
+			// minimum counter.
+			e.Count += oMin
+			e.Err += oMin
+		}
+		all = append(all, e)
 	}
 	for _, e := range o.heap {
-		if m, ok := merged[e.Key]; ok {
-			m.Count += e.Count
-			m.Err += e.Err
-			m.Bytes += e.Bytes
-			m.ByteErr += e.ByteErr
-			merged[e.Key] = m
-		} else {
-			// Monitored only in o: its count in s's stream is at most
-			// s's minimum counter.
+		if _, ok := s.find(e.Key); !ok {
 			e.Count += sMin
 			e.Err += sMin
-			merged[e.Key] = e
+			all = append(all, e)
 		}
-	}
-	for key := range merged {
-		if _, inO := o.pos[key]; !inO {
-			m := merged[key]
-			m.Count += oMin
-			m.Err += oMin
-			merged[key] = m
-		}
-	}
-	all := make([]Entry, 0, len(merged))
-	for _, e := range merged {
-		all = append(all, e)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {
@@ -183,40 +198,90 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) error {
 	})
 	if len(all) > s.capacity {
 		s.evictions += uint64(len(all) - s.capacity)
-		all = all[:s.capacity]
+		all, dropped = all[:s.capacity], all[s.capacity:]
 	}
 	s.heap = s.heap[:0]
-	s.pos = make(map[uint64]int, s.capacity)
+	s.where = s.where[:0]
+	clear(s.index)
 	for _, e := range all {
-		s.heap = append(s.heap, e)
-		s.pos[e.Key] = len(s.heap) - 1
-		s.siftUp(len(s.heap) - 1)
+		slot, _ := s.find(e.Key)
+		s.push(slot, e)
 	}
 	s.total += o.total
 	s.evictions += o.evictions
-	return nil
+	return dropped, nil
 }
 
 // Clone returns an independent deep copy.
 func (s *SpaceSaving) Clone() *SpaceSaving {
-	out := &SpaceSaving{
+	return &SpaceSaving{
 		capacity:  s.capacity,
 		total:     s.total,
 		evictions: s.evictions,
 		heap:      append(make([]Entry, 0, s.capacity), s.heap...),
-		pos:       make(map[uint64]int, s.capacity),
+		where:     append(make([]int32, 0, s.capacity), s.where...),
+		index:     append([]int32(nil), s.index...),
+		shift:     s.shift,
 	}
-	for k, v := range s.pos {
-		out.pos[k] = v
-	}
-	return out
 }
 
-// FootprintBytes returns the fixed memory the summary holds.
+// FootprintBytes returns the fixed memory the summary holds: the
+// entries, their back-pointers and the index, all sized at construction.
 func (s *SpaceSaving) FootprintBytes() int {
-	const entrySize = 40   // 5 × uint64
-	const mapOverhead = 48 // bucket + key/value amortized per entry
-	return s.capacity*(entrySize+mapOverhead) + 64
+	const entrySize = 40 // 5 × uint64
+	return s.capacity*(entrySize+4) + len(s.index)*4 + 64
+}
+
+// find probes the index for key. It returns the slot holding key, or
+// the empty slot that ends the probe — where key would be inserted.
+func (s *SpaceSaving) find(key uint64) (slot int32, ok bool) {
+	mask := int32(len(s.index) - 1)
+	for slot = s.home(key); ; slot = (slot + 1) & mask {
+		p := s.index[slot]
+		if p == 0 {
+			return slot, false
+		}
+		if s.heap[p-1].Key == key {
+			return slot, true
+		}
+	}
+}
+
+// home is key's preferred index slot: the top bits of a Fibonacci
+// hash, which spread the structured prefix keys (low bits all zero for
+// a given length) evenly.
+func (s *SpaceSaving) home(key uint64) int32 {
+	return int32((key * 0x9e3779b97f4a7c15) >> s.shift)
+}
+
+// push appends e to the heap, records it at the empty index slot find
+// returned for its key, and restores heap order.
+func (s *SpaceSaving) push(slot int32, e Entry) {
+	s.heap = append(s.heap, e)
+	s.where = append(s.where, slot)
+	s.index[slot] = int32(len(s.heap))
+	s.siftUp(len(s.heap) - 1)
+}
+
+// unindex removes heap[i]'s key from the index by backward shift: each
+// later entry of the probe run whose home does not lie between the hole
+// and itself moves back into the hole, so no probe ever stops early at
+// a slot a delete emptied.
+func (s *SpaceSaving) unindex(i int) {
+	mask := int32(len(s.index) - 1)
+	hole := s.where[i]
+	for j := (hole + 1) & mask; ; j = (j + 1) & mask {
+		p := s.index[j]
+		if p == 0 {
+			break
+		}
+		if home := s.home(s.heap[p-1].Key); (j-home)&mask >= (j-hole)&mask {
+			s.index[hole] = p
+			s.where[p-1] = hole
+			hole = j
+		}
+	}
+	s.index[hole] = 0
 }
 
 func (s *SpaceSaving) siftUp(i int) {
@@ -250,6 +315,7 @@ func (s *SpaceSaving) siftDown(i int) {
 
 func (s *SpaceSaving) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i].Key] = i
-	s.pos[s.heap[j].Key] = j
+	s.where[i], s.where[j] = s.where[j], s.where[i]
+	s.index[s.where[i]] = int32(i + 1)
+	s.index[s.where[j]] = int32(j + 1)
 }

@@ -30,11 +30,19 @@ package netcluster_test
 // is per request — ten spans whatever the batch holds — and the request
 // has become ten times cheaper since the row was written (1.27 ms over
 // JSON and net/http, 0.12 ms over the batch stream), so the same ten
-// spans went from 0.4% of it to about 2.5% at today's ~300 ns a span.
-// At 512 addresses a batch that is 6 ns per address, and 0.4% of what
-// the same batch costs end to end across four processes. The row holds
-// it under 5%; getting back under 1% takes spans that are not started
-// when nobody is tracing (ROADMAP item 2a), not a cheaper span.
+// spans went from 0.4% of it to about 2.5% at ~300 ns a span. At 512
+// addresses a batch that is 6 ns per address, and 0.4% of what the same
+// batch costs end to end across four processes. The row holds it under
+// 5%; getting back under 1% takes spans that are not started when
+// nobody is tracing, not a cheaper span.
+//
+// That row is also the one whose denominator cannot come from the
+// recording. A 120 µs request is mostly scheduler and loopback work, so
+// on a loaded machine a span and a request slow down together while the
+// committed ns/op does not: spans priced at 700–1,000 ns against the
+// quiet machine's 120 µs read 6–9%. Its ns/op is therefore measured in
+// this run, with BenchmarkRouterFanout's own loop, beside the unit
+// prices it is compared with.
 
 import (
 	"context"
@@ -93,6 +101,14 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	t.Logf("unit costs: atomic add %.1f ns, observe %.1f ns, span %.0f ns, trace span %.0f ns",
 		atomicNs, observeNs, spanNs, tspanNs)
 
+	// The fan-out row's denominator, measured now (see the header).
+	shardSetup(t)
+	fanout := testing.Benchmark(func(b *testing.B) { routeBatches(b, shardMixed[:routerBatch], b.N) })
+	if fanout.N == 0 {
+		t.Fatal("routed fan-out benchmark failed; run BenchmarkRouterFanout for the cause")
+	}
+	fanoutNs := float64(fanout.T.Nanoseconds()) / float64(fanout.N)
+
 	// Client populations behind the per-client amortized counters.
 	f := perfSetup(t)
 	naganoClients := float64(len(f.log.Clients()))
@@ -106,28 +122,29 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		spans   float64 // ASpan start/end pairs per benchmark op
 		tspans  float64 // trace spans (start/attr/End + ring record) per op
 		budget  float64
+		nsPerOp float64 // measured in this run; 0 divides by the recording
 	}{
 		// Compiled.Lookup itself: instrumented nowhere, on purpose.
-		{"BenchmarkLongestPrefixMatchCompiled", 0, 0, 0, 0, budget},
+		{"BenchmarkLongestPrefixMatchCompiled", 0, 0, 0, 0, budget, 0},
 		// The batch lookup kernel: like the single-probe walk it carries
 		// zero instrumentation ops — counting and 1-in-64 depth sampling
 		// are replayed by the memoized cluster layer (ClusterBatch), never
 		// inside the kernel, so batching cannot tax the per-address cost.
-		{"BenchmarkLookupBatch", 0, 0, 0, 0, budget},
+		{"BenchmarkLookupBatch", 0, 0, 0, 0, budget, 0},
 		// StreamCLF: one parseTally flush (fast+strict+time_slow+bytes
 		// counters) and one "weblog.stream" trace span wrapping the
 		// whole pass.
-		{"BenchmarkCLFParseStream", 4, 0, 0, 1, budget},
+		{"BenchmarkCLFParseStream", 4, 0, 0, 1, budget, 0},
 		// Sequential ClusterLog, plain table: one lookup counter per
 		// distinct client plus at most one no-match counter, then the
 		// three result flushes. One "cluster.log" trace span wraps the
 		// run.
-		{"BenchmarkClusterLogNetworkAware", 2*naganoClients + 3, 0, 0, 1, budget},
+		{"BenchmarkClusterLogNetworkAware", 2*naganoClients + 3, 0, 0, 1, budget, 0},
 		// workers-1 falls back to the sequential path with the compiled
 		// engine: per distinct client one lookup counter, at most one
 		// no-match, and a 1-in-64 sampled depth observe; three flushes
 		// and the sequential trace span per run.
-		{"BenchmarkClusterLogParallel/workers-1", 2*apacheClients + 3, apacheClients / 64, 0, 1, budget},
+		{"BenchmarkClusterLogParallel/workers-1", 2*apacheClients + 3, apacheClients / 64, 0, 1, budget, 0},
 		// The traced routed batch across 3 shards: one router.batch span,
 		// per shard a router.shard span, and on each node the
 		// node.batch/node.table spans — 10 trace spans. The span context
@@ -136,19 +153,23 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		// latency observe and three counter/gauge ops, the node side two
 		// counters; the router's own batch/addr counters round the atomics
 		// up to 17.
-		{"BenchmarkRouterFanout", 17, 3, 0, 10, fanoutBudget},
+		{"BenchmarkRouterFanout", 17, 3, 0, 10, fanoutBudget, fanoutNs},
 	}
 
 	for _, row := range rows {
-		committed, ok := rec.Find(row.name)
-		if !ok {
-			t.Errorf("committed recording lacks %s; rerun `make bench-json`", row.name)
-			continue
+		nsPerOp, source := row.nsPerOp, "measured"
+		if nsPerOp == 0 {
+			committed, ok := rec.Find(row.name)
+			if !ok {
+				t.Errorf("committed recording lacks %s; rerun `make bench-json`", row.name)
+				continue
+			}
+			nsPerOp, source = committed.NsPerOp, "committed"
 		}
 		overhead := row.atomics*atomicNs + row.obs*observeNs + row.spans*spanNs + row.tspans*tspanNs
-		frac := overhead / committed.NsPerOp
-		t.Logf("%-42s modeled %8.0f ns of %12.0f ns/op = %.3f%%",
-			row.name, overhead, committed.NsPerOp, 100*frac)
+		frac := overhead / nsPerOp
+		t.Logf("%-42s modeled %8.0f ns of %12.0f ns/op (%s) = %.3f%%",
+			row.name, overhead, nsPerOp, source, 100*frac)
 		if frac > row.budget {
 			t.Errorf("%s: modeled instrumentation overhead %.2f%% exceeds the %.0f%% budget",
 				row.name, 100*frac, 100*row.budget)
