@@ -28,7 +28,8 @@ FUZZ_TARGETS = \
 	internal/shard:FuzzDecodeBatchFrame \
 	internal/shard:FuzzServeStream \
 	internal/shard:FuzzParseAddrList \
-	internal/shard:FuzzDecodeDelta
+	internal/shard:FuzzDecodeDelta \
+	internal/radix:FuzzDynamicOps
 FUZZTIME ?= 20s
 
 # Advisory statement-coverage floor for the cover target.

@@ -152,11 +152,11 @@ func (c *Compiled) LookupBatch(addrs []netutil.Addr, dst []Match) []Match {
 	}
 	st := batchPool.Get().(*batchState)
 	st.rows = c.frozen.LookupBatch(addrs, st.rows)
-	// Resolve rows against the raw entry tables directly: a generic
-	// method call per row would cost more than the resolution itself,
-	// and the loads skip bounds checks because the kernel only emits
-	// rows in [-1, len(prefixes)) — see resolveRows.
-	_, _, prefixes, _, values, _ := c.frozen.Raw()
+	// Resolve rows against the entry tables directly: a generic method
+	// call per row would cost more than the resolution itself, and the
+	// loads skip bounds checks because the kernel only emits rows in
+	// [-1, len(prefixes)) — see resolveRows.
+	prefixes, values := c.frozen.Entries()
 	resolveRows(st.rows, prefixes, values, dst)
 	batchPool.Put(st)
 	return dst
@@ -234,6 +234,6 @@ func (c *Compiled) NumPrimary() int { return c.numPrimary }
 // NumSecondary returns the number of network-dump prefixes at compile time.
 func (c *Compiled) NumSecondary() int { return c.numSecondary }
 
-// NumNodes exposes the flattened node count, the compiled table's memory
-// footprint knob (each node is 2 KiB of slot arrays).
+// NumNodes exposes the live stride-8 node count, the compiled table's
+// memory footprint knob (see radix.Frozen.NumNodes).
 func (c *Compiled) NumNodes() int { return c.frozen.NumNodes() }

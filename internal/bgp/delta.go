@@ -60,11 +60,12 @@ func (d Delta) Withdrawn() int { return len(d.Ops) - d.Announced() }
 // per-generation maps — the match path stays lock-free, exact-prefix
 // provenance queries pay an RLock.
 //
-// Sustained churn strands dead entry rows and emptied node blocks in the
-// shared structure; when their share crosses compactThreshold, Apply
-// transparently rebuilds from the live key set (counted by the
-// "bgp.delta.compactions" metric), bounding memory at a constant factor
-// of the live table.
+// Sustained churn strands dead entry rows and emptied nodes in the
+// shared structure (superseded node blocks are reclaimed by
+// radix.Dynamic's own arena re-render); when the dead rows' share
+// crosses compactThreshold, Apply transparently rebuilds from the live
+// key set (counted by the "bgp.delta.compactions" metric), bounding
+// memory at a constant factor of the live table.
 type Incremental struct {
 	dyn *radix.Dynamic[compiledValue]
 

@@ -369,7 +369,10 @@ func ReadTable(data []byte) (*Compiled, error) {
 // bytes round-trip through ReadTable/OpenTable to a table whose lookups
 // and provenance answers are identical to c's at the time of the call
 // (a table published by an Incremental is captured as of now — later
-// deltas do not appear in the snapshot).
+// deltas do not appear in the snapshot). The match structure is written
+// in radix.Frozen.Raw's canonical layout — root first, breadth-first,
+// only reachable nodes — whatever blocks a path-copied generation holds,
+// so a loaded table re-marshals to the same bytes.
 func MarshalTable(c *Compiled) ([]byte, error) {
 	children, slots, prefixes, ranks, values, size := c.frozen.Raw()
 	rows := provRowsOf(c)

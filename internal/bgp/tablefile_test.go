@@ -142,14 +142,25 @@ func TestTableRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestTableRoundTripIncremental saves a generation published by the
-// incremental compiler (dead rows and all) and checks the loaded table
-// freezes the same point-in-time view.
+// TestTableRoundTripIncremental saves every generation the incremental
+// compiler publishes over a churn run — path copies of the shared block
+// arena and full re-renders alike, dead rows and all — and checks each
+// loaded table freezes the same point-in-time view: lookups, node count,
+// provenance and kind of every prefix the run touched, and the identical
+// bytes when marshaled again.
 func TestTableRoundTripIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomMerged(rng, 800)
 	inc := NewIncremental(m)
-	var gen *Compiled
+	probes := boundaryProbes(m)
+	for i := 0; i < 5000; i++ {
+		probes = append(probes, netutil.Addr(rng.Uint32()))
+	}
+	var touched []netutil.Prefix
+	m.Walk(func(p netutil.Prefix, _ *Provenance) bool {
+		touched = append(touched, p)
+		return true
+	})
 	for i := 0; i < 20; i++ {
 		d := Delta{Source: "churn"}
 		for j := 0; j < 50; j++ {
@@ -159,34 +170,50 @@ func TestTableRoundTripIncremental(t *testing.T) {
 				Kind:     SourceBGP,
 				Entry:    Entry{Prefix: p, ASPath: []uint32{77}},
 			})
+			touched = append(touched, p)
 		}
-		gen = inc.Apply(d)
-	}
+		gen := inc.Apply(d)
 
-	data, err := MarshalTable(gen)
-	if err != nil {
-		t.Fatalf("marshal incremental generation: %v", err)
-	}
-	loaded, err := ReadTable(data)
-	if err != nil {
-		t.Fatalf("load incremental generation: %v", err)
-	}
-	// Probe boundaries of the original table plus random addresses; the
-	// loaded snapshot must match the pinned generation (not the live
-	// store, which later deltas would move).
-	probes := boundaryProbes(m)
-	for i := 0; i < 20000; i++ {
-		probes = append(probes, netutil.Addr(rng.Uint32()))
-	}
-	for _, a := range probes {
-		wm, wok := gen.Lookup(a)
-		gm, gok := loaded.Lookup(a)
-		if wok != gok || wm != gm {
-			t.Fatalf("Lookup(%v): loaded (%+v,%v), generation (%+v,%v)", a, gm, gok, wm, wok)
+		data, err := MarshalTable(gen)
+		if err != nil {
+			t.Fatalf("generation %d: marshal: %v", i, err)
 		}
-	}
-	if loaded.Len() != gen.Len() {
-		t.Fatalf("Len: loaded %d, generation %d", loaded.Len(), gen.Len())
+		loaded, err := ReadTable(data)
+		if err != nil {
+			t.Fatalf("generation %d: load: %v", i, err)
+		}
+		if loaded.Len() != gen.Len() || loaded.NumNodes() != gen.NumNodes() {
+			t.Fatalf("generation %d: loaded Len %d nodes %d, generation Len %d nodes %d",
+				i, loaded.Len(), loaded.NumNodes(), gen.Len(), gen.NumNodes())
+		}
+		for _, a := range probes {
+			wm, wok := gen.Lookup(a)
+			gm, gok := loaded.Lookup(a)
+			if wok != gok || wm != gm {
+				t.Fatalf("generation %d: Lookup(%v): loaded (%+v,%v), generation (%+v,%v)", i, a, gm, gok, wm, wok)
+			}
+		}
+		// Provenance of an incremental generation is the compiler's live
+		// store, which is this generation's until the next Apply.
+		for _, p := range touched {
+			wp, wok := gen.Provenance(p)
+			gp, gok := loaded.Provenance(p)
+			if wok != gok || (wok && !reflect.DeepEqual(*wp, *gp)) {
+				t.Fatalf("generation %d: Provenance(%v): loaded (%+v,%v), generation (%+v,%v)", i, p, gp, gok, wp, wok)
+			}
+			wk, wkok := gen.KindOf(p)
+			gk, gkok := loaded.KindOf(p)
+			if wkok != gkok || wk != gk {
+				t.Fatalf("generation %d: KindOf(%v): loaded (%v,%v), generation (%v,%v)", i, p, gk, gkok, wk, wkok)
+			}
+		}
+		again, err := MarshalTable(loaded)
+		if err != nil {
+			t.Fatalf("generation %d: re-marshal: %v", i, err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatalf("generation %d: re-marshal of loaded table differs (%d vs %d bytes)", i, len(data), len(again))
+		}
 	}
 }
 

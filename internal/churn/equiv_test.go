@@ -69,6 +69,8 @@ func TestIncrementalEquivalentToRecompileUnderReaders(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var probe [1]netutil.Addr
+			var batch []bgp.Match
 			for {
 				select {
 				case <-stop:
@@ -89,7 +91,14 @@ func TestIncrementalEquivalentToRecompileUnderReaders(t *testing.T) {
 						addr, m1, ok1, m2, ok2)
 					return
 				}
-				lookups.Add(102)
+				// The batch kernel reads the same shared block arena the
+				// writer keeps appending to.
+				probe[0] = addr
+				if batch = pinned.LookupBatch(probe[:], batch); batch[0] != m1 {
+					t.Errorf("pinned generation's batch answer for %v is %+v, Lookup %+v", addr, batch[0], m1)
+					return
+				}
+				lookups.Add(103)
 			}
 		}(int64(1000 + r))
 	}

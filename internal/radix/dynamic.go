@@ -11,17 +11,24 @@ import (
 //
 //   - InsertRanked and Remove edit only the slot block of the node the
 //     prefix terminates in (expansion never crosses a stride boundary,
-//     so both operations are node-local);
-//   - Freeze reuses the arrays of the previous freeze, re-rendering only
-//     the slot blocks that changed since and appending blocks for new
-//     nodes, so its cost is proportional to the churn, not the table.
+//     so both operations are node-local), and mark that node and its
+//     ancestors dirty;
+//   - Freeze path-copies: it renders every dirty node into a fresh block
+//     appended to a block arena shared by every generation, deepest
+//     first so a parent renders its children's new block indices, and
+//     publishes (arena[:L], root block). Untouched subtrees are shared
+//     with earlier generations and published blocks are never written,
+//     so a freeze costs the dirty paths, not the table.
 //
-// Node and entry identity is stable across freezes: every node keeps the
-// flat-array index it was first assigned (the root is always node 0, new
-// nodes append), and every entry keeps its row in the shared entry
-// tables. Removed entries leave dead rows and emptied subtrees leave
-// dead node blocks — the price of never moving a published index. The
-// caller watches DeadEntries/NumNodes and rebuilds from source when the
+// When a freeze would outgrow the arena's capacity, it renders every
+// node into a fresh arena of twice the node count instead (the full
+// cost, paid once per that many dirty blocks); generations published
+// before keep the old arena alive for as long as they are held.
+//
+// Entry identity is stable across freezes: every entry keeps its row in
+// the shared, append-only entry arena. Removed entries leave dead rows
+// and emptied nodes stay linked — the price of never moving a published
+// row. The caller watches DeadEntries and rebuilds from source when the
 // garbage fraction crosses its threshold (see bgp.Incremental), exactly
 // as long-running routers periodically recompact their FIBs.
 //
@@ -35,14 +42,13 @@ import (
 // still holding earlier generations — the RCU pattern internal/churn
 // builds on.
 type Dynamic[V any] struct {
-	nodes []*dynNode[V] // index == flat-array node index; nodes[0] is the root
-	keys  map[dynKey]*dynEntry[V]
+	root     *dynNode[V]
+	numNodes int
+	keys     map[dynKey]*dynEntry[V]
 
-	// dirty marks node indices whose slot block changed since the last
-	// freeze; nodes created since then (index >= frozenNodes) are
-	// implicitly dirty.
-	dirty       map[int32]struct{}
-	frozenNodes int
+	// dirty[depth] lists the nodes at that depth whose block the next
+	// freeze re-renders. A dirty node's ancestors are always dirty too.
+	dirty [4][]*dynNode[V]
 
 	// The entry arena: append-only rows shared by every Frozen generation.
 	// Rows of removed entries become garbage but are never reused, so a
@@ -51,9 +57,11 @@ type Dynamic[V any] struct {
 	ranks    []int16
 	values   []V
 
-	// Rendered arrays of the last freeze, reused as the copy source.
-	lastChildren []int32
-	lastSlots    []int32
+	// The block arena: 256 children, slots and packed words per block,
+	// appended past the published length and never written below it.
+	children []int32
+	slots    []int32
+	packed   []int64
 
 	deadEntries int
 }
@@ -72,7 +80,12 @@ type dynEntry[V any] struct {
 }
 
 type dynNode[V any] struct {
-	idx      int32
+	parent *dynNode[V]
+	depth  uint8
+	dirty  bool
+	// block is the node's block in the current arena, -1 before its
+	// first render.
+	block    int32
 	children [256]*dynNode[V]
 	entries  [256]*dynEntry[V]
 	// terminals holds every live entry whose prefix terminates in this
@@ -82,20 +95,19 @@ type dynNode[V any] struct {
 
 // NewDynamic returns an empty table.
 func NewDynamic[V any]() *Dynamic[V] {
-	d := &Dynamic[V]{
-		keys:  make(map[dynKey]*dynEntry[V]),
-		dirty: make(map[int32]struct{}),
+	return &Dynamic[V]{
+		root:     &dynNode[V]{block: -1},
+		numNodes: 1,
+		keys:     make(map[dynKey]*dynEntry[V]),
 	}
-	d.nodes = append(d.nodes, &dynNode[V]{idx: 0})
-	return d
 }
 
 // Len returns the number of live (prefix, rank) keys.
 func (d *Dynamic[V]) Len() int { return len(d.keys) }
 
-// NumNodes returns the number of allocated stride-8 nodes, including
-// blocks emptied by removals (they are never reclaimed in place).
-func (d *Dynamic[V]) NumNodes() int { return len(d.nodes) }
+// NumNodes returns the number of stride-8 nodes, including nodes emptied
+// by removals (they stay linked).
+func (d *Dynamic[V]) NumNodes() int { return d.numNodes }
 
 // DeadEntries returns the number of arena rows orphaned by removals and
 // replacements since construction — the caller's compaction signal.
@@ -148,14 +160,14 @@ func (d *Dynamic[V]) InsertRanked(p netutil.Prefix, v V, rank int) bool {
 
 	fullBytes, base, span := expansion(p)
 	octets := p.Addr().Octets()
-	n := d.nodes[0]
+	n := d.root
 	for i := 0; i < fullBytes; i++ {
 		b := octets[i]
 		if n.children[b] == nil {
-			child := &dynNode[V]{idx: int32(len(d.nodes))}
-			d.nodes = append(d.nodes, child)
+			child := &dynNode[V]{parent: n, depth: n.depth + 1, block: -1}
 			n.children[b] = child
-			d.markDirty(n) // the child pointer lives in n's block
+			d.numNodes++
+			d.markDirty(child) // and n, whose block holds the child pointer
 		}
 		n = n.children[b]
 	}
@@ -199,7 +211,7 @@ func (d *Dynamic[V]) Remove(p netutil.Prefix, rank int) bool {
 
 	fullBytes, base, span := expansion(p)
 	octets := p.Addr().Octets()
-	n := d.nodes[0]
+	n := d.root
 	for i := 0; i < fullBytes; i++ {
 		n = n.children[octets[i]] // the path exists: the key was inserted through it
 	}
@@ -235,66 +247,113 @@ func covers(t netutil.Prefix, slot int) bool {
 	return slot >= base && slot < base+span
 }
 
+// markDirty queues n and every ancestor not already queued: a node's new
+// block changes the child index its parent renders, up to the root.
 func (d *Dynamic[V]) markDirty(n *dynNode[V]) {
-	if n.idx < int32(d.frozenNodes) {
-		d.dirty[n.idx] = struct{}{}
+	for ; n != nil && !n.dirty; n = n.parent {
+		n.dirty = true
+		d.dirty[n.depth] = append(d.dirty[n.depth], n)
 	}
-	// Nodes newer than the last freeze are re-rendered unconditionally.
 }
 
-// Freeze renders the current table as an immutable Frozen. The first
-// call renders every node; later calls copy the previous arrays and
-// re-render only dirty and new blocks. The returned Frozen shares the
-// append-only entry arena with the Dynamic (rows < its length are never
-// mutated), so generations cost two int32 array copies, not a rebuild.
+// Freeze publishes the current table as an immutable Frozen: the dirty
+// nodes path-copied into the shared block arena, or, when they do not
+// fit its capacity (and on the first call), every node rendered into a
+// fresh one. The batch kernel's packed words are rendered in the same
+// pass, so no reader of the generation builds them. The returned Frozen
+// shares the append-only entry and block arenas with the Dynamic; rows
+// and blocks below its lengths are never mutated.
 func (d *Dynamic[V]) Freeze() *Frozen[V] {
-	nNodes := len(d.nodes)
-	children := make([]int32, nNodes*256)
-	slots := make([]int32, nNodes*256)
-	copy(children, d.lastChildren)
-	copy(slots, d.lastSlots)
-
-	render := func(n *dynNode[V]) {
-		off := int(n.idx) * 256
-		for b := 0; b < 256; b++ {
-			ci := int32(0)
-			if c := n.children[b]; c != nil {
-				ci = c.idx
+	need := 0
+	for _, l := range d.dirty {
+		need += len(l)
+	}
+	if len(d.children) == 0 || len(d.children)+need*256 > cap(d.children) {
+		d.renderAll()
+	} else {
+		for depth := len(d.dirty) - 1; depth >= 0; depth-- {
+			for _, n := range d.dirty[depth] {
+				d.render(n)
 			}
-			children[off+b] = ci
-			ei := int32(-1)
-			if e := n.entries[b]; e != nil {
-				if e.row < 0 {
-					e.row = int32(len(d.prefixes))
-					d.prefixes = append(d.prefixes, e.prefix)
-					d.ranks = append(d.ranks, e.rank)
-					d.values = append(d.values, e.value)
-				}
-				ei = e.row
-			}
-			slots[off+b] = ei
 		}
 	}
-	for idx := range d.dirty {
-		render(d.nodes[idx])
+	for i := range d.dirty {
+		clear(d.dirty[i])
+		d.dirty[i] = d.dirty[i][:0]
 	}
-	for i := d.frozenNodes; i < nNodes; i++ {
-		render(d.nodes[i])
-	}
-	d.dirty = make(map[int32]struct{})
-	d.frozenNodes = nNodes
-	d.lastChildren = children
-	d.lastSlots = slots
 
-	nRows := len(d.prefixes)
-	return &Frozen[V]{
-		children: children,
-		slots:    slots,
+	nRows, nSlots := len(d.prefixes), len(d.children)
+	f := &Frozen[V]{
+		children: d.children[:nSlots:nSlots],
+		slots:    d.slots[:nSlots:nSlots],
+		packed:   d.packed[:nSlots:nSlots],
 		prefixes: d.prefixes[:nRows:nRows],
 		ranks:    d.ranks[:nRows:nRows],
 		values:   d.values[:nRows:nRows],
 		size:     len(d.keys),
+		root:     d.root.block,
+		nodes:    d.numNodes,
 	}
+	f.packOnce.Do(func() {}) // packed is already rendered
+	return f
+}
+
+// renderAll renders every node, breadth-first from the root at block 0,
+// into a fresh arena with room for as many path-copied blocks again.
+// Breadth-first order makes the result the canonical layout Raw exports.
+func (d *Dynamic[V]) renderAll() {
+	capSlots := 2 * d.numNodes * 256
+	d.children = make([]int32, 0, capSlots)
+	d.slots = make([]int32, 0, capSlots)
+	d.packed = make([]int64, 0, capSlots)
+	order := make([]*dynNode[V], 1, d.numNodes)
+	order[0] = d.root
+	for i := 0; i < len(order); i++ {
+		for _, c := range &order[i].children {
+			if c != nil {
+				c.block = int32(len(order)) // rendered at this position below
+				order = append(order, c)
+			}
+		}
+	}
+	for _, n := range order {
+		d.render(n)
+	}
+}
+
+// render appends n's block to the arena — children by their current
+// block, slots by entry row, packed words as in buildPacked — and moves
+// n to it. First-rendered entries get their arena rows here.
+func (d *Dynamic[V]) render(n *dynNode[V]) {
+	off := len(d.children)
+	d.children = d.children[:off+256]
+	d.slots = d.slots[:off+256]
+	d.packed = d.packed[:off+256]
+	children := d.children[off : off+256]
+	slots := d.slots[off : off+256]
+	packed := d.packed[off : off+256]
+	for b := 0; b < 256; b++ {
+		ci := int32(0)
+		if c := n.children[b]; c != nil {
+			ci = c.block
+		}
+		children[b] = ci
+		row, word := int32(-1), int64(-1)
+		if e := n.entries[b]; e != nil {
+			if e.row < 0 {
+				e.row = int32(len(d.prefixes))
+				d.prefixes = append(d.prefixes, e.prefix)
+				d.ranks = append(d.ranks, e.rank)
+				d.values = append(d.values, e.value)
+			}
+			row = e.row
+			word = (int64(e.rank)+1)<<32 | int64(uint32(row))
+		}
+		slots[b] = row
+		packed[b] = word
+	}
+	n.block = int32(off / 256)
+	n.dirty = false
 }
 
 // Walk visits every live (prefix, rank, value) triple in unspecified

@@ -3,6 +3,8 @@ package radix
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/netutil"
@@ -246,9 +248,10 @@ func TestDynamicIncrementalFreezeMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestDynamicOldGenerationsImmutable freezes a generation, keeps
-// mutating, and checks the old generation still answers exactly as it
-// did at its freeze point — the RCU safety property.
+// TestDynamicOldGenerationsImmutable pins every generation of a long
+// churn, re-rendered arenas and path copies alike, and checks each one
+// still answers exactly as it did at its freeze point — the RCU safety
+// property of the shared block arena.
 func TestDynamicOldGenerationsImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
 	d := NewDynamic[int]()
@@ -259,11 +262,9 @@ func TestDynamicOldGenerationsImmutable(t *testing.T) {
 		d.InsertRanked(p, i, rank)
 		keys = append(keys, dynKey{prefix: p, rank: int16(rank)})
 	}
-	gen0 := d.Freeze()
 
-	// Record gen0's answers over a fixed probe set.
 	var probes []netutil.Addr
-	for i := 0; i < 4000; i++ {
+	for i := 0; i < 2000; i++ {
 		probes = append(probes, netutil.Addr(rng.Uint32()))
 	}
 	type ans struct {
@@ -271,15 +272,24 @@ func TestDynamicOldGenerationsImmutable(t *testing.T) {
 		v  int
 		ok bool
 	}
-	want := make([]ans, len(probes))
-	for i, a := range probes {
-		p, v, ok := gen0.Lookup(a)
-		want[i] = ans{p, v, ok}
+	type pinned struct {
+		f    *Frozen[int]
+		want []ans
 	}
+	pin := func(f *Frozen[int]) pinned {
+		want := make([]ans, len(probes))
+		for i, a := range probes {
+			p, v, ok := f.Lookup(a)
+			want[i] = ans{p, v, ok}
+		}
+		return pinned{f, want}
+	}
+	gens := []pinned{pin(d.Freeze())}
 
-	// Heavy churn, including removals of gen0 keys and freezes in between.
-	for round := 0; round < 10; round++ {
-		for op := 0; op < 100; op++ {
+	// Heavy churn, including removals of gen0 keys, one freeze per round.
+	rerenders, rootMoved := 0, false
+	for round := 0; round < 40; round++ {
+		for op := 0; op < 40; op++ {
 			if rng.Intn(2) == 0 && len(keys) > 0 {
 				k := keys[rng.Intn(len(keys))]
 				d.Remove(k.prefix, int(k.rank))
@@ -290,15 +300,185 @@ func TestDynamicOldGenerationsImmutable(t *testing.T) {
 				keys = append(keys, dynKey{prefix: p, rank: int16(rank)})
 			}
 		}
-		d.Freeze()
+		f := d.Freeze()
+		if &f.children[0] != &gens[len(gens)-1].f.children[0] {
+			rerenders++
+		}
+		rootMoved = rootMoved || f.root != gens[0].f.root
+		gens = append(gens, pin(f))
+	}
+	if rerenders < 3 {
+		t.Fatalf("churn crossed %d arena re-renders, want at least 3", rerenders)
+	}
+	if !rootMoved {
+		t.Fatal("no generation path-copied its root")
 	}
 
-	for i, a := range probes {
-		p, v, ok := gen0.Lookup(a)
-		if p != want[i].p || v != want[i].v || ok != want[i].ok {
-			t.Fatalf("gen0.Lookup(%v) changed after churn: now %v %d %v, was %v %d %v",
-				a, p, v, ok, want[i].p, want[i].v, want[i].ok)
+	for g, gen := range gens {
+		for i, a := range probes {
+			p, v, ok := gen.f.Lookup(a)
+			if w := gen.want[i]; p != w.p || v != w.v || ok != w.ok {
+				t.Fatalf("gen%d.Lookup(%v) changed after churn: now %v %d %v, was %v %d %v",
+					g, a, p, v, ok, w.p, w.v, w.ok)
+			}
 		}
+	}
+}
+
+// churnedDynamic returns a Dynamic after random churn, frozen until a
+// generation path-copied its root, plus the live key set.
+func churnedDynamic(t *testing.T, rng *rand.Rand) (*Dynamic[int], *Frozen[int], map[dynKey]int) {
+	t.Helper()
+	d := NewDynamic[int]()
+	live := make(map[dynKey]int)
+	var keys []dynKey
+	for round := 0; round < 100; round++ {
+		for op := 0; op < 30; op++ {
+			if len(keys) > 0 && rng.Intn(3) == 0 {
+				k := keys[rng.Intn(len(keys))]
+				d.Remove(k.prefix, int(k.rank))
+				delete(live, k)
+				continue
+			}
+			p := randPrefix(rng)
+			k := dynKey{prefix: p, rank: int16(p.Bits() + 64*rng.Intn(2))}
+			v := rng.Int()
+			d.InsertRanked(p, v, int(k.rank))
+			live[k] = v
+			keys = append(keys, k)
+		}
+		if f := d.Freeze(); round >= 10 && f.root != 0 {
+			return d, f, live
+		}
+	}
+	t.Fatal("no generation path-copied its root")
+	return nil, nil, nil
+}
+
+// TestDynamicRawIsCanonical exports a path-copied generation through
+// Raw: the arrays must pass NewFrozen's forward-child validation, hold
+// exactly the live nodes, and answer every probe as the generation does;
+// both tables' batch kernels must agree with the sequential walk.
+func TestDynamicRawIsCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d, f, live := churnedDynamic(t, rng)
+	children, slots, prefixes, ranks, values, size := f.Raw()
+	if len(children) == len(f.children) {
+		t.Fatalf("Raw kept all %d arena blocks of a path-copied generation", len(f.children)/256)
+	}
+	g, err := NewFrozen(children, slots, prefixes, ranks, values, size)
+	if err != nil {
+		t.Fatalf("NewFrozen rejected Raw of a path-copied generation: %v", err)
+	}
+	if g.NumNodes() != f.NumNodes() || f.NumNodes() != d.NumNodes() {
+		t.Fatalf("NumNodes: exported %d, generation %d, Dynamic %d", g.NumNodes(), f.NumNodes(), d.NumNodes())
+	}
+	if g.Len() != f.Len() {
+		t.Fatalf("Len: exported %d, generation %d", g.Len(), f.Len())
+	}
+	probes := probeSet(live)
+	for i := 0; i < 2000; i++ {
+		probes = append(probes, netutil.Addr(rng.Uint32()))
+	}
+	for _, table := range []*Frozen[int]{f, g} {
+		rows := table.LookupBatch(probes, nil)
+		for i, a := range probes {
+			wp, wv, wok := f.Lookup(a)
+			gp, gv, gok := g.Lookup(a)
+			if gok != wok || gp != wp || gv != wv {
+				t.Fatalf("Lookup(%v): exported %v %d %v, generation %v %d %v", a, gp, gv, gok, wp, wv, wok)
+			}
+			if (rows[i] >= 0) != wok {
+				t.Fatalf("LookupBatch(%v): row %d, Lookup ok=%v", a, rows[i], wok)
+			}
+			if wok {
+				if bp, bv := table.Entry(rows[i]); bp != wp || bv != wv {
+					t.Fatalf("LookupBatch(%v) = %v %d, Lookup %v %d", a, bp, bv, wp, wv)
+				}
+			}
+		}
+	}
+	// The export of an export is the same arrays: one canonical layout.
+	c2, s2, _, _, _, _ := g.Raw()
+	if &c2[0] != &children[0] || &s2[0] != &slots[0] {
+		t.Fatal("Raw copied a table already in canonical layout")
+	}
+}
+
+// TestDynamicFreezeCostsWhatChanged is the guard on "a swap costs what
+// changed": on a ~2k-node table one single-prefix insert plus Freeze
+// appends no more blocks than the path from the root to the prefix's
+// node and allocates well under one full copy (8 MiB here).
+func TestDynamicFreezeCostsWhatChanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	d := NewDynamic[int]()
+	for d.NumNodes() < 2000 {
+		bits := 9 + rng.Intn(16)
+		p := netutil.PrefixFrom(netutil.Addr(rng.Uint32())&netutil.Addr(netutil.MaskOf(bits)), bits)
+		d.InsertRanked(p, 0, bits)
+	}
+	prev := d.Freeze()
+	var allocs []uint64
+	var ms runtime.MemStats
+	for trial := 0; trial < 15; trial++ {
+		bits := 1 + rng.Intn(32)
+		p := netutil.PrefixFrom(netutil.Addr(rng.Uint32())&netutil.Addr(netutil.MaskOf(bits)), bits)
+		depth, _, _ := expansion(p)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		d.InsertRanked(p, trial, bits)
+		f := d.Freeze()
+		runtime.ReadMemStats(&ms)
+		if &f.children[0] != &prev.children[0] {
+			prev = f
+			continue // re-rendered: the full cost, paid once per arena
+		}
+		allocs = append(allocs, ms.TotalAlloc-before)
+		if added := (len(f.children) - len(prev.children)) / 256; added > depth+1 {
+			t.Fatalf("trial %d: inserting %v appended %d blocks, want <= %d", trial, p, added, depth+1)
+		}
+		prev = f
+	}
+	if len(allocs) < 10 {
+		t.Fatalf("only %d of 15 single-prefix freezes path-copied", len(allocs))
+	}
+	// The median: an occasional trial also grows the key map or the entry
+	// arena, which is amortized append cost, not freeze cost.
+	sort.Slice(allocs, func(i, j int) bool { return allocs[i] < allocs[j] })
+	if med := allocs[len(allocs)/2]; med >= 64<<10 {
+		t.Fatalf("single-prefix insert + Freeze allocated %d B (median of %d), want < 64 KiB", med, len(allocs))
+	}
+}
+
+// TestDynamicFirstBatchAllocatesNothing checks that a Dynamic generation
+// is born with the batch kernel's packed words: the first LookupBatch on
+// every fresh generation allocates nothing beyond dst.
+func TestDynamicFirstBatchAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	d := NewDynamic[int]()
+	for i := 0; i < 500; i++ {
+		p := randPrefix(rng)
+		d.InsertRanked(p, i, p.Bits())
+	}
+	const runs = 8
+	gens := make([]*Frozen[int], runs+1) // AllocsPerRun calls once more to warm up
+	for i := range gens {
+		p := randPrefix(rng)
+		d.InsertRanked(p, i, p.Bits())
+		gens[i] = d.Freeze()
+	}
+	probes := make([]netutil.Addr, 1000)
+	for i := range probes {
+		probes[i] = netutil.Addr(rng.Uint32())
+	}
+	dst := make([]int32, len(probes))
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		dst = gens[next].LookupBatch(probes, dst)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("first LookupBatch on a fresh generation allocated %.1f times, want 0", allocs)
 	}
 }
 

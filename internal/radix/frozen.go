@@ -17,7 +17,7 @@ import (
 // (or Tree) form when the table still changes.
 type Frozen[V any] struct {
 	// children[n*256+b] is the index of node n's child for byte b, or 0 for
-	// none (node 0 is the root, which is never anyone's child).
+	// none (block 0 is always a root, which is never anyone's child).
 	children []int32
 	// slots[n*256+b] indexes the entry tables, or -1 for an empty slot.
 	slots    []int32
@@ -25,10 +25,17 @@ type Frozen[V any] struct {
 	ranks    []int16
 	values   []V
 	size     int
+	// root is the root's block: 0 for Multibit.Freeze and NewFrozen
+	// tables, wherever the last path copy put it for a Dynamic
+	// generation, whose arrays may also hold blocks unreachable from it.
+	root int32
+	// nodes counts the blocks reachable from root.
+	nodes int
 	// packed is the batch kernel's derived slot array — see
-	// frozen_batch.go. Built lazily on the first LookupBatch (packOnce
-	// publishes it to concurrent callers); nil until then, so sequential
-	// lookups and snapshot loads never pay for it.
+	// frozen_batch.go. Dynamic.Freeze renders it with the blocks;
+	// otherwise it is built lazily on the first LookupBatch (packOnce
+	// publishes it to concurrent callers) and nil until then, so
+	// sequential lookups and snapshot loads never pay for it.
 	packOnce sync.Once
 	packed   []int64
 }
@@ -66,15 +73,18 @@ func (m *Multibit[V]) Freeze() *Frozen[V] {
 			f.children = append(f.children, ci)
 		}
 	}
+	f.nodes = len(nodes)
 	return f
 }
 
 // Len returns the number of distinct prefixes in the table.
 func (f *Frozen[V]) Len() int { return f.size }
 
-// NumNodes returns the number of flattened stride-8 nodes, a direct proxy
-// for the table's memory footprint (each node is 2 KiB of slot arrays).
-func (f *Frozen[V]) NumNodes() int { return len(f.slots) / 256 }
+// NumNodes returns the number of stride-8 nodes reachable from the root,
+// a direct proxy for the table's memory footprint: each node is 2 KiB of
+// children and slots plus 2 KiB of packed words once the batch kernel
+// has them.
+func (f *Frozen[V]) NumNodes() int { return f.nodes }
 
 // Lookup returns the highest-ranked stored prefix containing addr — the
 // longest match under Insert's rank = bits convention.
@@ -82,7 +92,7 @@ func (f *Frozen[V]) Lookup(addr netutil.Addr) (netutil.Prefix, V, bool) {
 	a := uint32(addr)
 	best := int32(-1)
 	bestRank := int16(-1)
-	node := int32(0)
+	node := f.root
 	for shift := 24; ; shift -= 8 {
 		i := int(node)<<8 + int(a>>uint(shift))&0xFF
 		if e := f.slots[i]; e >= 0 && f.ranks[e] >= bestRank {
@@ -108,7 +118,7 @@ func (f *Frozen[V]) LookupDepth(addr netutil.Addr) (netutil.Prefix, V, int, bool
 	a := uint32(addr)
 	best := int32(-1)
 	bestRank := int16(-1)
-	node := int32(0)
+	node := f.root
 	depth := 0
 	for shift := 24; ; shift -= 8 {
 		depth++

@@ -28,13 +28,17 @@ import (
 //     child, so typical probes (depth 1-2 in real BGP tables) retire a
 //     fraction of the full walk's instructions;
 //   - slot and child loads go through unsafe pointers, eliding bounds
-//     checks the construction invariants already guarantee: every child
-//     index c validated by Freeze/NewFrozen satisfies c < numNodes, so
-//     c<<8|byte < numNodes*256 = len(packed) = len(children).
+//     checks the construction invariants already guarantee: root and
+//     every child index c written by a freeze or validated by NewFrozen
+//     are < L, the array's block count, so c<<8|byte < L*256 =
+//     len(packed) = len(children).
 //
-// packed is derived state, built lazily on first use (sync.Once), so
-// loading a snapshot pays nothing for it until batches actually run and
-// the sequential Lookup path keeps its identical, packed-free walk.
+// packed is derived state. A Dynamic generation is born with it (the
+// writer renders it with the blocks, so no reader builds it after a
+// swap); Multibit.Freeze and NewFrozen tables build it lazily on first
+// use (sync.Once), so loading a snapshot pays nothing for it until
+// batches actually run. The sequential Lookup path keeps its identical,
+// packed-free walk either way.
 
 // growRows returns dst resized to n, reusing its backing array when the
 // capacity allows — the zero-allocation reuse path.
@@ -67,9 +71,9 @@ func (f *Frozen[V]) buildPacked() {
 // (-1 for no match), writing into dst (reused when capacity allows) and
 // returning it. Row i corresponds to addrs[i]; resolve rows to prefixes
 // and values with Entry. Results are identical to per-probe Lookup,
-// including the rank tie rule. The first call on a Frozen builds the
-// packed slot array; steady-state calls allocate nothing beyond dst
-// reuse.
+// including the rank tie rule. The first call on a Multibit or NewFrozen
+// table builds the packed slot array; every other call allocates nothing
+// beyond dst reuse.
 func (f *Frozen[V]) LookupBatch(addrs []netutil.Addr, dst []int32) []int32 {
 	n := len(addrs)
 	dst = growRows(dst, n)
@@ -88,9 +92,10 @@ func (f *Frozen[V]) LookupBatch(addrs []netutil.Addr, dst []int32) []int32 {
 	}
 	pk := unsafe.Pointer(&packed[0])
 	ch := unsafe.Pointer(&children[0])
+	root := uintptr(f.root) << 8
 	for k, addr := range addrs {
 		a := uint32(addr)
-		i := uintptr(a >> 24)
+		i := root | uintptr(a>>24)
 		best := *(*int64)(unsafe.Add(pk, i*8))
 		if c := *(*int32)(unsafe.Add(ch, i*4)); c != 0 {
 			i = uintptr(c)<<8 | uintptr(a>>16&0xFF)
@@ -123,13 +128,48 @@ func (f *Frozen[V]) Entry(row int32) (netutil.Prefix, V) {
 	return f.prefixes[row], f.values[row]
 }
 
-// Raw exposes the flat backing arrays of f — children and slots
-// (256-slot blocks per node), the parallel entry tables, and the live
-// prefix count — for zero-copy serialization (see internal/bgp's table
-// snapshot codec). The returned slices are the live arrays: callers must
-// treat them as read-only.
+// Entries returns the entry tables LookupBatch's rows index. Unlike Raw
+// it never copies, so a per-batch row resolver can call it.
+func (f *Frozen[V]) Entries() (prefixes []netutil.Prefix, values []V) {
+	return f.prefixes, f.values
+}
+
+// Raw exposes f in the canonical flat layout NewFrozen accepts and the
+// snapshot codec writes (see internal/bgp): children and slots in
+// 256-slot blocks per node, root at block 0, the other nodes in
+// breadth-first order, plus the parallel entry tables and the live
+// prefix count. Multibit and NewFrozen tables already have that layout
+// and are returned without copying; a path-copied Dynamic generation is
+// rewritten into fresh arrays, its unreachable blocks dropped. The
+// returned slices may be the live arrays: callers must treat them as
+// read-only.
 func (f *Frozen[V]) Raw() (children, slots []int32, prefixes []netutil.Prefix, ranks []int16, values []V, size int) {
-	return f.children, f.slots, f.prefixes, f.ranks, f.values, f.size
+	children, slots = f.children, f.slots
+	if f.root != 0 || len(slots) != f.nodes*256 {
+		children, slots = f.canonical()
+	}
+	return children, slots, f.prefixes, f.ranks, f.values, f.size
+}
+
+// canonical renders the blocks reachable from root breadth-first, the
+// order Multibit.Freeze assigns.
+func (f *Frozen[V]) canonical() (children, slots []int32) {
+	children = make([]int32, 0, f.nodes*256)
+	slots = make([]int32, 0, f.nodes*256)
+	order := make([]int32, 1, f.nodes)
+	order[0] = f.root
+	for i := 0; i < len(order); i++ {
+		off := int(order[i]) << 8
+		slots = append(slots, f.slots[off:off+256]...)
+		for _, c := range f.children[off : off+256] {
+			if c != 0 {
+				order = append(order, c)
+				c = int32(len(order) - 1)
+			}
+			children = append(children, c)
+		}
+	}
+	return children, slots
 }
 
 // NewFrozen assembles a Frozen directly from flat arrays — the snapshot
@@ -179,5 +219,6 @@ func NewFrozen[V any](children, slots []int32, prefixes []netutil.Prefix, ranks 
 		ranks:    ranks,
 		values:   values,
 		size:     size,
+		nodes:    int(numNodes),
 	}, nil
 }
