@@ -29,7 +29,8 @@ FUZZ_TARGETS = \
 	internal/shard:FuzzServeStream \
 	internal/shard:FuzzParseAddrList \
 	internal/shard:FuzzDecodeDelta \
-	internal/radix:FuzzDynamicOps
+	internal/radix:FuzzDynamicOps \
+	internal/netutil:FuzzParseAddrBytes
 FUZZTIME ?= 20s
 
 # Advisory statement-coverage floor for the cover target.
@@ -104,10 +105,14 @@ cluster-obsv-smoke:
 # Record lookup/cluster/parse benchmark results machine-readably. The
 # bench run and the JSON conversion are separate steps on an intermediate
 # file so a benchmark failure stops make before BENCH_clustering.json is
-# touched (benchjson additionally writes atomically).
+# touched (benchjson additionally writes atomically). Rows are recorded
+# under GOMAXPROCS=1, which is what keeps the -N suffix off their names:
+# bench-gate runs the same way, so on any machine its rows and the
+# recording's share names.
+BENCH_ENV = GOMAXPROCS=1
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchmem . > bin/bench.out
+	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchmem . > bin/bench.out
 	./bin/benchjson -out BENCH_clustering.json < bin/bench.out
 
 # Compare a fresh benchmark run against the committed recording and fail
@@ -117,7 +122,7 @@ bench-json:
 bench-gate:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) build -o bin/benchdiff ./cmd/benchdiff
-	$(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchmem . > bin/bench-gate.out
+	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(PERF_BENCH)' -benchmem . > bin/bench-gate.out
 	./bin/benchjson -out bin/BENCH_fresh.json < bin/bench-gate.out
 	@./bin/benchdiff -old BENCH_clustering.json -new bin/BENCH_fresh.json > bin/bench-diff.txt; \
 		st=$$?; cat bin/bench-diff.txt; exit $$st

@@ -116,6 +116,10 @@ var (
 	batchAddrs    = obsv.C("clusterd.batch.addrs")
 	batchRejected = obsv.C("clusterd.batch.rejected")
 	inflightGauge = obsv.G("clusterd.batch.inflight")
+
+	lookupSpan      = obsv.RootSpan("clusterd.lookup")
+	batchSpan       = obsv.RootSpan("clusterd.batch")
+	batchLookupSpan = obsv.ChildSpan("clusterd.batch.lookup")
 )
 
 type server struct {
@@ -132,7 +136,7 @@ type server struct {
 }
 
 func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	_, span := obsv.StartTraceSpan(obsv.HTTPExtract(r.Context(), r.Header), "clusterd.lookup")
+	_, span := lookupSpan.Start(obsv.HTTPExtract(r.Context(), r.Header))
 	defer span.End()
 	addr, err := shard.LookupAddr(w, r)
 	if err != nil {
@@ -157,8 +161,8 @@ func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
 func (s *server) batchHandler() *shard.BatchHandler {
 	return &shard.BatchHandler{
 		Table:     s.table,
-		BatchSpan: "clusterd.batch",
-		TableSpan: "clusterd.batch.lookup",
+		BatchSpan: batchSpan,
+		TableSpan: batchLookupSpan,
 		Batches:   batchCount,
 		Addrs:     batchAddrs,
 		Limits: func() shard.Limits {

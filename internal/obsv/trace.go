@@ -91,11 +91,19 @@ var (
 )
 
 // spanMetrics is the <name>.count / <name>.ns pair a trace span feeds,
-// resolved once per span name so that ending a span builds no metric
-// name and takes the registry lock once, to read.
+// resolved once per span name — when the span starts, or once per call
+// site for a SpanSite — so that ending a span builds no metric name and
+// takes no registry lock.
 type spanMetrics struct {
+	name  string
 	count *Counter
 	ns    *Histogram
+}
+
+// observe feeds one completed span of duration d.
+func (m *spanMetrics) observe(d time.Duration) {
+	m.count.Inc()
+	m.ns.Observe(d.Nanoseconds())
 }
 
 func (r *Registry) spanMetrics(name string) *spanMetrics {
@@ -105,7 +113,7 @@ func (r *Registry) spanMetrics(name string) *spanMetrics {
 	if m != nil {
 		return m
 	}
-	m = &spanMetrics{count: r.Counter(name + ".count"), ns: r.Histogram(name + ".ns")}
+	m = &spanMetrics{name: name, count: r.Counter(name + ".count"), ns: r.Histogram(name + ".ns")}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if first := r.spans[name]; first != nil {
@@ -119,7 +127,7 @@ func (r *Registry) spanMetrics(name string) *spanMetrics {
 // method is safe to call on them, so error paths need no guards.
 type TSpan struct {
 	reg    *Registry
-	name   string
+	m      *spanMetrics
 	sc     SpanContext
 	parent uint64
 	start  time.Time
@@ -131,11 +139,18 @@ type TSpan struct {
 // by ctx (or as a new trace root) and returns a derived context carrying
 // the new span, for propagation into callees and goroutines.
 func (r *Registry) StartTraceSpan(ctx context.Context, name string) (context.Context, *TSpan) {
+	parent, traced := SpanContextFrom(ctx)
+	return r.startTraceSpan(ctx, r.spanMetrics(name), parent, traced)
+}
+
+// startTraceSpan builds a span feeding m, a child of parent when traced
+// and a new trace root otherwise.
+func (r *Registry) startTraceSpan(ctx context.Context, m *spanMetrics, parent SpanContext, traced bool) (context.Context, *TSpan) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &TSpan{reg: r, name: name, start: time.Now()}
-	if parent, ok := SpanContextFrom(ctx); ok {
+	s := &TSpan{reg: r, m: m, start: time.Now()}
+	if traced {
 		s.sc.TraceID = parent.TraceID
 		s.parent = parent.SpanID
 	} else {
@@ -166,8 +181,12 @@ func (s *TSpan) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// SetAttrInt annotates the span with an integer value.
+// SetAttrInt annotates the span with an integer value. The value is
+// formatted only for a live span.
 func (s *TSpan) SetAttrInt(key string, v int64) {
+	if s == nil || s.reg == nil {
+		return
+	}
 	s.SetAttr(key, formatInt(v))
 }
 
@@ -191,15 +210,13 @@ func (s *TSpan) End() time.Duration {
 	reg := s.reg
 	s.reg = nil
 	d := time.Since(s.start)
-	m := reg.spanMetrics(s.name)
-	m.count.Inc()
-	m.ns.Observe(d.Nanoseconds())
+	s.m.observe(d)
 	if ring := reg.ring.Load(); ring != nil {
 		ring.Record(&SpanRecord{
 			TraceID:  s.sc.TraceID,
 			SpanID:   s.sc.SpanID,
 			ParentID: s.parent,
-			Name:     s.name,
+			Name:     s.m.name,
 			Start:    s.start,
 			Duration: d,
 			Attrs:    s.attrs,

@@ -134,6 +134,121 @@ func TestTraceSpanNilSafety(t *testing.T) {
 	}
 }
 
+// TestSetAttrIntFormatsOnlyLiveSpans: an integer attribute is formatted
+// only for a span that will record it, so a nil, ended or unbuilt span
+// costs nothing to annotate.
+func TestSetAttrIntFormatsOnlyLiveSpans(t *testing.T) {
+	reg, _ := tracedRegistry(16)
+	var nilSpan *TSpan
+	_, ended := reg.StartTraceSpan(context.Background(), "attr.ended")
+	ended.End()
+	site := reg.ChildSpan("attr.unbuilt")
+	_, unbuilt := site.Start(context.Background())
+	defer unbuilt.End()
+	for name, set := range map[string]func(){
+		"nil":     func() { nilSpan.SetAttrInt("n", 123456789) },
+		"ended":   func() { ended.SetAttrInt("n", 123456789) },
+		"unbuilt": func() { unbuilt.SetAttrInt("n", 123456789) },
+	} {
+		if allocs := testing.AllocsPerRun(100, set); allocs != 0 {
+			t.Errorf("SetAttrInt on a %s span allocates %.0f times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSpanSiteBuildsTracedOrSampled: a root site builds the first of
+// every RootSampleEvery untraced requests and every traced one; a child
+// site builds exactly under a built parent. A built span derives a
+// context and an unbuilt one does not; unbuilt spans allocate nothing
+// and record nothing, and every span, built or not, feeds <name>.count
+// and <name>.ns.
+func TestSpanSiteBuildsTracedOrSampled(t *testing.T) {
+	reg, ring := tracedRegistry(256)
+	root, child := reg.RootSpan("req.root"), reg.ChildSpan("req.child")
+	bg := context.Background()
+	request := func(ctx context.Context) (built, childBuilt bool) {
+		rctx, rs := root.Start(ctx)
+		cctx, cs := child.Start(rctx)
+		built, childBuilt = rctx != ctx, cctx != rctx
+		cs.SetAttrInt("n", 1)
+		cs.End()
+		rs.End()
+		rs.End() // idempotent, built or not
+		return built, childBuilt
+	}
+	for i := 0; i < 2*RootSampleEvery; i++ {
+		built, childBuilt := request(bg)
+		if want := i%RootSampleEvery == 0; built != want || childBuilt != want {
+			t.Fatalf("untraced request %d: root built %v, child built %v, want %v", i, built, childBuilt, want)
+		}
+	}
+	if got := ring.Recorded(); got != 4 {
+		t.Fatalf("ring recorded %d spans for 2 sampled requests, want 4", got)
+	}
+	for _, rec := range ring.Snapshot() {
+		if rec.Name == "req.child" && rec.ParentID == 0 {
+			t.Fatalf("child recorded as a root: %+v", rec)
+		}
+	}
+
+	// A traced request is built whatever the sampler's phase, and joins
+	// the caller's trace; the sampler does not count it, so the untraced
+	// request after it is the next one sampled.
+	caller := SpanContext{TraceID: 77, SpanID: 78}
+	if built, childBuilt := request(ContextWithSpan(bg, caller)); !built || !childBuilt {
+		t.Fatal("a traced request was not built")
+	}
+	joined := false
+	for _, rec := range ring.Snapshot() {
+		joined = joined || rec.Name == "req.root" && rec.TraceID == 77 && rec.ParentID == 78
+	}
+	if !joined {
+		t.Fatal("the traced root was not recorded as a child of the caller's span")
+	}
+	if built, _ := request(bg); !built {
+		t.Fatal("the traced request advanced the root sampler")
+	}
+
+	// A child site never samples on its own.
+	for i := 0; i < RootSampleEvery; i++ {
+		ctx, cs := child.Start(bg)
+		if ctx != bg {
+			t.Fatal("an untraced child span was built")
+		}
+		cs.End()
+	}
+	if got := ring.Recorded(); got != 8 {
+		t.Fatalf("ring recorded %d spans, want the 8 built ones", got)
+	}
+
+	const requests = 2*RootSampleEvery + 2
+	for name, want := range map[string]uint64{"req.root": requests, "req.child": requests + RootSampleEvery} {
+		if got := reg.Counter(name + ".count").Value(); got != want {
+			t.Errorf("%s.count = %d, want %d", name, got, want)
+		}
+		if got := reg.Histogram(name + ".ns").Count(); got != want {
+			t.Errorf("%s.ns holds %d observations, want %d", name, got, want)
+		}
+	}
+
+	// The sampled request aside, an untraced request allocates nothing.
+	for built := false; !built; {
+		built, _ = request(bg)
+	}
+	if allocs := testing.AllocsPerRun(RootSampleEvery-2, func() { request(bg) }); allocs != 0 {
+		t.Fatalf("an unsampled request allocates %.2f times, want 0", allocs)
+	}
+
+	// A nil site starts inert spans.
+	var none *SpanSite
+	ctx, sp := none.Start(bg)
+	sp.SetAttr("k", "v")
+	sp.Fail(errors.New("x"))
+	if ctx != bg || sp.End() != 0 {
+		t.Fatal("a nil site's span is not inert")
+	}
+}
+
 func TestSpanContextPropagation(t *testing.T) {
 	if _, ok := SpanContextFrom(context.Background()); ok {
 		t.Error("background context should carry no span")

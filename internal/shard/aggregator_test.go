@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -95,8 +96,120 @@ func TestBatchCtxTracePropagation(t *testing.T) {
 	}
 }
 
-// TestRouterBatchCompat: the no-context wrapper still works and roots a
-// fresh trace rather than inheriting someone else's.
+// TestUntracedBatchSampling holds the lazy-span contract on the routed
+// path. An untraced batch records no span unless the router's sampler
+// picks it, one in obsv.RootSampleEvery, and then it records its whole
+// local tree: router.batch, a router.shard per shard and, traced by the
+// stream header, each node's node.batch and node.table. A node may sample
+// an untraced request of its own, as a root with its child. No span ever
+// reaches the ring without its parent, and every batch, built or not,
+// feeds the <name>.count and <name>.ns series.
+func TestUntracedBatchSampling(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Shards: 2, ASes: 120, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	probes := clusterProbes(t)
+	names := []string{"router.batch", "router.shard", "node.batch", "node.table"}
+	counts := func() map[string]uint64 {
+		m := make(map[string]uint64)
+		for _, name := range names {
+			m[name+".count"] = obsv.Default.Counter(name + ".count").Value()
+			m[name+".ns"] = obsv.Default.Histogram(name + ".ns").Count()
+		}
+		return m
+	}
+	// recorded returns this test's request spans that started after span
+	// ID from, by span ID.
+	recorded := func(from uint64) map[uint64]obsv.SpanRecord {
+		recs := make(map[uint64]obsv.SpanRecord)
+		for _, rec := range obsv.DefaultRing.Snapshot() {
+			if rec.SpanID > from && slices.Contains(names, rec.Name) {
+				recs[rec.SpanID] = rec
+			}
+		}
+		return recs
+	}
+	lastSpan := func() (last uint64) {
+		for _, rec := range obsv.DefaultRing.Snapshot() {
+			last = max(last, rec.SpanID)
+		}
+		return last
+	}
+
+	before := counts()
+	sampled := 0
+	for i := 0; i < obsv.RootSampleEvery; i++ {
+		from := lastSpan()
+		if resp := c.Router.Batch(probes); len(resp.Degradation) != 0 {
+			t.Fatalf("healthy cluster degraded: %v", resp.Degradation)
+		}
+		recs := recorded(from)
+		byName := make(map[string][]obsv.SpanRecord)
+		for _, rec := range recs {
+			byName[rec.Name] = append(byName[rec.Name], rec)
+			if parent, ok := recs[rec.ParentID]; rec.ParentID != 0 && (!ok || parent.TraceID != rec.TraceID) {
+				t.Fatalf("batch %d: %s span %d recorded without its parent %d", i, rec.Name, rec.SpanID, rec.ParentID)
+			}
+		}
+		if len(byName["router.batch"]) == 0 {
+			// Unsampled: the router built nothing, and what a node sampled
+			// on its own is a root with its lookup child.
+			if n := len(byName["router.shard"]); n != 0 {
+				t.Fatalf("batch %d: %d router.shard spans under an unbuilt router.batch", i, n)
+			}
+			for _, nb := range byName["node.batch"] {
+				if nb.ParentID != 0 {
+					t.Fatalf("batch %d: node.batch parented to %d though the router traced nothing", i, nb.ParentID)
+				}
+			}
+			if len(byName["node.table"]) != len(byName["node.batch"]) {
+				t.Fatalf("batch %d: %d node.table spans for %d node.batch", i, len(byName["node.table"]), len(byName["node.batch"]))
+			}
+			continue
+		}
+		sampled++
+		rb := byName["router.batch"][0]
+		if len(byName["router.batch"]) != 1 || rb.ParentID != 0 {
+			t.Fatalf("batch %d: router.batch spans %+v, want one root", i, byName["router.batch"])
+		}
+		tree := 0
+		for _, rec := range recs {
+			if rec.TraceID == rb.TraceID {
+				tree++
+			}
+		}
+		for _, rs := range byName["router.shard"] {
+			if rs.ParentID != rb.SpanID {
+				t.Fatalf("batch %d: router.shard parent %d, want router.batch %d", i, rs.ParentID, rb.SpanID)
+			}
+		}
+		if len(byName["router.shard"]) != 2 || tree != 7 {
+			t.Fatalf("batch %d: sampled tree holds %d spans (%d router.shard), want router.batch, 2 router.shard, 2 node.batch, 2 node.table",
+				i, tree, len(byName["router.shard"]))
+		}
+	}
+	if sampled != 1 {
+		t.Fatalf("%d of %d untraced batches sampled, want exactly 1", sampled, obsv.RootSampleEvery)
+	}
+	after := counts()
+	for _, name := range names {
+		want := uint64(obsv.RootSampleEvery)
+		if name != "router.batch" {
+			want *= 2 // one per shard
+		}
+		for _, series := range []string{name + ".count", name + ".ns"} {
+			if got := after[series] - before[series]; got != want {
+				t.Errorf("%s moved by %d over %d batches, want %d", series, got, obsv.RootSampleEvery, want)
+			}
+		}
+	}
+}
+
+// TestRouterBatchCompat: the no-context wrapper still works. Its batch is
+// untraced: it roots a fresh trace when the router's sampler picks it and
+// records no span otherwise, and never joins someone else's trace.
 func TestRouterBatchCompat(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{Shards: 2, ASes: 120, Seed: 5})
 	if err != nil {

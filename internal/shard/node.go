@@ -13,6 +13,10 @@ import (
 var (
 	nodeBatches = obsv.C("shard.node.batches")
 	nodeAddrs   = obsv.C("shard.node.addrs")
+
+	nodeBatchSpan  = obsv.RootSpan("node.batch")
+	nodeTableSpan  = obsv.ChildSpan("node.table")
+	nodeLookupSpan = obsv.RootSpan("node.lookup")
 )
 
 // NodeServer serves one shard's slice of the clustering service over
@@ -38,8 +42,8 @@ func (n *NodeServer) batchHandler() *BatchHandler {
 		}
 		n.batch = &BatchHandler{
 			Table:     n.Table,
-			BatchSpan: "node.batch",
-			TableSpan: "node.table",
+			BatchSpan: nodeBatchSpan,
+			TableSpan: nodeTableSpan,
 			SpanAttrs: []obsv.Attr{{Key: "shard", Value: strconv.Itoa(n.ShardID)}},
 			Batches:   nodeBatches,
 			Addrs:     nodeAddrs,
@@ -70,7 +74,7 @@ func (n *NodeServer) Shutdown(ctx context.Context) error {
 }
 
 func (n *NodeServer) handleLookup(w http.ResponseWriter, r *http.Request) {
-	_, span := obsv.StartTraceSpan(obsv.HTTPExtract(r.Context(), r.Header), "node.lookup")
+	_, span := nodeLookupSpan.Start(obsv.HTTPExtract(r.Context(), r.Header))
 	span.SetAttrInt("shard", int64(n.ShardID))
 	defer span.End()
 	addr, err := LookupAddr(w, r)

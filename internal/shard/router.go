@@ -27,6 +27,9 @@ var (
 	routerShardErrs = obsv.C("shard.router.shard_errors")
 	routerDegraded  = obsv.C("shard.router.degraded_batches")
 	routerFanoutNS  = obsv.H("shard.router.fanout.ns")
+
+	routerBatchSpan = obsv.RootSpan("router.batch")
+	routerShardSpan = obsv.ChildSpan("router.shard")
 )
 
 // DefaultRouterTimeout bounds one shard's portion of a routed batch.
@@ -64,6 +67,10 @@ type Router struct {
 	agg      *Aggregator
 	stats    []shardStat
 	draining atomic.Bool
+
+	// exchanges numbers the untraced exchanges, whose stream header
+	// carries the number in place of a span ID (askShard).
+	exchanges atomic.Uint64
 }
 
 // shardStat is one shard's router-side SLO accounting: its slice of
@@ -217,8 +224,7 @@ func (rt *Router) BatchCtx(ctx context.Context, addrs []netutil.Addr) *RouterBat
 // never written and mean nothing.
 func (rt *Router) route(ctx context.Context, sc *scratch, addrs []netutil.Addr) {
 	m := rt.cfg.Map
-	start := time.Now()
-	ctx, span := obsv.StartTraceSpan(ctx, "router.batch")
+	ctx, span := routerBatchSpan.Start(ctx)
 
 	n, shards := len(addrs), len(m.Shards)
 	sc.group(m, addrs)
@@ -248,10 +254,11 @@ func (rt *Router) route(ctx context.Context, sc *scratch, addrs []netutil.Addr) 
 	if degraded > 0 {
 		routerDegraded.Inc()
 	}
-	routerFanoutNS.Observe(time.Since(start).Nanoseconds())
 	span.SetAttrInt("addrs", int64(n))
 	span.SetAttrInt("degraded_shards", int64(degraded))
-	span.End()
+	// The span times the batch, built or not: its clock reads serve the
+	// fan-out histogram too.
+	routerFanoutNS.Observe(span.End().Nanoseconds())
 }
 
 // group sorts the batch by owning shard, keeping input order within a
@@ -293,20 +300,17 @@ func (rt *Router) shardBatch(ctx context.Context, wg *sync.WaitGroup, sc *scratc
 	rep := &sc.reports[sid]
 	lo, hi := sc.bounds[sid], sc.bounds[sid+1]
 	buf := sc.wire[wireFixed*sid+wirePerAddr*lo : wireFixed*(sid+1)+wirePerAddr*hi]
-	ctx, span := obsv.StartTraceSpan(ctx, "router.shard")
+	ctx, span := routerShardSpan.Start(ctx)
 	span.SetAttrInt("shard", int64(sid))
 	span.SetAttrInt("addrs", int64(hi-lo))
-	start := time.Now()
 	matches, gen, err := rt.askShard(ctx, sid, rep.Addr, sc.sorted[lo:hi], sc.dense[lo:hi], buf)
-	rt.stats[sid].record(time.Since(start), err != nil)
+	span.Fail(err)
+	rt.stats[sid].record(span.End(), err != nil)
 	if err != nil {
 		routerShardErrs.Inc()
-		span.Fail(err)
-		span.End()
 		rep.Error = err.Error()
 		return
 	}
-	span.End()
 	rep.Generation = gen
 	for k, i := range sc.order[lo:hi] {
 		sc.rows[i] = matches[k]
@@ -316,9 +320,11 @@ func (rt *Router) shardBatch(ctx context.Context, wg *sync.WaitGroup, sc *scratc
 // askShard runs one exchange with shard sid on a batch stream: its
 // addresses go out as a request frame behind the span context ctx
 // carries — which makes the shard's server-side spans part of this trace
-// — and the response frame is decoded into dst. Anything but exactly the
-// frame those addresses imply, down to each prefix covering the address
-// it answers, is the shard's error. The exchange has until ctx's deadline
+// — or, untraced, behind a zero trace ID and the exchange's number, which
+// keeps the header unique on the connection while the node samples the
+// request on its own. The response frame is decoded into dst. Anything
+// but exactly the frame those addresses imply, down to each prefix
+// covering the address it answers, is the shard's error. The exchange has until ctx's deadline
 // or the per-shard timeout, whichever is sooner.
 //
 // The connection comes off the shard's idle stack, or is dialed, and goes
@@ -328,9 +334,12 @@ func (rt *Router) shardBatch(ctx context.Context, wg *sync.WaitGroup, sc *scratc
 // answer arrived, which is how a node that restarted or closed it while
 // it sat idle shows — net/http's rule for a kept-alive connection.
 func (rt *Router) askShard(ctx context.Context, sid int, base string, addrs []netutil.Addr, dst []bgp.Match, buf []byte) ([]bgp.Match, uint64, error) {
-	span, _ := obsv.SpanContextFrom(ctx)
-	req := binary.LittleEndian.AppendUint64(buf[:0], span.TraceID)
-	req = binary.LittleEndian.AppendUint64(req, span.SpanID)
+	head, traced := obsv.SpanContextFrom(ctx)
+	if !traced {
+		head = obsv.SpanContext{SpanID: rt.exchanges.Add(1)}
+	}
+	req := binary.LittleEndian.AppendUint64(buf[:0], head.TraceID)
+	req = binary.LittleEndian.AppendUint64(req, head.SpanID)
 	req = AppendRequestFrame(req, addrs)
 	answer := buf[len(req):]
 

@@ -59,9 +59,10 @@ type Admission interface {
 type BatchHandler struct {
 	Table TableSource
 
-	// BatchSpan names the request's trace span and TableSpan its lookup
-	// child; SpanAttrs annotate the request span.
-	BatchSpan, TableSpan string
+	// BatchSpan is the request's span site, a root, and TableSpan its
+	// lookup child's; SpanAttrs annotate a built request span. Nil sites
+	// start inert spans.
+	BatchSpan, TableSpan *obsv.SpanSite
 	SpanAttrs            []obsv.Attr
 
 	// Batches counts admitted requests, Addrs the addresses answered.
@@ -107,13 +108,13 @@ func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeBatchError(w, err, lim)
 		return
 	}
-	gen := h.resolve(ctx, span, sc)
+	gen := h.resolve(ctx, &span, sc)
 	sc.out = AppendBatchJSON(sc.out[:0], sc.addrs, sc.rows, gen)
 	writeBody(w, jsonContentType, sc.out)
 }
 
-func (h *BatchHandler) startSpan(ctx context.Context) (context.Context, *obsv.TSpan) {
-	ctx, span := obsv.StartTraceSpan(ctx, h.BatchSpan)
+func (h *BatchHandler) startSpan(ctx context.Context) (context.Context, obsv.LazySpan) {
+	ctx, span := h.BatchSpan.Start(ctx)
 	for _, a := range h.SpanAttrs {
 		span.SetAttr(a.Key, a.Value)
 	}
@@ -130,9 +131,9 @@ func (h *BatchHandler) limits() Limits {
 // resolve answers sc.addrs into sc.rows and returns the generation that
 // answered. One pinned generation answers the whole batch: a swap
 // mid-batch cannot produce a mixed-generation answer set.
-func (h *BatchHandler) resolve(ctx context.Context, span *obsv.TSpan, sc *scratch) (gen uint64) {
+func (h *BatchHandler) resolve(ctx context.Context, span *obsv.LazySpan, sc *scratch) (gen uint64) {
 	span.SetAttrInt("addrs", int64(len(sc.addrs)))
-	_, lspan := obsv.StartTraceSpan(ctx, h.TableSpan)
+	_, lspan := h.TableSpan.Start(ctx)
 	sc.rows, gen = h.Table.LookupBatch(sc.addrs, sc.rows)
 	lspan.End()
 	if h.Observe != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/obsv"
 )
 
 // scannerParseAddrList is ParseAddrList as it stood before the byte
@@ -266,14 +267,74 @@ func TestBatchHandlerFrameAllocsPerAddress(t *testing.T) {
 	}
 }
 
+// TestUntracedExchangeAllocs: a stream exchange nobody traces costs the
+// node no allocation at all, not merely none per address: no span, no
+// context, no attribute. The site's first untraced request is sampled,
+// and it is the only one of RootSampleEvery the ring sees; every one
+// feeds the span's count.
+func TestUntracedExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	h := &BatchHandler{
+		Table:     fixtureTables()[0],
+		BatchSpan: obsv.RootSpan("test.untraced.batch"),
+		TableSpan: obsv.ChildSpan("test.untraced.table"),
+		SpanAttrs: []obsv.Attr{{Key: "shard", Value: "0"}},
+		Batches:   nodeBatches,
+		Addrs:     nodeAddrs,
+	}
+	conn := &scriptConn{}
+	st := &nodeStream{conn: conn}
+	addrs := fixtureProbes(170)
+	// A zero trace ID is an untraced exchange; the span-ID slot is the
+	// router's exchange number, which the node only echoes.
+	request := streamRequest(0, 7, AppendRequestFrame(nil, addrs))
+	exchange := func() {
+		conn.in.Reset(request)
+		conn.out = conn.out[:0]
+		h.serveStream(st)
+		if len(conn.out) != streamHeaderLen+responseFrameLen(len(addrs)) {
+			t.Fatalf("%d addresses answered with %d bytes", len(addrs), len(conn.out))
+		}
+	}
+	recorded := func() (n int) {
+		for _, rec := range obsv.DefaultRing.Snapshot() {
+			if rec.Name == "test.untraced.batch" || rec.Name == "test.untraced.table" {
+				n++
+			}
+		}
+		return n
+	}
+	exchange() // sampled, and grows the stream's scratch
+	if n := recorded(); n != 2 {
+		t.Fatalf("the sampled exchange recorded %d spans, want its batch and table spans", n)
+	}
+	// AllocsPerRun adds a warm-up run: requests 2 to RootSampleEvery.
+	if allocs := testing.AllocsPerRun(obsv.RootSampleEvery-2, exchange); allocs != 0 {
+		t.Fatalf("an untraced exchange allocates %.2f times on the node, want 0", allocs)
+	}
+	if n := recorded(); n != 2 {
+		t.Fatalf("%d spans recorded after %d untraced exchanges, want the sampled one's 2", n, obsv.RootSampleEvery)
+	}
+	for _, name := range []string{"test.untraced.batch", "test.untraced.table"} {
+		if got := obsv.Default.Counter(name + ".count").Value(); got != obsv.RootSampleEvery {
+			t.Fatalf("%s.count = %d after %d exchanges", name, got, obsv.RootSampleEvery)
+		}
+	}
+}
+
 func TestRouterScatterRenderAllocsPerAddress(t *testing.T) {
 	// Router and nodes run in this process, joined by pipes, so the count
-	// covers both sides of every exchange.
+	// covers both sides of every exchange. The batches are traced, so every
+	// run builds the same spans: untraced, a run builds them only when
+	// sampled, and the two sizes' constants would not cancel.
 	rt, _, _ := newPipeRouter(t)
+	traced := obsv.ContextWithSpan(context.Background(), obsv.SpanContext{TraceID: 1, SpanID: 2})
 	per := perAddress(t, func(addrs []netutil.Addr) func() {
 		return func() {
 			sc := getScratch()
-			rt.route(context.Background(), sc, addrs)
+			rt.route(traced, sc, addrs)
 			sc.out = appendRoutedJSON(sc.out[:0], rt.cfg.Map, addrs, sc.rows, sc.reports)
 			if bytes.Contains(sc.out, []byte(`"degradation"`)) {
 				t.Fatalf("healthy cluster degraded: %.300s", sc.out)

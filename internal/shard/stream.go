@@ -27,8 +27,8 @@ import (
 // at a time, each message written with a single Write. All integers are
 // little-endian.
 //
-//	request  offset 0   trace id uint64 ┐ the span the exchange runs under,
-//	                8   span id  uint64 ┘ zero = none
+//	request  offset 0   trace id uint64 ┐ the span the exchange runs under;
+//	                8   span id  uint64 ┘ trace id zero = none
 //	                16  request frame, 8+4n bytes
 //
 //	answer   offset 0   the request's 16 header bytes, echoed
@@ -38,8 +38,9 @@ import (
 //	                22  message length uint16 (at most 512)
 //	                24  message
 //
-// The echo ties an answer to its request: the router opens a span per
-// exchange, so the header never repeats on a connection, and an answer
+// The echo ties an answer to its request: the header never repeats on a
+// connection — a traced exchange carries its own span's ID, an untraced
+// one a zero trace ID and the router's exchange number — and an answer
 // nobody asked for — a duplicate, or bytes left over from an exchange
 // that went wrong — cannot pass for the next one. A node answers with an
 // error frame and keeps the stream only for 503 (no batch slot free: the
@@ -277,7 +278,7 @@ func (h *BatchHandler) serveRequest(st *nodeStream) (keep bool) {
 		err = errBodyTooLarge
 	}
 	if err != nil {
-		return st.refuse(span, err, lim)
+		return st.refuse(&span, err, lim)
 	}
 	// A batch refused for want of a slot is still read whole — it is
 	// within the limits — so the router can retry on the same stream.
@@ -298,16 +299,16 @@ func (h *BatchHandler) serveRequest(st *nodeStream) (keep bool) {
 	}
 	h.Batches.Inc()
 	if sc.addrs, err = DecodeRequestFrame(sc.body, lim.MaxBatch, sc.addrs); err != nil {
-		return st.refuse(span, err, lim)
+		return st.refuse(&span, err, lim)
 	}
-	gen := h.resolve(ctx, span, sc)
+	gen := h.resolve(ctx, &span, sc)
 	sc.out = AppendResponseFrame(append(sc.out, echo...), gen, sc.rows)
 	return true
 }
 
 // refuse answers a request the stream cannot go on behind — what follows
 // its header cannot be skipped on trust — and reports false: not in step.
-func (st *nodeStream) refuse(span *obsv.TSpan, err error, lim Limits) bool {
+func (st *nodeStream) refuse(span *obsv.LazySpan, err error, lim Limits) bool {
 	span.Fail(err)
 	status, msg := refusal(err, lim)
 	st.sc.out = appendErrorFrame(append(st.sc.out, st.head[:streamHeaderLen]...), status, msg)
