@@ -8,7 +8,7 @@
 GO ?= go
 
 # Benchmarks of the compiled lookup table, batch lookup kernel, snapshot
-# loader, parallel clustering engines and CLF fast path; bench-json
+# loader, parallel clustering engine and CLF fast path; bench-json
 # freezes their numbers into BENCH_clustering.json.
 PERF_BENCH = LongestPrefixMatch|LookupBatch|SnapshotLoad|TableCompile|ClusterLog|ClusterStreamParallel|CLFParseStream|WriteCLF|Churn|RouterFanout|RouterSingleShard|DeltaBroadcast|TraceHeader|SketchUpdate|BoundedStream
 
@@ -30,7 +30,9 @@ FUZZ_TARGETS = \
 	internal/shard:FuzzParseAddrList \
 	internal/shard:FuzzDecodeDelta \
 	internal/radix:FuzzDynamicOps \
-	internal/netutil:FuzzParseAddrBytes
+	internal/netutil:FuzzParseAddrBytes \
+	internal/cluster:FuzzClusterStreamWorkers \
+	internal/obsv:FuzzParseTraceHeader
 FUZZTIME ?= 20s
 
 # Advisory statement-coverage floor for the cover target.

@@ -134,7 +134,7 @@ func BenchmarkTableCompile(b *testing.B) {
 
 // ---- Parallel clustering engine (Apache profile, BENCH_clustering.json) ----
 
-// The parallel benchmarks run on the Apache profile — the paper's largest
+// The parallel benchmark runs on the Apache profile — the paper's largest
 // cluster population — cached once alongside its CLF serialization.
 var (
 	perfOnce  sync.Once
@@ -158,23 +158,8 @@ func perfSetup(b testing.TB) *fixture {
 	return f
 }
 
-// BenchmarkClusterLogParallel scales the in-memory engine across worker
-// counts; workers-1 is the sequential reference path.
-func BenchmarkClusterLogParallel(b *testing.B) {
-	f := perfSetup(b)
-	na := netcluster.NetworkAware{Table: f.table}.Compile()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportMetric(float64(len(apacheLog.Requests)), "requests/op")
-			for i := 0; i < b.N; i++ {
-				netcluster.ClusterLogParallel(apacheLog, na, netcluster.ParallelOptions{Workers: workers})
-			}
-		})
-	}
-}
-
-// BenchmarkClusterStreamParallel scales the one-pass engine: a single
-// parser goroutine feeding sharded accumulators.
+// BenchmarkClusterStreamParallel scales the one-pass engine: workers-1 is
+// ClusterStream, more workers parse newline-aligned chunks in parallel.
 func BenchmarkClusterStreamParallel(b *testing.B) {
 	f := perfSetup(b)
 	na := netcluster.NetworkAware{Table: f.table}.Compile()

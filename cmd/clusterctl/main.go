@@ -38,7 +38,7 @@ func main() {
 	top := flag.Int("top", 20, "clusters to print, busiest first")
 	threshold := flag.Float64("threshold", 0, "if > 0, report busy clusters covering this fraction of requests")
 	stream := flag.Bool("stream", false, "single-pass streaming mode for logs too large to load")
-	workers := flag.Int("workers", 0, "parallel clustering workers: 0 or 1 sequential, -1 GOMAXPROCS")
+	workers := flag.Int("workers", 0, "with -stream, parsing workers: 0 or 1 sequential, -1 GOMAXPROCS")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file on exit")
 	traceOut := flag.String("trace-out", "", "write the flight-recorder trace (Chrome trace_event JSON) to this file on exit")
 	flag.Var(&tables, "table", "routing-table snapshot file (repeatable; required for network-aware)")
@@ -46,6 +46,13 @@ func main() {
 
 	if *logPath == "" {
 		fmt.Fprintln(os.Stderr, "clusterctl: -log is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	workersSet := false
+	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
+	if workersSet && !*stream {
+		fmt.Fprintln(os.Stderr, "clusterctl: -workers needs -stream: only the one-pass engine runs in parallel")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -90,7 +97,7 @@ func main() {
 			report.FmtInt(merged.NumPrimary()), report.FmtInt(merged.NumSecondary()))
 		na := cluster.NetworkAware{Table: merged}
 		if nWorkers > 1 {
-			// The compiled table is what makes the parallel engines'
+			// The compiled table is what makes the parallel workers'
 			// lock-free concurrent lookups safe.
 			na.Compiled = merged.CompileCtx(ctx)
 		}
@@ -119,12 +126,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var res *cluster.Result
-	if nWorkers > 1 {
-		res = cluster.ClusterLogParallelCtx(ctx, l, method_, cluster.ParallelOptions{Workers: nWorkers})
-	} else {
-		res = cluster.ClusterLogCtx(ctx, l, method_)
-	}
+	res := cluster.ClusterLogCtx(ctx, l, method_)
 
 	st := l.Stats()
 	fmt.Printf("log: %s requests, %s clients, %s URLs\n",

@@ -16,7 +16,7 @@ func init() {
 
 // runPerf is not a paper experiment but an engineering one: it times the
 // compiled-table lookup against the two-tree reference and the parallel
-// clustering engines against their sequential counterparts, on this
+// one-pass clustering engine against its sequential case, on this
 // machine, at the current scale. `go test -bench` (see `make bench-json`)
 // produces the statistically careful numbers; this gives a quick in-situ
 // reading with the same inputs the other experiments use.
@@ -75,28 +75,23 @@ func runPerf(e *env) {
 	ref := cluster.ClusterLog(l, na)
 	t2 := &report.Table{
 		Title:   "Clustering engines on the Nagano log",
-		Headers: []string{"Engine", "Workers", "Clusters", "Coverage", "Total"},
+		Headers: []string{"Engine", "Clusters", "Coverage", "Total"},
 	}
-	addRun := func(label string, workers int, f func() *cluster.Result) {
+	addRun := func(label string, f func() *cluster.Result) {
 		var res *cluster.Result
 		d := timeIt(func() { res = f() })
 		if len(res.Clusters) != len(ref.Clusters) || res.Coverage() != ref.Coverage() {
 			e.fail(fmt.Errorf("%s diverged from the sequential reference", label))
 		}
-		t2.AddRow(label, report.FmtInt(workers), report.FmtInt(len(res.Clusters)),
+		t2.AddRow(label, report.FmtInt(len(res.Clusters)),
 			report.FmtPct(res.Coverage()), d.Round(time.Millisecond))
 	}
-	addRun("sequential", 1, func() *cluster.Result { return cluster.ClusterLogCtx(e.Ctx(), l, na) })
-	addRun("sequential+compiled", 1, func() *cluster.Result { return cluster.ClusterLogCtx(e.Ctx(), l, nac) })
-	for _, w := range []int{2, 4, 8} {
-		w := w
-		addRun("parallel+compiled", w, func() *cluster.Result {
-			return cluster.ClusterLogParallelCtx(e.Ctx(), l, nac, cluster.ParallelOptions{Workers: w})
-		})
-	}
+	addRun("sequential", func() *cluster.Result { return cluster.ClusterLogCtx(e.Ctx(), l, na) })
+	addRun("sequential+compiled", func() *cluster.Result { return cluster.ClusterLogCtx(e.Ctx(), l, nac) })
 	fmt.Println(t2)
 
-	// Streaming: serialize once, then run both one-pass engines.
+	// Streaming: serialize once, then run the one-pass engine at 1, 2 and
+	// 4 workers.
 	var buf bytes.Buffer
 	if err := weblog.WriteCLF(&buf, l); err != nil {
 		e.fail(err)

@@ -127,6 +127,19 @@ func TestToolchainEndToEnd(t *testing.T) {
 	if memClusters == "" || memClusters != streamClusters {
 		t.Errorf("streaming disagrees with in-memory:\n%q\n%q", memClusters, streamClusters)
 	}
+
+	// 6. -workers parses the stream in parallel to the same answer, and
+	// is refused without -stream rather than ignored.
+	parOut, _ := run(t, "clusterctl", "-log", logPath, "-method", "simple", "-stream", "-workers", "4")
+	if parOut != streamOut {
+		t.Errorf("parallel streaming disagrees with sequential:\n%s\n%s", parOut, streamOut)
+	}
+	cmd := exec.Command(filepath.Join(buildTools(t), "clusterctl"), "-log", logPath, "-method", "simple", "-workers", "4")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), "-stream") {
+		t.Errorf("-workers without -stream: err %v, stderr %q; want a usage error naming -stream", err, stderr.String())
+	}
 }
 
 func TestBgpgenFormatsParseBack(t *testing.T) {

@@ -17,17 +17,10 @@ var (
 	lookupMiss  = obsv.C("bgp.lookup.nomatch")
 	lookupDepth = obsv.H("bgp.lookup.depth")
 
-	logRecords       = obsv.C("cluster.log.records")
-	logClustered     = obsv.C("cluster.log.clients.clustered")
-	logUnclustered   = obsv.C("cluster.log.clients.unclustered")
-	parRecords       = obsv.C("cluster.parallel.records")
-	parRate          = obsv.G("cluster.parallel.records_per_sec")
-	parWorkers       = obsv.G("cluster.parallel.workers")
-	parShardClients  = obsv.H("cluster.parallel.shard.clients")
-	parImbalancePct  = obsv.G("cluster.parallel.imbalance_pct")
-	streamRecords    = obsv.C("cluster.stream.records")
-	streamBatches    = obsv.C("cluster.stream.batches")
-	streamParRecords = obsv.C("cluster.stream.parallel.records")
+	logRecords     = obsv.C("cluster.log.records")
+	logClustered   = obsv.C("cluster.log.clients.clustered")
+	logUnclustered = obsv.C("cluster.log.clients.unclustered")
+	streamRecords  = obsv.C("cluster.stream.records")
 
 	// Bounded (sketch-backed) accounting: occupancy and error bounds
 	// are point-in-time gauges, eviction churn a monotone counter,
@@ -45,30 +38,3 @@ var (
 // sampled walk (identical cost plus a depth increment) stays invisible
 // in the lookup budget.
 const depthSampleMask = 63
-
-// recordsPerSecond converts a (records, nanoseconds) pair to a gauge
-// value, guarding the ns==0 case timer resolution can produce.
-func recordsPerSecond(records int, ns int64) int64 {
-	if ns <= 0 {
-		return 0
-	}
-	return int64(float64(records) / (float64(ns) / 1e9))
-}
-
-// shardBalance publishes the merged shard population histogram and the
-// max/mean imbalance percentage (100 = perfectly balanced shards).
-func shardBalance(sizes []int) {
-	total, max := 0, 0
-	for _, n := range sizes {
-		parShardClients.Observe(int64(n))
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 || len(sizes) == 0 {
-		return
-	}
-	mean := float64(total) / float64(len(sizes))
-	parImbalancePct.Set(int64(100 * float64(max) / mean))
-}

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
+	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,72 +51,55 @@ func parSetup(t *testing.T) (NetworkAware, []*weblog.Log) {
 	return parFixture.table, parFixture.logs
 }
 
-// requireSameResult asserts the parallel Result is indistinguishable from
-// the sequential reference: same clusters in the same canonical order,
-// same per-cluster metrics and client tallies, same unclustered sequence,
-// same coverage and client→cluster mapping.
-func requireSameResult(t *testing.T, want, got *Result) {
-	t.Helper()
-	if want.Method != got.Method {
-		t.Fatalf("Method: %q vs %q", want.Method, got.Method)
-	}
-	if want.TotalRequests != got.TotalRequests {
-		t.Fatalf("TotalRequests: %d vs %d", want.TotalRequests, got.TotalRequests)
-	}
-	if len(want.Clusters) != len(got.Clusters) {
-		t.Fatalf("cluster count: %d vs %d", len(want.Clusters), len(got.Clusters))
-	}
-	for i := range want.Clusters {
-		w, g := want.Clusters[i], got.Clusters[i]
-		if w.Prefix != g.Prefix {
-			t.Fatalf("cluster %d prefix: %v vs %v", i, w.Prefix, g.Prefix)
-		}
-		if w.Requests != g.Requests || w.Bytes != g.Bytes {
-			t.Fatalf("cluster %v: requests/bytes %d/%d vs %d/%d",
-				w.Prefix, w.Requests, w.Bytes, g.Requests, g.Bytes)
-		}
-		if w.NumURLs() != g.NumURLs() {
-			t.Fatalf("cluster %v: URLs %d vs %d", w.Prefix, w.NumURLs(), g.NumURLs())
-		}
-		if len(w.Clients) != len(g.Clients) {
-			t.Fatalf("cluster %v: clients %d vs %d", w.Prefix, len(w.Clients), len(g.Clients))
-		}
-		for a, n := range w.Clients {
-			if g.Clients[a] != n {
-				t.Fatalf("cluster %v client %v: %d vs %d", w.Prefix, a, n, g.Clients[a])
-			}
-		}
-	}
-	if len(want.Unclustered) != len(got.Unclustered) {
-		t.Fatalf("unclustered count: %d vs %d", len(want.Unclustered), len(got.Unclustered))
-	}
-	for i := range want.Unclustered {
-		if want.Unclustered[i] != got.Unclustered[i] {
-			t.Fatalf("unclustered[%d]: %v vs %v (order must match)",
-				i, want.Unclustered[i], got.Unclustered[i])
-		}
-	}
-	if want.Coverage() != got.Coverage() {
-		t.Fatalf("coverage: %g vs %g", want.Coverage(), got.Coverage())
-	}
-	for a, wc := range want.byClient {
-		gc, ok := got.byClient[a]
-		if !ok || gc.Prefix != wc.Prefix {
-			t.Fatalf("byClient[%v]: %v vs %v (ok=%v)", a, wc.Prefix, gc, ok)
-		}
-	}
+// streamWorkers are the worker counts every equivalence test runs; 1 is
+// ClusterStream itself.
+var streamWorkers = []int{1, 2, 3, 8}
+
+// testChunkBytes cuts the test-scale logs into dozens of chunks, so every
+// worker count above takes chunks of its own.
+const testChunkBytes = 4 << 10
+
+// streamWith runs the engine with workers over clf, cut into chunkBytes.
+func streamWith(clf []byte, c Clusterer, workers, chunkBytes int) (*StreamResult, error) {
+	return clusterStream(context.Background(), bytes.NewReader(clf), c, workers, chunkBytes)
 }
 
+// streamOf is r as a stream pass over the same log reports it, Stats
+// aside.
+func streamOf(r *Result) *StreamResult {
+	s := &StreamResult{
+		Method:        r.Method,
+		Clusters:      make(map[netutil.Prefix]*StreamCluster),
+		Unclustered:   make(map[netutil.Addr]struct{}),
+		TotalRequests: r.TotalRequests,
+	}
+	for _, c := range r.Clusters {
+		s.Clusters[c.Prefix] = &StreamCluster{Prefix: c.Prefix, Clients: c.Clients, Requests: c.Requests, Bytes: c.Bytes, urls: c.urls}
+	}
+	for _, a := range r.Unclustered {
+		s.Unclustered[a] = struct{}{}
+	}
+	return s
+}
+
+// requireSameStreamResult asserts got is want: the same stats, the same
+// clusters with the same metrics and client tallies, the same unclustered
+// clients and coverage.
 func requireSameStreamResult(t *testing.T, want, got *StreamResult) {
+	t.Helper()
+	if want.Stats.Lines != got.Stats.Lines || want.Stats.Records != got.Stats.Records ||
+		want.Stats.URLs != got.Stats.URLs || want.Stats.Agents != got.Stats.Agents ||
+		want.Stats.Start.String() != got.Stats.Start.String() || want.Stats.End.String() != got.Stats.End.String() {
+		t.Fatalf("Stats: %+v vs %+v", want.Stats, got.Stats)
+	}
+	requireSameClusters(t, want, got)
+}
+
+func requireSameClusters(t *testing.T, want, got *StreamResult) {
 	t.Helper()
 	if want.Method != got.Method || want.TotalRequests != got.TotalRequests {
 		t.Fatalf("method/total: %q/%d vs %q/%d",
 			want.Method, want.TotalRequests, got.Method, got.TotalRequests)
-	}
-	if want.Stats.Lines != got.Stats.Lines || want.Stats.Records != got.Stats.Records ||
-		want.Stats.URLs != got.Stats.URLs || want.Stats.Agents != got.Stats.Agents ||
-		!want.Stats.Start.Equal(got.Stats.Start) || !want.Stats.End.Equal(got.Stats.End) {
-		t.Fatalf("Stats: %+v vs %+v", want.Stats, got.Stats)
 	}
 	if len(want.Clusters) != len(got.Clusters) {
 		t.Fatalf("cluster count: %d vs %d", len(want.Clusters), len(got.Clusters))
@@ -149,20 +135,31 @@ func requireSameStreamResult(t *testing.T, want, got *StreamResult) {
 	}
 }
 
+// requireWorkersAgree runs clf through every worker count and asserts each
+// result is the sequential pass's, and that pass ClusterLog's on l.
+func requireWorkersAgree(t *testing.T, l *weblog.Log, c Clusterer, chunkBytes int) {
+	t.Helper()
+	clf := []byte(clfOf(t, l))
+	want, err := ClusterStream(bytes.NewReader(clf), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameClusters(t, streamOf(ClusterLog(l, c)), want)
+	for _, workers := range streamWorkers {
+		got, err := streamWith(clf, c, workers, chunkBytes)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		requireSameStreamResult(t, want, got)
+	}
+}
+
 func TestParallelMatchesSequentialOnPaperProfiles(t *testing.T) {
 	na, logs := parSetup(t)
 	nac := na.Compile()
 	for _, l := range logs {
-		l := l
 		t.Run(l.Name, func(t *testing.T) {
-			want := ClusterLog(l, na)
-			for _, workers := range []int{2, 3, 4, 8} {
-				got := ClusterLogParallel(l, nac, ParallelOptions{Workers: workers})
-				requireSameResult(t, want, got)
-			}
-			// Shard count must never change the outcome.
-			got := ClusterLogParallel(l, nac, ParallelOptions{Workers: 4, Shards: 1})
-			requireSameResult(t, want, got)
+			requireWorkersAgree(t, l, nac, testChunkBytes)
 		})
 	}
 }
@@ -170,9 +167,7 @@ func TestParallelMatchesSequentialOnPaperProfiles(t *testing.T) {
 func TestParallelMatchesSequentialBaselines(t *testing.T) {
 	_, logs := parSetup(t)
 	for _, c := range []Clusterer{Simple{}, Classful{}} {
-		want := ClusterLog(logs[0], c)
-		got := ClusterLogParallel(logs[0], c, ParallelOptions{Workers: 4})
-		requireSameResult(t, want, got)
+		requireWorkersAgree(t, logs[0], c, testChunkBytes)
 	}
 }
 
@@ -191,8 +186,8 @@ func TestParallelAdversarialLogs(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		unc = append(unc, [2]string{"99.1.2.3", "/a"}, [2]string{"88.1.2.3", "/b"})
 	}
-	// Interleaved clusterable/unclusterable clients with Shards:1 forcing
-	// every client into one shard — the worst collision case.
+	// Interleaved clusterable/unclusterable clients, in chunks of a line
+	// or two: every worker sees every client.
 	var mix [][2]string
 	for i := 0; i < 2000; i++ {
 		mix = append(mix,
@@ -203,74 +198,150 @@ func TestParallelAdversarialLogs(t *testing.T) {
 		)
 	}
 	cases := []struct {
-		name  string
-		pairs [][2]string
-		opts  ParallelOptions
+		name       string
+		pairs      [][2]string
+		chunkBytes int
 	}{
-		{"all-one-client", one, ParallelOptions{Workers: 4}},
-		{"all-unclusterable", unc, ParallelOptions{Workers: 4}},
-		{"interleaved-one-shard", mix, ParallelOptions{Workers: 4, Shards: 1}},
+		{"all-one-client", one, testChunkBytes},
+		{"all-unclusterable", unc, testChunkBytes},
+		{"interleaved", mix, 100},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := logOf(tc.pairs...)
-			requireSameResult(t, ClusterLog(l, na), ClusterLogParallel(l, na, tc.opts))
+			requireWorkersAgree(t, logOf(tc.pairs...), na, tc.chunkBytes)
 		})
 	}
 }
 
 func TestParallelTinyLogFallsBackSequential(t *testing.T) {
-	// Below minRequestsPerWorker per worker the parallel entry point must
-	// still produce the reference result (it runs the sequential path).
+	// A log shorter than two chunks runs on one worker and must still
+	// produce the reference result.
 	l := logOf([2]string{"12.65.147.94", "/a"}, [2]string{"99.1.2.3", "/b"})
 	na := NetworkAware{Table: mergedTable("12.65.128.0/19")}
-	requireSameResult(t, ClusterLog(l, na), ClusterLogParallel(l, na, ParallelOptions{Workers: 8}))
+	got, err := ClusterStreamParallel(strings.NewReader(clfOf(t, l)), na, ParallelOptions{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameClusters(t, streamOf(ClusterLog(l, na)), got)
 }
 
 func TestClusterStreamParallelMatchesSequential(t *testing.T) {
+	// The public entry point at the real chunk size: the profiles back to
+	// back, repeated until the input spans several chunks.
 	na, logs := parSetup(t)
 	nac := na.Compile()
-	for _, l := range logs {
-		var buf bytes.Buffer
-		if err := weblog.WriteCLF(&buf, l); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	for buf.Len() < 3*weblog.ChunkBytes {
+		for _, l := range logs {
+			if err := weblog.WriteCLF(&buf, l); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want, err := ClusterStream(bytes.NewReader(buf.Bytes()), na)
+	}
+	want, err := ClusterStream(bytes.NewReader(buf.Bytes()), na)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range streamWorkers {
+		got, err := ClusterStreamParallel(bytes.NewReader(buf.Bytes()), nac, ParallelOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4} {
-			got, err := ClusterStreamParallel(bytes.NewReader(buf.Bytes()), nac, ParallelOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameStreamResult(t, want, got)
-		}
+		requireSameStreamResult(t, want, got)
 	}
 }
 
-func TestClusterStreamParallelError(t *testing.T) {
+// requireSameError asserts every worker count fails on in exactly as the
+// sequential pass does.
+func requireSameError(t *testing.T, in []byte, chunkBytes int) {
+	t.Helper()
 	na := NetworkAware{Table: mergedTable("12.65.128.0/19")}
-	bad := "12.65.147.94 - - [13/Feb/1998:06:15:04 +0000] \"GET /a HTTP/1.0\" 200 100 \"-\" \"UA\"\nnot a log line\n"
-	if _, err := ClusterStreamParallel(bytes.NewReader([]byte(bad)), na, ParallelOptions{Workers: 4}); err == nil {
+	_, want := ClusterStream(bytes.NewReader(in), na)
+	if want == nil {
 		t.Fatal("malformed stream must error")
 	}
-}
-
-func TestShardOfDistributes(t *testing.T) {
-	// Sequentially numbered clients (the adversarial real-world shape: one
-	// /24 full of hosts) must spread across shards, not pile into one.
-	counts := make(map[uint32]int)
-	base := uint32(netutil.MustParseAddr("12.65.147.0"))
-	for i := uint32(0); i < 256; i++ {
-		counts[shardOf(netutil.Addr(base+i), 7)]++
-	}
-	for s, n := range counts {
-		if n > 256/2 {
-			t.Fatalf("shard %d received %d of 256 sequential clients", s, n)
+	for _, workers := range streamWorkers {
+		if _, got := streamWith(in, na, workers, chunkBytes); got == nil || got.Error() != want.Error() {
+			t.Fatalf("workers %d: error %v, want %v", workers, got, want)
 		}
 	}
-	if len(counts) < 4 {
-		t.Fatalf("only %d of 8 shards used", len(counts))
-	}
+}
+
+// padLine pads s with spaces into a line as long as like.
+func padLine(s, like string) string {
+	return s + strings.Repeat(" ", len(like)-len(s)-1) + "\n"
+}
+
+const goodLine = "12.65.147.94 - - [13/Feb/1998:06:15:04 +0000] \"GET /a HTTP/1.0\" 200 100 \"-\" \"UA\"\n"
+
+func TestClusterStreamParallelError(t *testing.T) {
+	t.Run("malformed", func(t *testing.T) {
+		requireSameError(t, []byte(goodLine+"not a log line\n"), testChunkBytes)
+	})
+	t.Run("earliest-chunk-wins", func(t *testing.T) {
+		// A chunk per line: the failures in chunks 2 and 3 race, and the
+		// one earlier in the stream is the answer.
+		in := goodLine + padLine("bad two", goodLine) + padLine("bad three", goodLine) + strings.Repeat(goodLine, 50)
+		requireSameError(t, []byte(in), len(goodLine))
+	})
+	t.Run("line-too-long", func(t *testing.T) {
+		in := strings.Repeat(goodLine, 100) + strings.Repeat("x", 4<<20+1) + "\n" + goodLine
+		requireSameError(t, []byte(in), testChunkBytes)
+	})
+	t.Run("truncated-gzip", func(t *testing.T) {
+		var z bytes.Buffer
+		zw := gzip.NewWriter(&z)
+		zw.Write([]byte(strings.Repeat(goodLine, 500)))
+		zw.Close()
+		requireSameError(t, z.Bytes()[:z.Len()-9], testChunkBytes)
+	})
+}
+
+// FuzzClusterStreamWorkers asserts the chunked engine answers exactly as
+// the sequential pass for any input, chunk size and worker count: the
+// same clusters and tallies, the same stats, or the same error.
+func FuzzClusterStreamWorkers(f *testing.F) {
+	const l1 = "1.2.3.4 - - [13/Feb/1998:06:15:04 +0000] \"GET /a HTTP/1.0\" 200 10\n"
+	const l2 = "12.65.147.94 - - [13/Feb/1998:06:15:05 +0100] \"GET /b HTTP/1.0\" 200 20 \"-\" \"UA\"\n"
+	const l3 = "24.48.3.87 - - [13/Feb/1998:06:15:03 +0000] \"GET /a HTTP/1.0\" 304 -\n"
+	// FuzzStreamCLF's corpus.
+	f.Add([]byte(strings.TrimSuffix(l1, "\n")), uint16(16), uint8(1))
+	f.Add([]byte(l1+"5.6.7.8 - - [13/Feb/1998:06:15:05 +0000] \"GET /b HTTP/1.0\" 200 20"), uint16(16), uint8(1))
+	f.Add([]byte("\n"+l1+"\n \nbad\n"), uint16(8), uint8(2))
+	// A record cut mid-line at a chunk boundary.
+	f.Add([]byte(l1+l2+l3+l2), uint16(len(l1)+20), uint8(1))
+	// CRLF split across a boundary.
+	crlf := strings.ReplaceAll(l2+l3+l1, "\n", "\r\n")
+	f.Add([]byte(crlf), uint16(strings.IndexByte(crlf, '\r')+1), uint8(2))
+	// The latest instant in two zones, on either side of a boundary.
+	f.Add([]byte(l1+strings.Replace(l1, "06:15:04 +0000", "07:15:04 +0100", 1)), uint16(len(l1)), uint8(1))
+	// A run of blank lines on a boundary.
+	f.Add([]byte(l2+"\n\n\n\n\n"+l3+l2), uint16(len(l2)+2), uint8(3))
+	// Malformed lines in chunks 2 and 3: chunk 2's must win.
+	f.Add([]byte(l1+padLine("bad two", l1)+padLine("bad three", l1)+l2), uint16(len(l1)-1), uint8(3))
+	// Gzip input.
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	zw.Write([]byte(strings.Repeat(l1+l2+l3, 20)))
+	zw.Close()
+	f.Add(z.Bytes(), uint16(100), uint8(3))
+	// An over-long line.
+	f.Add([]byte(l1+strings.Repeat("y", 4<<20)+"\n"+l2), uint16(1000), uint8(1))
+
+	na := NetworkAware{Table: mergedTable("12.65.128.0/19", "24.48.2.0/23")}.Compile()
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16, workers uint8) {
+		w := 1 + int(workers)%4
+		want, wantErr := ClusterStream(bytes.NewReader(data), na)
+		got, gotErr := streamWith(data, na, w, 1+int(chunk))
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("workers %d, chunk %d: error %v, want %v", w, 1+int(chunk), gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("workers %d, chunk %d: error %q, want %q", w, 1+int(chunk), gotErr, wantErr)
+			}
+			return
+		}
+		requireSameStreamResult(t, want, got)
+	})
 }

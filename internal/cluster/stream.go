@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"io"
+	"runtime"
 
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/obsv"
@@ -63,70 +64,187 @@ func ClusterStream(r io.Reader, c Clusterer) (*StreamResult, error) {
 // records a "cluster.stream" span with the parse work ("weblog.stream")
 // nested underneath it.
 func ClusterStreamCtx(ctx context.Context, r io.Reader, c Clusterer) (*StreamResult, error) {
+	return clusterStream(ctx, r, c, 1, 0)
+}
+
+// ParallelOptions sizes ClusterStreamParallel. The zero value uses
+// GOMAXPROCS workers.
+type ParallelOptions struct {
+	// Workers is how many goroutines parse and accumulate, at most
+	// GOMAXPROCS; 0 or negative means GOMAXPROCS. One worker is
+	// ClusterStream.
+	Workers int
+}
+
+// workers is Workers capped at GOMAXPROCS: workers beyond the processors
+// that can run them parse nothing in parallel and only add to the merge.
+func (o ParallelOptions) workers() int {
+	n := runtime.GOMAXPROCS(0)
+	if o.Workers > 0 && o.Workers < n {
+		return o.Workers
+	}
+	return n
+}
+
+// ClusterStreamParallel is ClusterStream with the parse spread over
+// opts.Workers goroutines: the stream is cut into chunks of whole lines,
+// each worker parses the chunks it takes into an accumulator of its own,
+// and the accumulators are merged. The StreamResult, and the error of a
+// stream that fails, are ClusterStream's. The Clusterer must be safe for
+// concurrent use: NetworkAware is (both the tree and the compiled table
+// take lock-free concurrent readers), as are Simple and Classful; a Func
+// closure must synchronize any mutable state it captures.
+func ClusterStreamParallel(r io.Reader, c Clusterer, opts ParallelOptions) (*StreamResult, error) {
+	return ClusterStreamParallelCtx(context.Background(), r, c, opts)
+}
+
+// ClusterStreamParallelCtx is ClusterStreamParallel under a trace
+// context: the "cluster.stream" span holds the "weblog.stream" parse with
+// one "weblog.stream.worker" lane per worker.
+func ClusterStreamParallelCtx(ctx context.Context, r io.Reader, c Clusterer, opts ParallelOptions) (*StreamResult, error) {
+	return clusterStream(ctx, r, c, opts.workers(), weblog.ChunkBytes)
+}
+
+// clusterStream is the one clustering pass over a CLF stream. One worker
+// feeds a single accumulator straight from the stream; more parse chunks
+// of chunkBytes in parallel, each into its own accumulator, merged after.
+func clusterStream(ctx context.Context, r io.Reader, c Clusterer, workers, chunkBytes int) (*StreamResult, error) {
 	sctx, sp := obsv.StartTraceSpan(ctx, "cluster.stream")
-	res := &StreamResult{
-		Method:      c.Name(),
-		Clusters:    make(map[netutil.Prefix]*StreamCluster),
-		Unclustered: make(map[netutil.Addr]struct{}),
+	var accs []*streamAcc
+	var stats weblog.StreamStats
+	var remap [][]int32
+	var err error
+	if workers <= 1 {
+		acc := newStreamAcc(c)
+		accs = append(accs, acc)
+		stats, err = weblog.StreamCLFCtx(sctx, r, acc.add)
+	} else {
+		stats, remap, err = weblog.StreamCLFChunks(sctx, r, workers, chunkBytes, func() func(weblog.StreamRecord) {
+			acc := newStreamAcc(c)
+			accs = append(accs, acc)
+			return func(rec weblog.StreamRecord) { acc.add(rec) }
+		})
 	}
-	// byClient memoises the lookup and counts requests per distinct client;
-	// the Clients maps are filled from it once, after the pass, instead of
-	// by one map assignment per record. Accumulators are carved from
-	// fixed-size chunks: pointers stay valid and growth copies nothing. An
-	// unclusterable client's accumulator has no cluster.
-	type clientAcc struct {
-		cl *StreamCluster
-		n  int
-	}
-	byClient := make(map[netutil.Addr]*clientAcc)
-	var chunk []clientAcc
-	stats, err := weblog.StreamCLFCtx(sctx, r, func(rec weblog.StreamRecord) bool {
-		res.TotalRequests++
-		client := rec.Request.Client
-		acc := byClient[client]
-		if acc == nil {
-			if len(chunk) == cap(chunk) {
-				chunk = make([]clientAcc, 0, 256)
-			}
-			chunk = append(chunk, clientAcc{})
-			acc = &chunk[len(chunk)-1]
-			byClient[client] = acc
-			if p, ok := c.Cluster(client); !ok {
-				res.Unclustered[client] = struct{}{}
-			} else if acc.cl = res.Clusters[p]; acc.cl == nil {
-				acc.cl = &StreamCluster{
-					Prefix:  p,
-					Clients: make(map[netutil.Addr]int),
-					urls:    make(map[int32]struct{}),
-				}
-				res.Clusters[p] = acc.cl
-			}
-		}
-		cl := acc.cl
-		if cl == nil {
-			return true
-		}
-		acc.n++
-		cl.Requests++
-		cl.Bytes += int64(rec.Size)
-		cl.urls[rec.Request.URL] = struct{}{}
-		return true
-	})
-	res.Stats = stats
-	streamRecords.Add(uint64(res.TotalRequests))
-	sp.SetAttr("method", res.Method)
-	sp.SetAttrInt("records", int64(res.TotalRequests))
-	sp.SetAttrInt("clusters", int64(len(res.Clusters)))
+	sp.SetAttr("method", c.Name())
+	sp.SetAttrInt("workers", int64(len(accs)))
 	if err != nil {
 		sp.Fail(err)
 		sp.End()
 		return nil, err
 	}
-	for client, acc := range byClient {
+	res := accs[0].result()
+	for w, acc := range accs[1:] {
+		acc.mergeInto(res, remap[w+1])
+	}
+	res.Stats = stats
+	streamRecords.Add(uint64(res.TotalRequests))
+	sp.SetAttrInt("records", int64(res.TotalRequests))
+	sp.SetAttrInt("clusters", int64(len(res.Clusters)))
+	sp.End()
+	return res, nil
+}
+
+// streamAcc is one worker's accumulation. byClient memoises the lookup and
+// counts requests per distinct client; the Clients maps are filled from it
+// once, after the pass, instead of by one map assignment per record.
+// Accumulators are carved from fixed-size slabs: pointers stay valid and
+// growth copies nothing. An unclusterable client's accumulator has no
+// cluster.
+type streamAcc struct {
+	c        Clusterer
+	res      *StreamResult
+	byClient map[netutil.Addr]*clientAcc
+	slab     []clientAcc
+}
+
+type clientAcc struct {
+	cl *StreamCluster
+	n  int
+}
+
+func newStreamAcc(c Clusterer) *streamAcc {
+	return &streamAcc{
+		c: c,
+		res: &StreamResult{
+			Method:      c.Name(),
+			Clusters:    make(map[netutil.Prefix]*StreamCluster),
+			Unclustered: make(map[netutil.Addr]struct{}),
+		},
+		byClient: make(map[netutil.Addr]*clientAcc),
+	}
+}
+
+// add accounts one record; it never stops the stream.
+func (a *streamAcc) add(rec weblog.StreamRecord) bool {
+	a.res.TotalRequests++
+	client := rec.Request.Client
+	acc := a.byClient[client]
+	if acc == nil {
+		if len(a.slab) == cap(a.slab) {
+			a.slab = make([]clientAcc, 0, 256)
+		}
+		a.slab = append(a.slab, clientAcc{})
+		acc = &a.slab[len(a.slab)-1]
+		a.byClient[client] = acc
+		if p, ok := a.c.Cluster(client); !ok {
+			a.res.Unclustered[client] = struct{}{}
+		} else {
+			acc.cl = streamCluster(a.res, p)
+		}
+	}
+	cl := acc.cl
+	if cl == nil {
+		return true
+	}
+	acc.n++
+	cl.Requests++
+	cl.Bytes += int64(rec.Size)
+	cl.urls[rec.Request.URL] = struct{}{}
+	return true
+}
+
+// result fills the Clients maps and returns the accumulation.
+func (a *streamAcc) result() *StreamResult {
+	for client, acc := range a.byClient {
 		if acc.cl != nil {
 			acc.cl.Clients[client] = acc.n
 		}
 	}
-	sp.End()
-	return res, nil
+	return a.res
+}
+
+// mergeInto folds the accumulation into res, whose URL ids this worker's
+// map to through remap. A client several workers saw sums its counts.
+func (a *streamAcc) mergeInto(res *StreamResult, remap []int32) {
+	res.TotalRequests += a.res.TotalRequests
+	for p, cl := range a.res.Clusters {
+		dst := streamCluster(res, p)
+		dst.Requests += cl.Requests
+		dst.Bytes += cl.Bytes
+		for u := range cl.urls {
+			dst.urls[remap[u]] = struct{}{}
+		}
+	}
+	for client, acc := range a.byClient {
+		if acc.cl != nil {
+			res.Clusters[acc.cl.Prefix].Clients[client] += acc.n
+		}
+	}
+	for client := range a.res.Unclustered {
+		res.Unclustered[client] = struct{}{}
+	}
+}
+
+// streamCluster returns res's cluster for p, creating it if need be.
+func streamCluster(res *StreamResult, p netutil.Prefix) *StreamCluster {
+	cl := res.Clusters[p]
+	if cl == nil {
+		cl = &StreamCluster{
+			Prefix:  p,
+			Clients: make(map[netutil.Addr]int),
+			urls:    make(map[int32]struct{}),
+		}
+		res.Clusters[p] = cl
+	}
+	return cl
 }

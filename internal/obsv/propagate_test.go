@@ -96,6 +96,35 @@ func TestTraceHeaderMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceHeader: every router and node parses X-Netcluster-Trace
+// from its clients. Whatever the value, the parse does not panic, accepts
+// only the 55-byte shape, and what it accepts is a usable span context
+// that survives a format/parse round trip.
+func FuzzParseTraceHeader(f *testing.F) {
+	valid := FormatTraceHeader(SpanContext{TraceID: 0xabcdef, SpanID: 0x1234})
+	f.Add(valid)
+	f.Add("00-0000000000000000000000000000abcd-0000000000000001-01")
+	f.Add(valid[:3] + "1" + valid[4:])
+	f.Add(valid[:53] + "ff")
+	f.Add(valid + "0")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceHeader(v)
+		if !ok {
+			return
+		}
+		if len(v) != traceHeaderLen {
+			t.Fatalf("accepted %q of length %d", v, len(v))
+		}
+		if !sc.Valid() || sc.SpanID == 0 {
+			t.Fatalf("%q parsed as unusable %+v", v, sc)
+		}
+		if back, ok := ParseTraceHeader(FormatTraceHeader(sc)); !ok || back != sc {
+			t.Fatalf("%q: %+v formats and parses back as %+v (ok %v)", v, sc, back, ok)
+		}
+	})
+}
+
 func TestHTTPInjectNoSpan(t *testing.T) {
 	h := make(http.Header)
 	HTTPInject(context.Background(), h)

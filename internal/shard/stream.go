@@ -90,6 +90,36 @@ type nodeStream struct {
 	state atomic.Int32
 	head  [streamHeaderLen + requestHeaderLen]byte // the request being served, up to its count
 	sc    scratch
+
+	// Requests are read through in, so that one that has arrived whole
+	// takes one read. A read asks for ahead bytes: as much as the largest
+	// request the stream has carried, within the body limit. A stream's
+	// first read so takes a header alone, and no read asks for more than a
+	// request within the limits took. in[r:w] is read and not yet served.
+	in    [4096]byte
+	r, w  int
+	ahead int
+}
+
+// Read is the request loop's read: from in while it holds bytes, else
+// one read of the connection for up to ahead bytes, or straight into p
+// when p takes that much.
+func (st *nodeStream) Read(p []byte) (int, error) {
+	if st.r == st.w {
+		if len(p) >= st.ahead {
+			return st.conn.Read(p)
+		}
+		// A connection's error recurs on the next read, so bytes that
+		// come with one are served first.
+		n, err := st.conn.Read(st.in[:st.ahead])
+		if n == 0 {
+			return 0, err
+		}
+		st.r, st.w = 0, n
+	}
+	n := copy(p, st.in[st.r:st.w])
+	st.r += n
+	return n, nil
 }
 
 // streamSet is the streams a BatchHandler is serving. net/http forgets a
@@ -225,7 +255,7 @@ func (h *BatchHandler) ServeStream(w http.ResponseWriter, r *http.Request) {
 // per address.
 func (h *BatchHandler) serveStream(st *nodeStream) {
 	for {
-		if _, err := io.ReadFull(st.conn, st.head[:]); err != nil {
+		if _, err := io.ReadFull(st, st.head[:]); err != nil {
 			return
 		}
 		if !st.state.CompareAndSwap(streamIdle, streamBusy) {
@@ -288,10 +318,11 @@ func (h *BatchHandler) serveRequest(st *nodeStream) (keep bool) {
 	}
 	sc.body = resize(sc.body, requestFrameLen(int(n)))
 	copy(sc.body, frame)
-	if _, err := io.ReadFull(st.conn, sc.body[requestHeaderLen:]); err != nil {
+	if _, err := io.ReadFull(st, sc.body[requestHeaderLen:]); err != nil {
 		span.Fail(err)
 		return false
 	}
+	st.ahead = max(st.ahead, min(streamHeaderLen+len(sc.body), len(st.in), int(lim.MaxBody)))
 	if !admitted {
 		span.Fail(errNoCapacity)
 		sc.out = appendErrorFrame(append(sc.out, echo...), http.StatusServiceUnavailable, errNoCapacity.Error())

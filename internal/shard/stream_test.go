@@ -319,6 +319,56 @@ func TestBatchHandlerShutdown(t *testing.T) {
 	})
 }
 
+// messageConn is a connection on which each request arrives whole and
+// apart, as from a router that waits for each answer: a Read returns at
+// most the rest of the current message. reads counts the Reads.
+type messageConn struct {
+	scriptConn
+	msgs  [][]byte
+	reads int
+}
+
+func (c *messageConn) Read(p []byte) (int, error) {
+	c.reads++
+	c.maxRead = max(c.maxRead, len(p))
+	if len(c.msgs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.msgs[0])
+	if c.msgs[0] = c.msgs[0][n:]; len(c.msgs[0]) == 0 {
+		c.msgs = c.msgs[1:]
+	}
+	return n, nil
+}
+
+// TestServeStreamOneReadPerRequest: once a stream has carried a request,
+// every request of that size or less that has arrived whole takes one
+// read of the connection, not a read for the header and one for the body.
+func TestServeStreamOneReadPerRequest(t *testing.T) {
+	h := (&NodeServer{Table: fixtureTables()[0]}).batchHandler()
+	const requests = 10
+	conn := &messageConn{}
+	for i := 0; i < requests; i++ {
+		// The first request is the largest: every later one fits the
+		// read-ahead it sets.
+		conn.msgs = append(conn.msgs, streamRequest(1, uint64(i), AppendRequestFrame(nil, fixtureProbes(200-i))))
+	}
+	h.serveStream(&nodeStream{conn: conn})
+	answers := 0
+	for rest := conn.out; len(rest) > 0; answers++ {
+		_, _, status, r := nextAnswer(t, rest)
+		if status != 0 {
+			t.Fatalf("answer %d: status %d", answers, status)
+		}
+		rest = r
+	}
+	// The first request's header and body, one read each later request,
+	// and the read that finds the stream closed.
+	if answers != requests || conn.reads != 1+requests+1 {
+		t.Fatalf("%d answers took %d reads, want %d answers in %d", answers, conn.reads, requests, requests+2)
+	}
+}
+
 // TestServeStreamUpgrade: the endpoint speaks only the upgrade.
 func TestServeStreamUpgrade(t *testing.T) {
 	srv := httptest.NewServer((&NodeServer{Table: fixtureTables()[0]}).Handler())

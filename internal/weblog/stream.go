@@ -15,11 +15,12 @@ import (
 // entry point. The paper's largest trace has 46 million requests; the raw
 // CLF text does not always fit in memory, and clustering — which needs only
 // (client, URL id, size) per line — can run in one pass. StreamCLF hands
-// each record the core yields to a callback (cluster.ClusterStream,
-// ClusterStreamParallel and ClusterStreamBounded build on it); ReadCLF
-// collects the same records into a Log. Line reading, the fast/strict
-// parse, the 0.0.0.0 drop, interning, line numbering and the parse
-// counters exist once, here.
+// each record the core yields to a callback (cluster.ClusterStream and
+// ClusterStreamBounded build on it); StreamCLFChunks runs the same core on
+// several goroutines over newline-aligned chunks (chunks.go, under
+// cluster.ClusterStreamParallel); ReadCLF collects the records into a Log.
+// Line reading, the fast/strict parse, the 0.0.0.0 drop, interning, line
+// numbering and the parse counters exist once, here.
 
 // StreamRecord is one parsed log line plus the interned metadata a
 // consumer needs without retaining the line.
@@ -46,15 +47,18 @@ type StreamStats struct {
 // Timestamps stay int64 Unix seconds throughout; time.Time values are
 // built once per stream, by the entry point that reports them.
 type clfScanner struct {
-	sc    *bufio.Scanner
+	sc    *bufio.Scanner // the stream; nil in a chunked scan
+	chunk []byte         // a chunked scan's lines not yet read
 	tally parseTally
 	err   error
 
-	// Intern tables: URL and agent bytes to dense ids and stable strings.
+	// Intern tables: URL and agent bytes to dense ids and stable strings,
+	// and the physical line each agent first appeared on.
 	urlIndex   map[string]int32
 	agentIndex map[string]uint16
 	paths      []string
 	agents     []string
+	agentLines []int
 
 	// The current record: rec as StreamCLF delivers it, plus the absolute
 	// (unclamped) timestamp ReadCLF rebases on the log's earliest record.
@@ -77,18 +81,26 @@ func newCLFScanner(r io.Reader) (clfScanner, error) {
 		return clfScanner{}, err
 	}
 	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	return clfScanner{sc: sc, urlIndex: make(map[string]int32), agentIndex: make(map[string]uint16)}, nil
 }
+
+// maxLine bounds a line: one of maxLine bytes or more ends the stream with
+// bufio.ErrTooLong.
+const maxLine = 4 * 1024 * 1024
 
 // next advances to the next record, skipping blank lines and the 0.0.0.0
 // placeholder clients the paper excludes (footnote 6). It returns false at
 // the end of the stream or on the first malformed line, which s.err then
 // names by its physical line number.
 func (s *clfScanner) next() bool {
-	for s.sc.Scan() {
+	for {
+		raw, ok := s.line()
+		if !ok {
+			return false
+		}
 		s.lineno++
-		line := bytes.TrimSpace(s.sc.Bytes())
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
 		}
@@ -134,10 +146,36 @@ func (s *clfScanner) next() bool {
 		}
 		return true
 	}
-	if err := s.sc.Err(); err != nil {
+}
+
+// line returns the next raw line. A stream reads it through its
+// bufio.Scanner; a chunk, already in memory, is cut in place by the same
+// rules: the last line may lack its newline, and a line of maxLine bytes
+// or more ends the scan with bufio.ErrTooLong. (The carriage return the
+// Scanner drops, the caller's TrimSpace drops too.)
+func (s *clfScanner) line() ([]byte, bool) {
+	var err error
+	if s.sc != nil {
+		if s.sc.Scan() {
+			return s.sc.Bytes(), true
+		}
+		err = s.sc.Err()
+	} else if len(s.chunk) > 0 {
+		line := s.chunk
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line, s.chunk = line[:i], line[i+1:]
+		} else {
+			s.chunk = nil
+		}
+		if len(line) < maxLine {
+			return line, true
+		}
+		err = bufio.ErrTooLong
+	}
+	if err != nil {
 		s.err = fmt.Errorf("weblog: reading CLF: %w", err)
 	}
-	return false
+	return nil, false
 }
 
 // StreamCLF parses r line by line, invoking fn for every request record.
@@ -203,16 +241,23 @@ func (s *clfScanner) internURL(b []byte) (int32, string) {
 	return id, p
 }
 
+// maxAgents is how many distinct user agents a stream may carry: agent
+// ids are uint16.
+const maxAgents = 1<<16 - 1
+
+var errTooManyAgents = fmt.Errorf("more than %d distinct user agents", maxAgents)
+
 func (s *clfScanner) internAgent(b []byte) (uint16, error) {
 	if id, ok := s.agentIndex[string(b)]; ok {
 		return id, nil
 	}
-	if len(s.agents) >= 1<<16-1 {
-		return 0, fmt.Errorf("more than %d distinct user agents", 1<<16-1)
+	if len(s.agents) >= maxAgents {
+		return 0, errTooManyAgents
 	}
 	a := string(b)
 	id := uint16(len(s.agents))
 	s.agentIndex[a] = id
 	s.agents = append(s.agents, a)
+	s.agentLines = append(s.agentLines, s.lineno)
 	return id, nil
 }

@@ -299,22 +299,16 @@ func ClusterStream(r io.Reader, c Clusterer) (*StreamResult, error) {
 	return cluster.ClusterStream(r, c)
 }
 
-// ParallelOptions tunes the parallel clustering engines; the zero value
-// uses GOMAXPROCS workers.
+// ParallelOptions sizes ClusterStreamParallel; the zero value uses
+// GOMAXPROCS workers.
 type ParallelOptions = cluster.ParallelOptions
 
-// ClusterLogParallel is ClusterLog distributed across multiple workers
-// with a deterministic merge: the Result is identical to ClusterLog's.
-// The Clusterer must be safe for concurrent use (NetworkAware, Simple and
-// Classful all are; compile a NetworkAware table first for the fastest
-// lock-free lookups).
-func ClusterLogParallel(l *Log, c Clusterer, opts ParallelOptions) *Result {
-	return cluster.ClusterLogParallel(l, c, opts)
-}
-
-// ClusterStreamParallel is ClusterStream with parsing on one goroutine
-// and cluster accumulation sharded across workers by client-address
-// hash. The StreamResult is identical to ClusterStream's.
+// ClusterStreamParallel is ClusterStream with the parse spread across
+// workers, each taking newline-aligned chunks of the stream into an
+// accumulator of its own before one merge. The StreamResult is identical
+// to ClusterStream's. The Clusterer must be safe for concurrent use
+// (NetworkAware, Simple and Classful all are; compile a NetworkAware
+// table first for the fastest lock-free lookups).
 func ClusterStreamParallel(r io.Reader, c Clusterer, opts ParallelOptions) (*StreamResult, error) {
 	return cluster.ClusterStreamParallel(r, c, opts)
 }

@@ -116,8 +116,8 @@ func TestExperimentsMetricsOut(t *testing.T) {
 	}
 	out := filepath.Join(t.TempDir(), "metrics.json")
 	// The perf experiment drives every instrumented engine: compiled
-	// lookups, sequential/parallel clustering, CLF streaming and the
-	// strict-parser fallback demonstration.
+	// lookups, in-memory and one-pass clustering, sequential and parallel,
+	// and the strict-parser fallback demonstration.
 	run(t, "experiments", "-scale", "0.02", "-metrics-out", out, "perf")
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -131,14 +131,11 @@ func TestExperimentsMetricsOut(t *testing.T) {
 		"bgp.lookup.count",
 		"weblog.parse.fast",
 		"weblog.parse.strict",
-		"cluster.parallel.records",
+		"cluster.stream.records",
 	} {
 		if snap.Counters[c] == 0 {
 			t.Errorf("counter %q is zero in the perf snapshot", c)
 		}
-	}
-	if snap.Histograms["cluster.parallel.shard.clients"].Count == 0 {
-		t.Error("shard-population histogram is empty after a parallel run")
 	}
 	if snap.Histograms["bgp.lookup.depth"].Count == 0 {
 		t.Error("lookup-depth histogram is empty despite sampled lookups")

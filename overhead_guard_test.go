@@ -153,11 +153,12 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		// three result flushes. One "cluster.log" trace span wraps the
 		// run.
 		{"BenchmarkClusterLogNetworkAware", 2*naganoClients + 3, 0, 0, 1, 0, budget, 0},
-		// workers-1 falls back to the sequential path with the compiled
-		// engine: per distinct client one lookup counter, at most one
-		// no-match, and a 1-in-64 sampled depth observe; three flushes
-		// and the sequential trace span per run.
-		{"BenchmarkClusterLogParallel/workers-1", 2*apacheClients + 3, apacheClients / 64, 0, 1, 0, budget, 0},
+		// workers-1 is ClusterStream with the compiled engine: per
+		// distinct client one lookup counter, at most one no-match, and a
+		// 1-in-64 sampled depth observe; the parse tally's four counters
+		// and the record counter per run, under the "cluster.stream" and
+		// "weblog.stream" trace spans.
+		{"BenchmarkClusterStreamParallel/workers-1", 2*apacheClients + 5, apacheClients / 64, 0, 2, 0, budget, 0},
 		// The untraced routed batch across 3 shards starts 10 request
 		// spans: router.batch, per shard a router.shard, and on each node
 		// node.batch and node.table. Unsampled, none is built. The router

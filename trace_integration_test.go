@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -271,7 +272,7 @@ func TestClusterctlTraceRoundTrip(t *testing.T) {
 		"-log", logPath,
 		"-table", filepath.Join(tablesDir, "oregon.txt"),
 		"-table", filepath.Join(tablesDir, "att-bgp.txt"),
-		"-workers", "4",
+		"-stream", "-workers", "4",
 		"-trace-out", tracePath,
 		"-top", "3")
 
@@ -287,8 +288,8 @@ func TestClusterctlTraceRoundTrip(t *testing.T) {
 		t.Fatal("trace file holds no events")
 	}
 
-	// The acceptance criterion: the parallel fan-out is visible — shard
-	// spans under the run root, plus the compile and merge phases.
+	// The acceptance criterion: the parallel fan-out is visible — a
+	// worker lane per parse worker under the run root, beside the compile.
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
@@ -304,13 +305,15 @@ func TestClusterctlTraceRoundTrip(t *testing.T) {
 			names[ev.Name]++
 		}
 	}
-	for _, want := range []string{"clusterctl.run", "bgp.compile", "cluster.parallel", "cluster.parallel.merge"} {
+	for _, want := range []string{"clusterctl.run", "bgp.compile", "cluster.stream", "weblog.stream"} {
 		if names[want] == 0 {
 			t.Errorf("trace lacks a %q span (got %v)", want, names)
 		}
 	}
-	if names["cluster.parallel.shard"] < 2 {
-		t.Errorf("trace shows %d shard spans, want the -workers 4 fan-out", names["cluster.parallel.shard"])
+	// The 8 MB log spans several chunks; workers are capped at the
+	// processors the run has.
+	if want := min(4, runtime.NumCPU()); names["weblog.stream.worker"] != want {
+		t.Errorf("trace shows %d worker spans, want %d for -workers 4", names["weblog.stream.worker"], want)
 	}
 
 	// The standalone checker agrees.
