@@ -1,9 +1,10 @@
-# Developer entry points. `make check` is the full pre-merge gate:
-# vet + race-enabled tests (including the chaos suite and the
-# parallel/sequential equivalence tests) + the sharded-cluster
-# verification lane + a short smoke run of the performance benchmarks. The chaos suite (root-level TestChaos*) runs
-# live wire exchanges under injected faults and takes several seconds;
-# `make test-short` skips it via -short.
+# Developer entry points. `make check` is the full pre-merge gate: vet,
+# gofmt drift, race-enabled tests (including the parallel/sequential
+# equivalence tests and the paper-table golden, TestExperimentsGolden),
+# the sink chaos suite, the sharded-cluster and cluster-observability
+# lanes, the firehose lane, and a short smoke run of the performance
+# benchmarks plus a vet-and-test of the separate benchmark/ module.
+# `make test-short` skips the slow binary-driving tests via -short.
 
 GO ?= go
 
@@ -23,7 +24,6 @@ FUZZ_TARGETS = \
 	internal/bgp:FuzzParsePrefixEntry \
 	internal/bgp:FuzzReadSnapshot \
 	internal/bgp:FuzzReadTable \
-	internal/dnswire:FuzzDecode \
 	internal/sketch:FuzzSketchMerge \
 	internal/shard:FuzzDecodeBatchFrame \
 	internal/shard:FuzzServeStream \
@@ -38,7 +38,7 @@ FUZZTIME ?= 20s
 # Advisory statement-coverage floor for the cover target.
 COVER_MIN ?= 70
 
-.PHONY: all build test test-short race vet fmt fmt-check chaos chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-json bench-gate bench-smoke bench-build snapshot-smoke trace-smoke fuzz-smoke cover check clean
+.PHONY: all build test test-short race vet fmt fmt-check chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-json bench-gate bench-smoke bench-build snapshot-smoke trace-smoke fuzz-smoke cover check clean
 
 all: build
 
@@ -48,7 +48,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Fast loop: skips the chaos suite and other -short-aware slow tests.
+# Fast loop: skips the golden and other -short-aware slow tests.
 test-short:
 	$(GO) test -short ./...
 
@@ -65,10 +65,6 @@ fmt:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt drift in:"; echo "$$out"; exit 1; fi
-
-# Just the fault-injection acceptance tests, verbosely.
-chaos:
-	$(GO) test -count=1 -race -run 'TestChaos' -v .
 
 # The sink chaos suite: the durable export path under injected drops,
 # resets and corruption, plus kill-and-restart WAL replay, under -race.

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -47,6 +48,10 @@ func main() {
 		}
 		return
 	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) { // NaN fails the comparison too
+		fmt.Fprintf(os.Stderr, "experiments: -scale must be a positive finite number, got %v\n", *scale)
+		os.Exit(2)
+	}
 	ids := flag.Args()
 	if len(ids) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: experiments [-scale f] [-seed n] <id>... | all | -list")
@@ -62,14 +67,18 @@ func main() {
 	for _, e := range registry {
 		byID[e.id] = e
 	}
-	sort.Strings(ids)
-	e := newEnv(*scale, *seed)
+	// Reject a bad id before any experiment runs, not after the ones that
+	// sort ahead of it.
 	for _, id := range ids {
-		exp, ok := byID[id]
-		if !ok {
+		if _, ok := byID[id]; !ok {
 			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (use -list)\n", id)
 			os.Exit(2)
 		}
+	}
+	sort.Strings(ids)
+	e := newEnv(*scale, *seed)
+	for _, id := range ids {
+		exp := byID[id]
 		start := time.Now()
 		fmt.Printf("\n######## %s — %s\n\n", exp.id, exp.title)
 		// Each experiment gets a root span; library calls made through

@@ -1,9 +1,53 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// TestMain lets a test re-run this binary as the experiments command:
+// with EXPERIMENTS_ARGS set it runs main on those (space-separated)
+// arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("EXPERIMENTS_ARGS"); ok {
+		os.Args = append([]string{"experiments"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsBadArgumentsBeforeRunning: an unknown id or a scale that is
+// not a positive number exits 2 before any experiment starts, even when a
+// valid id sorts ahead of the bad one.
+func TestRejectsBadArgumentsBeforeRunning(t *testing.T) {
+	for _, args := range []string{
+		"-scale 0.03 nosuch fig3",
+		"-scale 0.03 fig3 tab1 zzz",
+		"-scale -1 tab1",
+		"-scale 0 tab1",
+		"-scale NaN tab1",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_ARGS="+args)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("experiments %s: err = %v, want exit status 2 (stderr %q)", args, err, stderr.String())
+		}
+		if strings.Contains(stdout.String(), "########") {
+			t.Errorf("experiments %s ran an experiment before rejecting its arguments:\n%.200s", args, stdout.String())
+		}
+		if stderr.Len() == 0 {
+			t.Errorf("experiments %s exited without saying why", args)
+		}
+	}
+}
 
 func TestRegistryWellFormed(t *testing.T) {
 	if len(registry) < 20 {

@@ -32,7 +32,7 @@ func buildTools(t *testing.T) string {
 		}
 		cmd := exec.Command("go", "build", "-o", buildDir,
 			"./cmd/loggen", "./cmd/bgpgen", "./cmd/clusterctl", "./cmd/experiments",
-			"./cmd/worldgen", "./cmd/tabletool", "./cmd/pcvproxy", "./cmd/benchdiff",
+			"./cmd/worldgen", "./cmd/tabletool", "./cmd/benchdiff",
 			"./cmd/tracecheck", "./cmd/clusterd", "./cmd/clusterrouter", "./cmd/loadgen")
 		out, err := cmd.CombinedOutput()
 		if err != nil {

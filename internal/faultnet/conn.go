@@ -1,8 +1,8 @@
 package faultnet
 
 import (
-	"fmt"
 	"net"
+	"time"
 )
 
 // errReset is the failure surfaced by an injected connection reset. It
@@ -86,7 +86,7 @@ func (c *packetConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 		cp := make([]byte, len(pkt))
 		copy(cp, pkt)
 		for s := 0; s < sends; s++ {
-			c.inj.after(d, func() {
+			time.AfterFunc(d, func() {
 				c.PacketConn.WriteTo(cp, addr) // best effort; peer may be gone
 			})
 		}
@@ -170,40 +170,4 @@ func (c *conn) Write(b []byte) (int, error) {
 		return len(b), nil
 	}
 	return c.Conn.Write(b)
-}
-
-// Listener wraps a listener so every accepted connection carries the
-// injector's profile. An inbound Drop at accept time closes the
-// connection immediately — the three-way handshake "failed".
-func (i *Injector) Listener(inner net.Listener) net.Listener {
-	return &listener{Listener: inner, inj: i}
-}
-
-type listener struct {
-	net.Listener
-	inj *Injector
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	for {
-		c, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		l.inj.countOp()
-		if l.inj.roll(l.inj.inbound().Drop) {
-			l.inj.count(&l.inj.stats.Drops)
-			c.Close()
-			continue
-		}
-		return l.inj.Conn(c), nil
-	}
-}
-
-// String renders a profile compactly for reports.
-func (p Profile) String() string {
-	return fmt.Sprintf("seed=%d in{drop=%.0f%% lat=%v+%v} out{drop=%.0f%% lat=%v+%v}",
-		p.Seed,
-		p.Inbound.Drop*100, p.Inbound.Latency, p.Inbound.Jitter,
-		p.Outbound.Drop*100, p.Outbound.Latency, p.Outbound.Jitter)
 }

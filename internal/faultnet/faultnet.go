@@ -1,16 +1,15 @@
 // Package faultnet is a deterministic fault-injection substrate for the
-// live measurement pipeline: wrappers around net.PacketConn, net.Conn,
-// net.Listener and http.RoundTripper that drop, delay, duplicate,
-// truncate, corrupt and reset traffic according to a seeded per-direction
-// Profile.
+// networked service: wrappers around net.PacketConn, net.Conn and
+// http.RoundTripper that drop, delay, duplicate, truncate, corrupt and
+// reset traffic according to a seeded per-direction Profile.
 //
-// The paper's validation ran over the real 1999 Internet and budgeted for
-// loss — roughly half its nslookup probes never resolved and traceroute
-// probes went unanswered — so any faithful reproduction must demonstrate
-// the same tolerance. faultnet lets every live server in the repo
-// (dnswire.Server, whois.Server, an httpproxy origin) be stood up behind
-// injected faults in tests, in the `experiments chaos` sweep, and in the
-// examples, without touching kernel queueing disciplines.
+// The router tests put Injector.Conn behind shard.RouterConfig.Dial to
+// prove that a damaged router↔node stream degrades a batch explicitly and
+// never yields a wrong prefix; the sink chaos suite puts
+// Injector.RoundTripper under the push exporter to prove exact delivery
+// totals across outages. Injector.PacketConn applies the same profiles
+// to datagram endpoints (loss, duplication, late delivery). None of them
+// touches kernel queueing disciplines.
 //
 // Determinism: all random decisions come from one seeded rng guarded by a
 // mutex, so a single-goroutine driver replays identically for a given
@@ -28,9 +27,10 @@ import (
 // Faults is one direction's fault rates. All probabilities are in [0,1]
 // and are evaluated independently per operation.
 type Faults struct {
-	// Drop discards the datagram/response entirely. On stream (TCP)
-	// wrappers, where the transport would retransmit, a drop manifests
-	// as an extra retransmission delay of 3×Latency instead.
+	// Drop discards the datagram or HTTP request/response entirely. On
+	// stream (TCP) wrappers, where the transport would retransmit, a
+	// drop manifests as an extra retransmission delay of 3×Latency
+	// instead.
 	Drop float64
 	// Dup delivers the datagram twice (packet wrappers only).
 	Dup float64
@@ -44,17 +44,15 @@ type Faults struct {
 	// wrappers; packets have no connection to reset).
 	Reset float64
 	// Latency delays every operation by Latency plus a uniform extra in
-	// [0, Jitter). Outbound packet delays are delivered asynchronously —
-	// a delayed response can arrive after the client timed out and
-	// retried, which is precisely the stale-datagram case the DNS client
-	// must reject.
+	// [0, Jitter). Outbound packet delays are delivered asynchronously,
+	// so a delayed datagram can arrive after its peer timed out.
 	Latency time.Duration
 	Jitter  time.Duration
 }
 
 // Profile describes both directions of a faulty path plus the rng seed.
 // Inbound applies to traffic arriving at the wrapped endpoint (reads and
-// accepts), Outbound to traffic it emits (writes and requests).
+// responses), Outbound to traffic it emits (writes and requests).
 type Profile struct {
 	Seed     int64
 	Inbound  Faults
@@ -66,14 +64,8 @@ func Symmetric(seed int64, f Faults) Profile {
 	return Profile{Seed: seed, Inbound: f, Outbound: f}
 }
 
-// Lossy is the chaos suite's canonical profile: drop rate each way plus
-// uniform response jitter in [0, jitter).
-func Lossy(seed int64, drop float64, jitter time.Duration) Profile {
-	return Symmetric(seed, Faults{Drop: drop, Jitter: jitter})
-}
-
-// Stats counts injected faults; the chaos report surfaces them so a run
-// can prove faults actually fired.
+// Stats counts injected faults, so a run can prove faults actually
+// fired.
 type Stats struct {
 	Ops       int64 // operations that passed through a wrapper
 	Drops     int64
@@ -100,8 +92,6 @@ type Injector struct {
 
 	// sleep is the clock hook, overridable in tests.
 	sleep func(time.Duration)
-	// after schedules deferred delivery, overridable in tests.
-	after func(time.Duration, func())
 }
 
 // New returns an injector for the profile.
@@ -110,15 +100,7 @@ func New(p Profile) *Injector {
 		prof:  p,
 		rng:   rand.New(rand.NewSource(p.Seed)),
 		sleep: time.Sleep,
-		after: func(d time.Duration, f func()) { time.AfterFunc(d, f) },
 	}
-}
-
-// Profile returns the injector's current profile.
-func (i *Injector) Profile() Profile {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.prof
 }
 
 // SetProfile replaces the fault profile on a live injector — chaos

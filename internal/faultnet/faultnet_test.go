@@ -134,15 +134,23 @@ func TestPacketOutboundDelayDeliversLate(t *testing.T) {
 	}
 }
 
-func tcpPair(t *testing.T, inj *Injector) (net.Listener, func() net.Conn) {
+// tcpPair returns an accept function whose server-side conns carry the
+// injector's profile, and a dialer for plain client conns.
+func tcpPair(t *testing.T, inj *Injector) (accept func() (net.Conn, error), dial func() net.Conn) {
 	t.Helper()
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { inner.Close() })
-	ln := inj.Listener(inner)
-	dial := func() net.Conn {
+	accept = func() (net.Conn, error) {
+		c, err := inner.Accept()
+		if err != nil {
+			return nil, err
+		}
+		return inj.Conn(c), nil
+	}
+	dial = func() net.Conn {
 		c, err := net.Dial("tcp", inner.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -150,14 +158,14 @@ func tcpPair(t *testing.T, inj *Injector) (net.Listener, func() net.Conn) {
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
-	return ln, dial
+	return accept, dial
 }
 
 func TestStreamEcho(t *testing.T) {
 	inj := New(Profile{Seed: 2}) // no faults: transparent wrapper
-	ln, dial := tcpPair(t, inj)
+	accept, dial := tcpPair(t, inj)
 	go func() {
-		c, err := ln.Accept()
+		c, err := accept()
 		if err != nil {
 			return
 		}
@@ -176,10 +184,10 @@ func TestStreamEcho(t *testing.T) {
 
 func TestStreamReset(t *testing.T) {
 	inj := New(Profile{Seed: 2, Inbound: Faults{Reset: 1}})
-	ln, dial := tcpPair(t, inj)
+	accept, dial := tcpPair(t, inj)
 	errc := make(chan error, 1)
 	go func() {
-		c, err := ln.Accept()
+		c, err := accept()
 		if err != nil {
 			errc <- err
 			return
@@ -201,10 +209,10 @@ func TestStreamReset(t *testing.T) {
 
 func TestStreamTruncatePrematureEOF(t *testing.T) {
 	inj := New(Profile{Seed: 9, Inbound: Faults{Truncate: 1}})
-	ln, dial := tcpPair(t, inj)
+	accept, dial := tcpPair(t, inj)
 	got := make(chan []byte, 1)
 	go func() {
-		c, err := ln.Accept()
+		c, err := accept()
 		if err != nil {
 			got <- nil
 			return
@@ -274,7 +282,7 @@ func TestRoundTripperPassThrough(t *testing.T) {
 // marginal decisions when driven identically.
 func TestSeededDeterminism(t *testing.T) {
 	run := func(seed int64) []bool {
-		inj := New(Lossy(seed, 0.3, 0))
+		inj := New(Symmetric(seed, Faults{Drop: 0.3}))
 		out := make([]bool, 200)
 		for i := range out {
 			out[i] = inj.roll(inj.prof.Inbound.Drop)
@@ -301,7 +309,7 @@ func TestSeededDeterminism(t *testing.T) {
 }
 
 func TestLossyProfileRates(t *testing.T) {
-	inj := New(Lossy(11, 0.2, 50*time.Millisecond))
+	inj := New(Symmetric(11, Faults{Drop: 0.2, Jitter: 50 * time.Millisecond}))
 	drops := 0
 	const n = 5000
 	for i := 0; i < n; i++ {

@@ -28,8 +28,8 @@ func init() {
 // snapshot for machine consumers such as the cluster metrics
 // aggregator), /debug/trace (the flight
 // recorder as Chrome trace_event JSON), and the /debug/pprof endpoints.
-// cmd/pcvproxy mounts it on -metrics-addr; any embedder can mount it on
-// a private listener.
+// cmd/clusterd and cmd/clusterrouter mount it on their serving listener;
+// any embedder can mount it on a private one.
 func DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())

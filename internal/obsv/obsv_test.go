@@ -213,7 +213,7 @@ func TestSpanRecordsMetrics(t *testing.T) {
 
 // TestDebugVarsParseable serves DebugHandler over HTTP and checks that
 // /debug/vars is valid JSON containing the netcluster snapshot — the
-// same check the pcvproxy integration test performs against the real
+// same check the clusterd integration test performs against the real
 // binary.
 func TestDebugVarsParseable(t *testing.T) {
 	C("debugtest.count").Add(11)

@@ -127,8 +127,7 @@ func (b *Breaker) State() string {
 	}
 }
 
-// Opens returns how many times the breaker has tripped open — a
-// degradation counter the validation report surfaces.
+// Opens returns how many times the breaker has tripped open.
 func (b *Breaker) Opens() int {
 	if b == nil {
 		return 0

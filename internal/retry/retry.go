@@ -1,22 +1,13 @@
-// Package retry centralizes the resilience primitives the live
-// measurement pipeline needs against a lossy Internet: a retry policy
-// (exponential backoff with jitter and per-attempt deadlines), an error
-// classifier separating transient transport failures from definitive
-// protocol answers, and a circuit breaker so a dead peer fails fast
-// instead of pinning every lookup on a full timeout ladder.
-//
-// The paper's Section 3.3 pipeline budgeted for exactly these failures —
-// roughly half the nslookup probes never resolved and unanswered
-// traceroute probes were retried with bounded patience — so the clients
-// in dnswire, whois and httpproxy share this package rather than each
-// growing an ad-hoc loop.
+// Package retry holds the resilience primitives of the push-export path
+// (internal/obsv/sink): a retry policy (exponential backoff with jitter
+// and per-attempt deadlines), an error classifier separating transient
+// transport failures from definitive answers, and a circuit breaker so a
+// dead collector fails fast instead of pinning every export on a full
+// timeout ladder.
 package retry
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"net"
 	"time"
 
 	"github.com/netaware/netcluster/internal/obsv"
@@ -24,7 +15,7 @@ import (
 
 // Resilience observability: every Policy.Do loop in the process feeds
 // the same counters, so "retry.retries" climbing against "retry.attempts"
-// is the first sign the live pipeline's peers are degrading. The counters
+// is the first sign an export peer is degrading. The counters
 // sit next to network waits, never in CPU-bound paths.
 var (
 	retryAttempts  = obsv.C("retry.attempts")
@@ -42,7 +33,7 @@ const (
 	// Transient errors (timeouts, resets, dials to a busy peer) are worth
 	// another attempt after backoff.
 	Transient Class = iota
-	// Fatal errors are definitive answers (NXDOMAIN, malformed protocol
+	// Fatal errors are definitive answers (a rejected payload, protocol
 	// state that will not heal): retrying cannot change the outcome.
 	Fatal
 )
@@ -51,8 +42,7 @@ const (
 // every error as Transient.
 type Classifier func(error) Class
 
-// Policy drives a bounded retry loop. The zero value retries nothing;
-// use DefaultPolicy for sensible live-pipeline defaults.
+// Policy drives a bounded retry loop. The zero value retries nothing.
 type Policy struct {
 	// MaxAttempts is the total number of attempts (first try included).
 	// Values below 1 behave as 1.
@@ -80,19 +70,8 @@ type Policy struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 	// SpanName names the per-attempt trace span recorded into the flight
 	// recorder ("retry.attempt" when empty), so a client can label its
-	// attempts (e.g. "dnswire.attempt") without wrapping Do.
+	// attempts (e.g. "sink.export.attempt") without wrapping Do.
 	SpanName string
-}
-
-// DefaultPolicy is the live pipeline's stance: three attempts, 50 ms
-// initial backoff doubling to a 500 ms cap, ±50% jitter.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts: 3,
-		BaseDelay:   50 * time.Millisecond,
-		MaxDelay:    500 * time.Millisecond,
-		Jitter:      0.5,
-	}
 }
 
 // Backoff returns the delay before attempt number attempt (attempt 1 is
@@ -212,23 +191,4 @@ func (p Policy) sleep(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// IsTimeout reports whether err is a deadline-style failure (net.Error
-// timeout or context deadline), the dominant loss signature on UDP.
-func IsTimeout(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// Attempts annotates err with how many attempts were spent on it, for
-// error messages that should explain the patience already applied.
-func Attempts(attempts int, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("after %d attempt(s): %w", attempts, err)
 }

@@ -3,8 +3,6 @@ package retry
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
 	"testing"
 	"time"
 )
@@ -120,25 +118,6 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-func TestIsTimeout(t *testing.T) {
-	if !IsTimeout(context.DeadlineExceeded) {
-		t.Fatal("context deadline is a timeout")
-	}
-	var ne net.Error = &net.OpError{Err: timeoutErr{}}
-	if !IsTimeout(fmt.Errorf("wrap: %w", ne)) {
-		t.Fatal("wrapped net timeout is a timeout")
-	}
-	if IsTimeout(errBoom) {
-		t.Fatal("plain error is not a timeout")
-	}
-}
-
-type timeoutErr struct{}
-
-func (timeoutErr) Error() string   { return "i/o timeout" }
-func (timeoutErr) Timeout() bool   { return true }
-func (timeoutErr) Temporary() bool { return true }
-
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(3, time.Second)
@@ -205,16 +184,6 @@ func TestNilBreakerIsNoop(t *testing.T) {
 	b.Record(errBoom)
 	if b.Opens() != 0 || b.FastFails() != 0 {
 		t.Fatal("nil breaker counts nothing")
-	}
-}
-
-func TestAttempts(t *testing.T) {
-	if Attempts(3, nil) != nil {
-		t.Fatal("nil error stays nil")
-	}
-	err := Attempts(3, errBoom)
-	if !errors.Is(err, errBoom) {
-		t.Fatal("wrapped error must unwrap")
 	}
 }
 

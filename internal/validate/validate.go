@@ -25,77 +25,9 @@ import (
 
 // NameResolver yields the non-trivial DNS suffix of a client address, or
 // ok == false when the name does not resolve. dnssim.Resolver implements
-// it as a pure function; dnswire.SuffixResolver implements it over the
-// actual DNS wire protocol.
+// it as a pure function.
 type NameResolver interface {
 	Suffix(addr netutil.Addr) (string, bool)
-}
-
-// ErrorResolver is the fault-aware variant: it distinguishes a definitive
-// NXDOMAIN (ok == false, err == nil) from a transport failure (err !=
-// nil). When a resolver implements it, validation demotes erroring
-// clients to "unresolvable" — feeding the traceroute fallback exactly as
-// the paper's pipeline treated a timed-out nslookup — instead of
-// silently conflating the two, and counts the demotion.
-type ErrorResolver interface {
-	SuffixErr(addr netutil.Addr) (string, bool, error)
-}
-
-// DegradationCounters is implemented by resolvers that track their own
-// resilience activity (dnswire.SuffixResolver); validation snapshots it
-// around a run so each Report carries the retries and breaker trips it
-// caused.
-type DegradationCounters interface {
-	DegradationCounters() (retries, breakerOpens, fastFails int)
-}
-
-// Degradation aggregates the resilience events behind one Report: how
-// hard the pipeline had to work to produce its verdicts, and how many
-// clients it demoted along the way.
-type Degradation struct {
-	// DemotedClients counts lookups that failed at the transport layer
-	// and were treated as unresolvable.
-	DemotedClients int
-	// Retries, BreakerOpens and FastFails are the resolver's counters
-	// attributable to this run (zero for pure in-process resolvers).
-	Retries      int
-	BreakerOpens int
-	FastFails    int
-}
-
-// Any reports whether any degradation was observed.
-func (d Degradation) Any() bool {
-	return d.DemotedClients > 0 || d.Retries > 0 || d.BreakerOpens > 0 || d.FastFails > 0
-}
-
-// resolveSuffix keys one client, demoting transport errors to
-// "unresolvable" when the resolver can distinguish them.
-func resolveSuffix(resolver NameResolver, a netutil.Addr, deg *Degradation) (string, bool) {
-	if er, ok := resolver.(ErrorResolver); ok {
-		s, resolved, err := er.SuffixErr(a)
-		if err != nil {
-			deg.DemotedClients++
-			return "", false
-		}
-		return s, resolved
-	}
-	return resolver.Suffix(a)
-}
-
-// degradationSpan snapshots a resolver's counters and returns a closer
-// that charges the delta to the report.
-func degradationSpan(resolver NameResolver, rep *Report) func() {
-	dc, ok := resolver.(DegradationCounters)
-	if !ok {
-		return func() {}
-	}
-	r0, b0, f0 := dc.DegradationCounters()
-	return func() {
-		r1, b1, f1 := dc.DegradationCounters()
-		rep.Degradation.Retries += r1 - r0
-		rep.Degradation.BreakerOpens += b1 - b0
-		rep.Degradation.FastFails += f1 - f0
-	}
 }
 
 // Sample draws approximately frac of the clusters (at least one, when any
@@ -148,9 +80,6 @@ type Report struct {
 	MisidentifiedNonUS int
 	TrulyIncorrect     int
 	Verdicts           []ClusterVerdict
-	// Degradation records the resilience events (demotions, retries,
-	// breaker activity) behind this report's verdicts.
-	Degradation Degradation
 }
 
 // PassRate is the fraction of sampled clusters passing the method's test.
@@ -194,13 +123,12 @@ func groundTruth(world *inet.Internet, c *cluster.Cluster, v *ClusterVerdict) {
 // pass, as in the paper's methodology.
 func Nslookup(world *inet.Internet, resolver NameResolver, sampled []*cluster.Cluster) (rep Report) {
 	rep = Report{Method: "nslookup", SampledClusters: len(sampled)}
-	defer degradationSpan(resolver, &rep)()
 	for _, c := range sampled {
 		v := ClusterVerdict{Cluster: c, Pass: true}
 		var suffix string
 		for _, a := range clientsOf(c) {
 			rep.SampledClients++
-			s, ok := resolveSuffix(resolver, a, &rep.Degradation)
+			s, ok := resolver.Suffix(a)
 			if !ok {
 				continue
 			}
@@ -233,7 +161,6 @@ func Nslookup(world *inet.Internet, resolver NameResolver, sampled []*cluster.Cl
 // disagreeing fails the cluster.
 func Traceroute(world *inet.Internet, resolver NameResolver, tracer *tracesim.Tracer, sampled []*cluster.Cluster) (rep Report) {
 	rep = Report{Method: "traceroute", SampledClusters: len(sampled)}
-	defer degradationSpan(resolver, &rep)()
 	for _, c := range sampled {
 		v := ClusterVerdict{Cluster: c, Pass: true}
 		var nameSuffix, pathSuffix string
@@ -241,7 +168,7 @@ func Traceroute(world *inet.Internet, resolver NameResolver, tracer *tracesim.Tr
 			rep.SampledClients++
 			rep.ReachableClients++ // traceroute keys every client
 			v.Resolvable++
-			if s, ok := resolveSuffix(resolver, a, &rep.Degradation); ok {
+			if s, ok := resolver.Suffix(a); ok {
 				if nameSuffix == "" {
 					nameSuffix = s
 				} else if s != nameSuffix {
@@ -312,14 +239,13 @@ func PrefixLenRange(sampled []*cluster.Cluster) (min, max int) {
 // this cluster to be correct").
 func Selective(world *inet.Internet, resolver NameResolver, sampled []*cluster.Cluster, threshold float64) (rep Report) {
 	rep = Report{Method: "selective-nslookup", SampledClusters: len(sampled)}
-	defer degradationSpan(resolver, &rep)()
 	for _, c := range sampled {
 		v := ClusterVerdict{Cluster: c, Pass: true}
 		counts := map[string]int{}
 		keyed := 0
 		for _, a := range clientsOf(c) {
 			rep.SampledClients++
-			s, ok := resolveSuffix(resolver, a, &rep.Degradation)
+			s, ok := resolver.Suffix(a)
 			if !ok {
 				continue
 			}

@@ -42,7 +42,6 @@ import (
 	"github.com/netaware/netcluster/internal/cluster"
 	"github.com/netaware/netcluster/internal/detect"
 	"github.com/netaware/netcluster/internal/dnssim"
-	"github.com/netaware/netcluster/internal/httpproxy"
 	"github.com/netaware/netcluster/internal/inet"
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/obsv"
@@ -468,24 +467,10 @@ func GroupProxiesByASAndLocation(plan PlacementPlan, table *Table, countryOf fun
 // ASInfo is a whois-style AS registry record.
 type ASInfo = bgpsim.ASInfo
 
-// HTTPProxy is a runnable HTTP implementation of the caching proxy the
-// simulation models: TTL freshness, If-Modified-Since revalidation,
-// piggyback cache validation, LRU eviction. Deploy one in front of each
-// identified cluster (see cmd/pcvproxy).
-type HTTPProxy = httpproxy.Proxy
-
-// HTTPProxyStats mirrors the simulation's cache statistics for measured
-// deployments.
-type HTTPProxyStats = httpproxy.Stats
-
-// NewHTTPProxy returns a caching proxy for the origin base URL with the
-// paper's defaults (1 h TTL, PCV on).
-func NewHTTPProxy(origin string) (*HTTPProxy, error) { return httpproxy.New(origin) }
-
 // MetricsSnapshot is a point-in-time copy of the library's process-wide
 // metric registry: counters, gauges and log2-bucketed histograms from
 // every instrumented subsystem (table compilation, lookups, clustering
-// engines, CLF parsing, caches, wire clients). It marshals to
+// engines, CLF parsing, caches). It marshals to
 // deterministic, key-sorted JSON.
 type MetricsSnapshot = obsv.Snapshot
 
@@ -499,8 +484,8 @@ func Metrics() MetricsSnapshot { return obsv.TakeSnapshot() }
 // JSON including the metric registry), /debug/pprof, /metrics
 // (Prometheus text exposition with histogram buckets and derived
 // quantiles) and /debug/trace (the flight recorder as Chrome trace_event
-// JSON), for mounting on a private operational listener (see
-// cmd/pcvproxy's -metrics-addr).
+// JSON), for mounting on an operational listener (cmd/clusterd mounts
+// it beside /lookup).
 func MetricsHandler() http.Handler { return obsv.DebugHandler() }
 
 // TraceHandler returns an http.Handler that dumps the flight recorder —

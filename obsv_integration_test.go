@@ -1,23 +1,18 @@
 package netcluster_test
 
-// Integration tests of the observability surface: the pcvproxy debug
-// listener must serve parseable /debug/vars including the netcluster
+// Integration tests of the observability surface: clusterd's debug
+// routes must serve parseable /debug/vars including the netcluster
 // metric registry, and the batch tools' -metrics-out snapshots must
 // carry nonzero counters from the paths they exercised. Binaries come
 // from the shared buildTools cache (see cmd_integration_test.go).
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // metricsSnapshot mirrors obsv.Snapshot's JSON for decoding test output.
@@ -30,80 +25,20 @@ type metricsSnapshot struct {
 	} `json:"histograms"`
 }
 
-func TestPcvproxyMetricsEndpoint(t *testing.T) {
+func TestClusterdMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and runs binaries")
 	}
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Last-Modified", "Mon, 02 Jan 2006 15:04:05 GMT")
-		fmt.Fprint(w, "origin body")
-	}))
-	defer origin.Close()
-
-	cmd := exec.Command(filepath.Join(buildTools(t), "pcvproxy"),
-		"-origin", origin.URL,
-		"-listen", "127.0.0.1:0",
-		"-metrics-addr", "127.0.0.1:0")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-
-	// The proxy prints the resolved metrics URL to stderr before serving.
-	var metricsURL string
-	lines := make(chan string, 16)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-		close(lines)
-	}()
-	deadline := time.After(10 * time.Second)
-	for metricsURL == "" {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				t.Fatal("pcvproxy exited before announcing its metrics address")
-			}
-			if strings.Contains(line, "metrics on ") {
-				metricsURL = strings.TrimSpace(strings.TrimPrefix(line,
-					"pcvproxy: metrics on "))
-			}
-		case <-deadline:
-			t.Fatal("timed out waiting for pcvproxy to announce its metrics address")
-		}
-	}
+	d := startDaemon(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
+		"-churn-every", "0", "-sink-dir", t.TempDir())
 
 	// /debug/vars must be parseable JSON carrying the netcluster registry.
+	body, _ := httpGetRetry(t, d.base+"/debug/vars")
 	var vars struct {
 		Netcluster metricsSnapshot `json:"netcluster"`
 	}
-	var lastErr error
-	for i := 0; i < 50; i++ {
-		resp, err := http.Get(metricsURL)
-		if err != nil {
-			lastErr = err
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		err = json.NewDecoder(resp.Body).Decode(&vars)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("/debug/vars is not parseable JSON: %v", err)
-		}
-		lastErr = nil
-		break
-	}
-	if lastErr != nil {
-		t.Fatalf("metrics endpoint never came up at %s: %v", metricsURL, lastErr)
+	if err := json.Unmarshal([]byte(body), &vars); err != nil {
+		t.Fatalf("/debug/vars is not parseable JSON: %v", err)
 	}
 	if vars.Netcluster.Counters == nil {
 		t.Fatal("/debug/vars lacks the netcluster metric registry")

@@ -1,19 +1,17 @@
 package netcluster_test
 
-// Integration tests of the tracing surface: a live pcvproxy must serve
+// Integration tests of the tracing surface: a live clusterd must serve
 // parseable Prometheus text exposition on /metrics with histogram buckets
 // and derived quantiles; clusterctl -trace-out must round-trip a valid
 // Chrome trace_event file showing the parallel shard fan-out; and
-// pcvproxy -metrics-out must flush a JSON snapshot on SIGINT. Binaries
+// clusterd -metrics-out must flush a JSON snapshot on SIGINT. Binaries
 // come from the shared buildTools cache (see cmd_integration_test.go).
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,11 +24,11 @@ import (
 	"github.com/netaware/netcluster/internal/obsv"
 )
 
-// startPcvproxy launches the proxy binary with a stderr line feed and a
+// startWithLines launches a binary with a stderr line feed and a
 // kill-on-cleanup guard. Callers sequence on the announce lines.
-func startPcvproxy(t *testing.T, args ...string) (*exec.Cmd, <-chan string) {
+func startWithLines(t *testing.T, name string, args ...string) (*exec.Cmd, <-chan string) {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(buildTools(t), "pcvproxy"), args...)
+	cmd := exec.Command(filepath.Join(buildTools(t), name), args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -62,13 +60,13 @@ func awaitLine(t *testing.T, lines <-chan string, substr string) string {
 		select {
 		case line, ok := <-lines:
 			if !ok {
-				t.Fatalf("pcvproxy exited before printing %q", substr)
+				t.Fatalf("process exited before printing %q", substr)
 			}
 			if strings.Contains(line, substr) {
 				return line
 			}
 		case <-deadline:
-			t.Fatalf("timed out waiting for pcvproxy to print %q", substr)
+			t.Fatalf("timed out waiting for the process to print %q", substr)
 		}
 	}
 }
@@ -160,64 +158,51 @@ func parsePrometheusText(t *testing.T, body string) map[string]float64 {
 	return series
 }
 
-func TestPcvproxyPrometheusScrape(t *testing.T) {
+func TestClusterdPrometheusScrape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and runs binaries")
 	}
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Last-Modified", "Mon, 02 Jan 2006 15:04:05 GMT")
-		fmt.Fprint(w, "origin body")
-	}))
-	defer origin.Close()
+	d := startDaemon(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
+		"-churn-every", "0", "-sink-dir", t.TempDir())
 
-	_, lines := startPcvproxy(t,
-		"-origin", origin.URL,
-		"-listen", "127.0.0.1:0",
-		"-metrics-addr", "127.0.0.1:0")
-
-	metricsLine := awaitLine(t, lines, "metrics on ")
-	metricsURL := strings.TrimSpace(strings.TrimPrefix(metricsLine, "pcvproxy: metrics on "))
-	debugBase := strings.TrimSuffix(metricsURL, "/debug/vars")
-
-	routes := awaitLine(t, lines, "debug routes:")
-	for _, want := range []string{"/metrics", "/debug/trace", "/debug/pprof", "/debug/vars"} {
-		if !strings.Contains(routes, want) {
-			t.Errorf("debug-route banner missing %s: %q", want, routes)
-		}
+	// The debug routes answer beside the serving routes.
+	for _, route := range []string{"/debug/pprof/", "/debug/vars"} {
+		httpGetRetry(t, d.base+route)
 	}
 
-	cachingLine := awaitLine(t, lines, "caching ")
-	fields := strings.Fields(cachingLine) // "pcvproxy: caching <origin> on <addr> ..."
-	var proxyAddr string
-	for i, f := range fields {
-		if f == "on" && i+1 < len(fields) {
-			proxyAddr = fields[i+1]
-		}
-	}
-	if proxyAddr == "" {
-		t.Fatalf("cannot find proxy address in %q", cachingLine)
-	}
-
-	// Drive traffic: a miss then hits on the same key, so request counters
-	// and the httpproxy.request duration histogram have samples.
+	// Drive traffic, one request traced so the flight recorder holds its
+	// span whatever the sampling: request counters and the
+	// clusterd.lookup span histogram get samples.
 	for i := 0; i < 4; i++ {
-		body, _ := httpGetRetry(t, "http://"+proxyAddr+"/page.html")
-		if body != "origin body" {
-			t.Fatalf("proxy returned %q", body)
+		req, err := http.NewRequest("GET", d.base+"/lookup?addr=110.218.246.197", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			req.Header.Set(obsv.TraceHeader, "00-0000000000000000000000000000abcd-0000000000000001-01")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"addr":"110.218.246.197"`) {
+			t.Fatalf("/lookup = %s: %s", resp.Status, body)
 		}
 	}
 
-	body, hdr := httpGetRetry(t, debugBase+"/metrics")
+	body, hdr := httpGetRetry(t, d.base+"/metrics")
 	if ct := hdr.Get("Content-Type"); ct != obsv.PrometheusContentType {
 		t.Errorf("/metrics Content-Type = %q, want %q", ct, obsv.PrometheusContentType)
 	}
 	series := parsePrometheusText(t, body)
 
-	if series["netcluster_httpproxy_requests_total"] == 0 {
-		t.Error("netcluster_httpproxy_requests_total is zero after driving requests")
+	if series["netcluster_clusterd_lookups_total"] == 0 {
+		t.Error("netcluster_clusterd_lookups_total is zero after driving requests")
 	}
-	if series["netcluster_httpproxy_hits_total"] == 0 {
-		t.Error("netcluster_httpproxy_hits_total is zero after repeat requests")
+	if series["netcluster_clusterd_lookup_count_total"] == 0 {
+		t.Error("netcluster_clusterd_lookup_count_total is zero after driving requests")
 	}
 	var buckets, p99s, inf int
 	for key := range series {
@@ -238,13 +223,13 @@ func TestPcvproxyPrometheusScrape(t *testing.T) {
 		t.Error("exposition lacks derived _p99 quantile gauges")
 	}
 	// The request span histogram specifically must have samples.
-	if series["netcluster_httpproxy_request_ns_count"] == 0 {
-		t.Error("httpproxy.request span histogram has no samples")
+	if series["netcluster_clusterd_lookup_ns_count"] == 0 {
+		t.Error("clusterd.lookup span histogram has no samples")
 	}
 
 	// The same process must also serve its flight recorder as a valid
 	// Chrome trace.
-	trace, _ := httpGetRetry(t, debugBase+"/debug/trace")
+	trace, _ := httpGetRetry(t, d.base+"/debug/trace")
 	if _, err := obsv.ValidateChromeTrace([]byte(trace)); err != nil {
 		t.Errorf("/debug/trace payload invalid: %v", err)
 	}
@@ -323,40 +308,24 @@ func TestClusterctlTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPcvproxyMetricsOutOnSignal(t *testing.T) {
+func TestClusterdMetricsOutOnSignal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and runs binaries")
 	}
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "body")
-	}))
-	defer origin.Close()
-
 	outPath := filepath.Join(t.TempDir(), "metrics.json")
-	cmd, lines := startPcvproxy(t,
-		"-origin", origin.URL,
-		"-listen", "127.0.0.1:0",
-		"-metrics-out", outPath)
+	cmd, lines := startWithLines(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
+		"-churn-every", "0", "-sink-dir", t.TempDir(), "-metrics-out", outPath)
 
-	cachingLine := awaitLine(t, lines, "caching ")
-	fields := strings.Fields(cachingLine)
-	var proxyAddr string
-	for i, f := range fields {
-		if f == "on" && i+1 < len(fields) {
-			proxyAddr = fields[i+1]
-		}
-	}
-	if proxyAddr == "" {
-		t.Fatalf("cannot find proxy address in %q", cachingLine)
-	}
-	httpGetRetry(t, "http://"+proxyAddr+"/x")
+	_, addr, _ := strings.Cut(awaitLine(t, lines, "serving on http://"), "serving on http://")
+	base := "http://" + strings.Fields(addr)[0]
+	httpGetRetry(t, base+"/lookup?addr=110.218.246.197")
 
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
 	awaitLine(t, lines, "metrics snapshot written to")
 	if err := cmd.Wait(); err != nil {
-		t.Fatalf("pcvproxy did not exit cleanly after SIGINT: %v", err)
+		t.Fatalf("clusterd did not exit cleanly after SIGINT: %v", err)
 	}
 
 	data, err := os.ReadFile(outPath)
@@ -367,7 +336,7 @@ func TestPcvproxyMetricsOutOnSignal(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("-metrics-out snapshot is not valid JSON: %v", err)
 	}
-	if snap.Counters["httpproxy.requests"] == 0 {
+	if snap.Counters["clusterd.lookups"] == 0 {
 		t.Error("shutdown snapshot lost the request counter")
 	}
 }
