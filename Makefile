@@ -114,8 +114,9 @@ bench-json:
 	./bin/benchjson -out BENCH_clustering.json < bin/bench.out
 
 # Compare a fresh benchmark run against the committed recording and fail
-# on >25% ns/op or allocs/op regression in the gated rows (compiled
-# lookup, CLF fast path). The fresh recording is left in bin/ for CI to
+# on >25% ns/op or allocs/op regression in the gated rows (benchdiff's
+# -gate: compiled lookup, CLF fast path, churn delta apply and the other
+# hot paths). The fresh recording is left in bin/ for CI to
 # archive as an artifact.
 bench-gate:
 	$(GO) build -o bin/benchjson ./cmd/benchjson

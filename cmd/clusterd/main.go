@@ -110,7 +110,6 @@ import (
 )
 
 var (
-	lookupNS      = obsv.H("clusterd.lookup.ns")
 	lookupCount   = obsv.C("clusterd.lookups")
 	batchCount    = obsv.C("clusterd.batches")
 	batchAddrs    = obsv.C("clusterd.batch.addrs")
@@ -143,10 +142,8 @@ func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		span.Fail(err)
 		return
 	}
-	start := time.Now()
 	gen := s.table.Generation()
 	m, _ := s.table.Load().Lookup(addr)
-	lookupNS.Observe(time.Since(start).Nanoseconds())
 	lookupCount.Inc()
 	shard.WriteLookup(w, addr, m, gen)
 }

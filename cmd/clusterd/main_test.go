@@ -15,6 +15,7 @@ import (
 	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/churn"
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/obsv"
 	"github.com/netaware/netcluster/internal/shard"
 )
 
@@ -151,5 +152,25 @@ func TestLookupAnswer(t *testing.T) {
 	want := `{"addr":"10.9.8.7","clustered":true,"prefix":"10.0.0.0/8","kind":"BGP routing table","generation":0}` + "\n"
 	if rec.Code != http.StatusOK || rec.Body.String() != want || rec.Header().Get("Content-Type") != "application/json" {
 		t.Fatalf("GET /lookup = %d %q %q", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+}
+
+// TestLookupTimedOnce: the clusterd.lookup span's .ns histogram is the
+// one timing of a /lookup, so it counts exactly what clusterd.lookups
+// counts.
+func TestLookupTimedOnce(t *testing.T) {
+	s := testServer(t)
+	ns := obsv.H("clusterd.lookup.ns")
+	timed, counted := ns.Count(), lookupCount.Value()
+	const n = 5
+	for i := 0; i < n; i++ {
+		rec := httptest.NewRecorder()
+		s.handleLookup(rec, httptest.NewRequest(http.MethodGet, "/lookup?addr=10.9.8.7", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /lookup = %d %q", rec.Code, rec.Body)
+		}
+	}
+	if got, want := ns.Count()-timed, lookupCount.Value()-counted; got != want || want != n {
+		t.Fatalf("%d lookups: clusterd.lookup.ns counted %d, clusterd.lookups %d", n, got, want)
 	}
 }

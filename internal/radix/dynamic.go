@@ -1,27 +1,35 @@
 package radix
 
 import (
+	"math/bits"
+
 	"github.com/netaware/netcluster/internal/netutil"
 )
 
 // Dynamic is the churn-capable sibling of Multibit: the same stride-8
 // controlled-prefix-expansion layout, extended with removal and an
 // incremental Freeze. It exists so a long-running service can absorb
-// BGP announce/withdraw deltas without rebuilding the whole table:
+// BGP announce/withdraw deltas without rebuilding the whole table, and
+// the writer's cost follows the slots a delta changes:
 //
 //   - InsertRanked and Remove edit only the slot block of the node the
 //     prefix terminates in (expansion never crosses a stride boundary,
-//     so both operations are node-local), and mark that node and its
-//     ancestors dirty;
-//   - Freeze path-copies: it renders every dirty node into a fresh block
-//     appended to a block arena shared by every generation, deepest
-//     first so a parent renders its children's new block indices, and
-//     publishes (arena[:L], root block). Untouched subtrees are shared
-//     with earlier generations and published blocks are never written,
-//     so a freeze costs the dirty paths, not the table.
+//     so both operations are node-local). Remove re-ranks just the
+//     slots the removed entry vacated, in one pass over the node's
+//     terminal entries, each clipped to the vacated span. Both mark the
+//     slots they changed stale and the node and its ancestors dirty;
+//   - Freeze path-copies. Deepest first, each dirty node moves to a
+//     fresh block appended to a block arena shared by every generation:
+//     one copy per column of its previous block, then a re-render of
+//     its stale slots only. A moved child marks its slot in the parent
+//     stale, so the parent renders the new index. Freeze publishes
+//     (arena[:L], root block); untouched subtrees are shared with
+//     earlier generations and published blocks are never written.
 //
-// When a freeze would outgrow the arena's capacity, it renders every
-// node into a fresh arena of twice the node count instead (the full
+// A node with no block in the current arena is all-stale. That covers a
+// new node and the full render: when a freeze would outgrow the arena's
+// capacity (and on the first freeze), every node is rendered into a
+// fresh arena of twice the node count, by the same render (the full
 // cost, paid once per that many dirty blocks); generations published
 // before keep the old arena alive for as long as they are held.
 //
@@ -46,8 +54,8 @@ type Dynamic[V any] struct {
 	numNodes int
 	keys     map[dynKey]*dynEntry[V]
 
-	// dirty[depth] lists the nodes at that depth whose block the next
-	// freeze re-renders. A dirty node's ancestors are always dirty too.
+	// dirty[depth] lists the nodes at that depth the next freeze
+	// path-copies. A dirty node's ancestors are always dirty too.
 	dirty [4][]*dynNode[V]
 
 	// The entry arena: append-only rows shared by every Frozen generation.
@@ -77,20 +85,44 @@ type dynEntry[V any] struct {
 	rank   int16
 	// row is the entry's index in the arena, or -1 until first frozen.
 	row int32
+	// term is the entry's index in its node's terminals.
+	term int32
 }
+
+// slotMask holds one bit per slot of a node's block.
+type slotMask [4]uint64
+
+func (m *slotMask) set(b int)      { m[b>>6&3] |= 1 << (b & 63) }
+func (m *slotMask) has(b int) bool { return m[b>>6&3]&(1<<(b&63)) != 0 }
+
+var allSlots = slotMask{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 
 type dynNode[V any] struct {
 	parent *dynNode[V]
 	depth  uint8
-	dirty  bool
-	// block is the node's block in the current arena, -1 before its
-	// first render.
-	block    int32
+	// slot is n's slot in its parent's block.
+	slot  uint8
+	dirty bool
+	// block is the node's block in the current arena, or -1 when it has
+	// none there: before its first render, and during a full render
+	// until it is reached.
+	block int32
+	// stale marks the slots whose child, row or packed word may differ
+	// from block's — the only slots the next render re-derives.
+	stale    slotMask
 	children [256]*dynNode[V]
 	entries  [256]*dynEntry[V]
 	// terminals holds every live entry whose prefix terminates in this
-	// node's byte — the set a Remove re-renders slots from.
-	terminals map[dynKey]*dynEntry[V]
+	// node's byte, in no order — the candidates a Remove re-ranks the
+	// vacated slots from. Removal swaps the last one into the gap.
+	terminals []dynTerm[V]
+}
+
+// dynTerm is a terminal entry with its expansion's slot range, so a
+// Remove scanning for candidates reads the entry only where they meet.
+type dynTerm[V any] struct {
+	e         *dynEntry[V]
+	base, end int // slots [base, end)
 }
 
 // NewDynamic returns an empty table.
@@ -164,31 +196,33 @@ func (d *Dynamic[V]) InsertRanked(p netutil.Prefix, v V, rank int) bool {
 	for i := 0; i < fullBytes; i++ {
 		b := octets[i]
 		if n.children[b] == nil {
-			child := &dynNode[V]{parent: n, depth: n.depth + 1, block: -1}
+			// The new child has no block, so its render re-derives every
+			// slot and marks its slot in n stale.
+			child := &dynNode[V]{parent: n, depth: n.depth + 1, slot: b, block: -1}
 			n.children[b] = child
 			d.numNodes++
-			d.markDirty(child) // and n, whose block holds the child pointer
+			d.markDirty(child)
 		}
 		n = n.children[b]
 	}
-	if n.terminals == nil {
-		n.terminals = make(map[dynKey]*dynEntry[V])
-	}
-	n.terminals[key] = e
 	if existed {
-		if old.row >= 0 {
-			d.deadEntries++
-		}
 		// The old entry occupies exactly the slots the new one is about to
 		// take (same key, same span, same order position), so the plain
 		// render below replaces it everywhere it is visible.
+		e.term = old.term
+		n.terminals[e.term].e = e
+		if old.row >= 0 {
+			d.deadEntries++
+		}
+	} else {
+		e.term = int32(len(n.terminals))
+		n.terminals = append(n.terminals, dynTerm[V]{e, base, base + span})
 	}
 	changed := false
-	for s := 0; s < span; s++ {
-		slot := base + s
-		cur := n.entries[slot]
-		if cur == nil || (existed && cur == old) || better(e, cur) {
+	for slot := base; slot < base+span; slot++ {
+		if cur := n.entries[slot]; cur == nil || cur == old || better(e, cur) {
 			n.entries[slot] = e
+			n.stale.set(slot)
 			changed = true
 		}
 	}
@@ -198,7 +232,7 @@ func (d *Dynamic[V]) InsertRanked(p netutil.Prefix, v V, rank int) bool {
 	return !existed
 }
 
-// Remove deletes the (p, rank) key, re-rendering the slots it covered
+// Remove deletes the (p, rank) key and re-ranks the slots it vacated
 // from the terminating node's remaining entries. It reports whether the
 // key was present.
 func (d *Dynamic[V]) Remove(p netutil.Prefix, rank int) bool {
@@ -215,36 +249,45 @@ func (d *Dynamic[V]) Remove(p netutil.Prefix, rank int) bool {
 	for i := 0; i < fullBytes; i++ {
 		n = n.children[octets[i]] // the path exists: the key was inserted through it
 	}
-	delete(n.terminals, key)
+	last := len(n.terminals) - 1
+	n.terminals[last].e.term = e.term
+	n.terminals[e.term] = n.terminals[last]
+	n.terminals[last] = dynTerm[V]{}
+	n.terminals = n.terminals[:last]
 	if e.row >= 0 {
 		d.deadEntries++
 	}
-	changed := false
-	for s := 0; s < span; s++ {
-		slot := base + s
-		if n.entries[slot] != e {
-			continue // shadowed here by a better entry; nothing to restore
+
+	// e vacates only the slots it holds: a better entry shadows it in the
+	// rest of its span, and where that is all of it nothing changes.
+	var vacated slotMask
+	for slot := base; slot < base+span; slot++ {
+		if n.entries[slot] == e {
+			n.entries[slot] = nil
+			vacated.set(slot)
 		}
-		var best *dynEntry[V]
-		for _, t := range n.terminals {
-			if covers(t.prefix, slot) && (best == nil || better(t, best)) {
-				best = t
+	}
+	if vacated == (slotMask{}) {
+		return true
+	}
+	// Every candidate for a vacated slot terminates in n and covers the
+	// slot, so one pass over the terminals, each clipped to e's span,
+	// finds the best for all of them.
+	for _, t := range n.terminals {
+		for slot := max(base, t.base); slot < min(base+span, t.end); slot++ {
+			if !vacated.has(slot) {
+				continue
+			}
+			if cur := n.entries[slot]; cur == nil || better(t.e, cur) {
+				n.entries[slot] = t.e
 			}
 		}
-		n.entries[slot] = best
-		changed = true
 	}
-	if changed {
-		d.markDirty(n)
+	for w := range vacated {
+		n.stale[w] |= vacated[w]
 	}
+	d.markDirty(n)
 	return true
-}
-
-// covers reports whether prefix t's expansion includes slot within t's
-// terminating node.
-func covers(t netutil.Prefix, slot int) bool {
-	_, base, span := expansion(t)
-	return slot >= base && slot < base+span
 }
 
 // markDirty queues n and every ancestor not already queued: a node's new
@@ -271,9 +314,12 @@ func (d *Dynamic[V]) Freeze() *Frozen[V] {
 	if len(d.children) == 0 || len(d.children)+need*256 > cap(d.children) {
 		d.renderAll()
 	} else {
+		at := int32(len(d.children) / 256)
+		d.resize(len(d.children) + need*256)
 		for depth := len(d.dirty) - 1; depth >= 0; depth-- {
 			for _, n := range d.dirty[depth] {
-				d.render(n)
+				d.render(n, at)
+				at++
 			}
 		}
 	}
@@ -298,62 +344,89 @@ func (d *Dynamic[V]) Freeze() *Frozen[V] {
 	return f
 }
 
-// renderAll renders every node, breadth-first from the root at block 0,
-// into a fresh arena with room for as many path-copied blocks again.
-// Breadth-first order makes the result the canonical layout Raw exports.
+// resize sets the block arena's length to n slots, within its capacity.
+func (d *Dynamic[V]) resize(n int) {
+	d.children = d.children[:n]
+	d.slots = d.slots[:n]
+	d.packed = d.packed[:n]
+}
+
+// renderAll renders every node into a fresh arena with room for as many
+// path-copied blocks again, at its breadth-first position from the root
+// at block 0 — the canonical layout Raw exports. No node has a block in
+// the fresh arena, so each renders in full; they render in reverse
+// order, which puts every child before its parent.
 func (d *Dynamic[V]) renderAll() {
 	capSlots := 2 * d.numNodes * 256
 	d.children = make([]int32, 0, capSlots)
 	d.slots = make([]int32, 0, capSlots)
 	d.packed = make([]int64, 0, capSlots)
+	d.resize(d.numNodes * 256)
 	order := make([]*dynNode[V], 1, d.numNodes)
 	order[0] = d.root
 	for i := 0; i < len(order); i++ {
-		for _, c := range &order[i].children {
+		n := order[i]
+		n.block = -1
+		for _, c := range &n.children {
 			if c != nil {
-				c.block = int32(len(order)) // rendered at this position below
 				order = append(order, c)
 			}
 		}
 	}
-	for _, n := range order {
-		d.render(n)
+	for i := len(order) - 1; i >= 0; i-- {
+		d.render(order[i], int32(i))
 	}
 }
 
-// render appends n's block to the arena — children by their current
-// block, slots by entry row, packed words as in buildPacked — and moves
-// n to it. First-rendered entries get their arena rows here.
-func (d *Dynamic[V]) render(n *dynNode[V]) {
-	off := len(d.children)
-	d.children = d.children[:off+256]
-	d.slots = d.slots[:off+256]
-	d.packed = d.packed[:off+256]
-	children := d.children[off : off+256]
-	slots := d.slots[off : off+256]
-	packed := d.packed[off : off+256]
-	for b := 0; b < 256; b++ {
-		ci := int32(0)
-		if c := n.children[b]; c != nil {
-			ci = c.block
-		}
-		children[b] = ci
-		row, word := int32(-1), int64(-1)
-		if e := n.entries[b]; e != nil {
-			if e.row < 0 {
-				e.row = int32(len(d.prefixes))
-				d.prefixes = append(d.prefixes, e.prefix)
-				d.ranks = append(d.ranks, e.rank)
-				d.values = append(d.values, e.value)
-			}
-			row = e.row
-			word = (int64(e.rank)+1)<<32 | int64(uint32(row))
-		}
-		slots[b] = row
-		packed[b] = word
+// render moves n to block at and re-derives its stale slots there: the
+// child's current block, the entry's row and its packed word (as in
+// buildPacked). The other slots are copied from n's previous block, one
+// copy per column; a node with no block in the current arena has no
+// previous block, so all its slots are stale. Entries rendered for the
+// first time get their arena rows here, and n's slot in its parent goes
+// stale, since it must point at the new block.
+func (d *Dynamic[V]) render(n *dynNode[V], at int32) {
+	off := int(at) * 256
+	children := (*[256]int32)(d.children[off:])
+	slots := (*[256]int32)(d.slots[off:])
+	packed := (*[256]int64)(d.packed[off:])
+	if n.block < 0 {
+		n.stale = allSlots
+	} else {
+		prev := int(n.block) * 256
+		copy(children[:], d.children[prev:])
+		copy(slots[:], d.slots[prev:])
+		copy(packed[:], d.packed[prev:])
 	}
-	n.block = int32(off / 256)
+	for w, m := range n.stale {
+		for ; m != 0; m &= m - 1 {
+			b := uint8(w<<6 | bits.TrailingZeros64(m))
+			ci := int32(0)
+			if c := n.children[b]; c != nil {
+				ci = c.block
+			}
+			children[b] = ci
+			row, word := int32(-1), int64(-1)
+			if e := n.entries[b]; e != nil {
+				if e.row < 0 {
+					e.row = int32(len(d.prefixes))
+					d.prefixes = append(d.prefixes, e.prefix)
+					d.ranks = append(d.ranks, e.rank)
+					d.values = append(d.values, e.value)
+				}
+				row = e.row
+				word = (int64(e.rank)+1)<<32 | int64(uint32(row))
+			}
+			slots[b] = row
+			packed[b] = word
+		}
+	}
+	n.stale = slotMask{}
+	n.block = at
 	n.dirty = false
+	if n.parent != nil {
+		n.parent.stale.set(int(n.slot))
+	}
 }
 
 // Walk visits every live (prefix, rank, value) triple in unspecified

@@ -10,9 +10,11 @@ import (
 // FuzzDynamicOps decodes bytes into insert, remove and freeze operations
 // on a Dynamic. After each freeze the generation must answer like a
 // Multibit built from scratch over the live keys — sequentially and
-// through the batch kernel — and every earlier generation must still
-// give the answers recorded at its freeze. Small tables re-render their
-// arena every few freezes, so runs cross path copies and re-renders.
+// through the batch kernel — hold in every slot what a from-scratch
+// Dynamic holds (so a slot the stale mask missed fails even where no
+// probe lands), and every earlier generation must still give the
+// answers recorded at its freeze. Small tables re-render their arena
+// every few freezes, so runs cross path copies and re-renders.
 //
 // Op encoding, one opcode byte b then its operands:
 //
@@ -54,6 +56,7 @@ func FuzzDynamicOps(f *testing.F) {
 		}
 		freeze := func() {
 			f := d.Freeze()
+			checkSlots(t, f, live)
 			scratch := NewMultibit[int]()
 			for k, v := range live {
 				scratch.InsertRanked(k.prefix, v, int(k.rank))

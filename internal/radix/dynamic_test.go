@@ -81,6 +81,53 @@ func probeSet(keys map[dynKey]int) []netutil.Addr {
 	return out
 }
 
+// checkSlots is the slot oracle: the canonical Raw of generation f must
+// hold, slot by slot, what a from-scratch Dynamic over live holds — the
+// same resolved prefix and rank (rows may differ) and a child wherever
+// the scratch table has one. Nodes emptied by removals stay linked in
+// f, so f may have children the scratch table lacks, but every slot
+// beneath them must be empty.
+func checkSlots(t *testing.T, f *Frozen[int], live map[dynKey]int) {
+	t.Helper()
+	scratch := NewDynamic[int]()
+	for k, v := range live {
+		scratch.InsertRanked(k.prefix, v, int(k.rank))
+	}
+	wc, ws, wp, wr, _, _ := scratch.Freeze().Raw()
+	gc, gs, gp, gr, _, _ := f.Raw()
+	resolve := func(prefixes []netutil.Prefix, ranks []int16, row int32) string {
+		if row < 0 {
+			return "empty"
+		}
+		return fmt.Sprintf("%v rank %d", prefixes[row], ranks[row])
+	}
+	// w is the scratch node at the same path, or -1 where it has none.
+	var walk func(path []byte, g, w int32)
+	walk = func(path []byte, g, w int32) {
+		for b := 0; b < 256; b++ {
+			gi := int(g)<<8 | b
+			want, wChild := "empty", int32(-1)
+			if w >= 0 {
+				wi := int(w)<<8 | b
+				want = resolve(wp, wr, ws[wi])
+				if wc[wi] != 0 {
+					wChild = wc[wi]
+				}
+			}
+			if got := resolve(gp, gr, gs[gi]); got != want {
+				t.Fatalf("node %v slot %d holds %s, from scratch %s", path, b, got, want)
+			}
+			switch {
+			case gc[gi] != 0:
+				walk(append(path[:len(path):len(path)], byte(b)), gc[gi], wChild)
+			case wChild >= 0:
+				t.Fatalf("node %v slot %d has no child, from scratch it has one", path, b)
+			}
+		}
+	}
+	walk(nil, 0, 0)
+}
+
 func TestDynamicBasic(t *testing.T) {
 	d := NewDynamic[string]()
 	p := netutil.MustParsePrefix("10.1.0.0/16")
@@ -156,6 +203,143 @@ func TestDynamicShadowRestore(t *testing.T) {
 	}
 }
 
+// TestDynamicRemoveRefills removes one key from a node holding several
+// and checks what refills each slot it vacated: a covering shorter
+// prefix, a nested longer one, or the best of several candidates, by
+// rank, then length. Ranks follow the bgp compiler's rule, bits + 64
+// for the primary class. Every case ends with the slot oracle.
+func TestDynamicRemoveRefills(t *testing.T) {
+	type key struct {
+		prefix string
+		rank   int
+	}
+	// Slots [from, to] of the node at 10.1 must hold want ("" = empty).
+	type slots struct {
+		from, to int
+		want     key
+	}
+	cases := []struct {
+		name   string
+		keys   []key
+		remove key
+		want   []slots
+	}{
+		{
+			name:   "covering shorter prefix",
+			keys:   []key{{"10.1.0.0/17", 17}, {"10.1.7.0/24", 24}, {"10.1.128.0/17", 17}},
+			remove: key{"10.1.7.0/24", 24},
+			want:   []slots{{0, 127, key{"10.1.0.0/17", 17}}, {128, 255, key{"10.1.128.0/17", 17}}},
+		},
+		{
+			name:   "nested longer prefix",
+			keys:   []key{{"10.1.16.0/20", 64 + 20}, {"10.1.20.0/22", 22}, {"10.1.0.0/19", 19}},
+			remove: key{"10.1.16.0/20", 64 + 20},
+			want: []slots{
+				{0, 19, key{"10.1.0.0/19", 19}},
+				{20, 23, key{"10.1.20.0/22", 22}},
+				{24, 31, key{"10.1.0.0/19", 19}},
+				{32, 255, key{}},
+			},
+		},
+		{
+			name: "best of several candidates",
+			keys: []key{
+				{"10.1.5.0/24", 64 + 24}, {"10.1.5.0/24", 24}, {"10.1.0.0/21", 21},
+				{"10.1.4.0/22", 64 + 22}, {"10.1.0.0/18", 64 + 18}, {"10.1.0.0/23", 64 + 23},
+			},
+			remove: key{"10.1.5.0/24", 64 + 24},
+			want: []slots{
+				{0, 1, key{"10.1.0.0/23", 64 + 23}},
+				{2, 3, key{"10.1.0.0/18", 64 + 18}},
+				{4, 7, key{"10.1.4.0/22", 64 + 22}},
+				{8, 63, key{"10.1.0.0/18", 64 + 18}},
+				{64, 255, key{}},
+			},
+		},
+		{
+			name: "split span, a different best per part",
+			keys: []key{
+				{"10.1.0.0/17", 64 + 17}, {"10.1.0.0/18", 18}, {"10.1.64.0/18", 18},
+				{"10.1.0.0/20", 20}, {"10.1.48.0/20", 64 + 20},
+			},
+			remove: key{"10.1.0.0/17", 64 + 17},
+			want: []slots{
+				{0, 15, key{"10.1.0.0/20", 20}},
+				{16, 47, key{"10.1.0.0/18", 18}},
+				{48, 63, key{"10.1.48.0/20", 64 + 20}},
+				{64, 127, key{"10.1.64.0/18", 18}},
+				{128, 255, key{}},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDynamic[int]()
+			live := make(map[dynKey]int)
+			for i, k := range tc.keys {
+				p := netutil.MustParsePrefix(k.prefix)
+				d.InsertRanked(p, i, k.rank)
+				live[dynKey{p, int16(k.rank)}] = i
+			}
+			d.Freeze()
+			p := netutil.MustParsePrefix(tc.remove.prefix)
+			if !d.Remove(p, tc.remove.rank) {
+				t.Fatalf("Remove(%v, %d) reported absent", p, tc.remove.rank)
+			}
+			delete(live, dynKey{p, int16(tc.remove.rank)})
+			n := d.root.children[10].children[1]
+			for i, term := range n.terminals {
+				_, base, span := expansion(term.e.prefix)
+				if int(term.e.term) != i || term.base != base || term.end != base+span {
+					t.Fatalf("terminal %v at %d covers [%d, %d), records index %d, expands to [%d, %d)",
+						term.e.prefix, i, term.base, term.end, term.e.term, base, base+span)
+				}
+			}
+			for _, r := range tc.want {
+				for slot := r.from; slot <= r.to; slot++ {
+					got := key{}
+					if e := n.entries[slot]; e != nil {
+						got = key{e.prefix.String(), int(e.rank)}
+					}
+					if got != r.want {
+						t.Fatalf("slot %d holds %v, want %v", slot, got, r.want)
+					}
+				}
+			}
+			checkSlots(t, d.Freeze(), live)
+		})
+	}
+}
+
+// TestDynamicRemoveShadowed removes an entry visible in no slot: the
+// node stays clean and the next freeze appends no block.
+func TestDynamicRemoveShadowed(t *testing.T) {
+	d := NewDynamic[int]()
+	p := netutil.MustParsePrefix("10.1.0.0/17")
+	d.InsertRanked(p, 0, 64+17)
+	d.InsertRanked(p, 1, 17)
+	d.InsertRanked(netutil.MustParsePrefix("10.1.7.0/24"), 2, 24)
+	prev := d.Freeze()
+	if !d.Remove(p, 17) {
+		t.Fatal("Remove of the shadowed key reported absent")
+	}
+	n := d.root.children[10].children[1]
+	if n.dirty || n.stale != (slotMask{}) {
+		t.Fatalf("removing a shadowed entry left its node dirty=%v stale=%x", n.dirty, n.stale)
+	}
+	for depth, l := range d.dirty {
+		if len(l) != 0 {
+			t.Fatalf("removing a shadowed entry queued %d nodes at depth %d", len(l), depth)
+		}
+	}
+	f := d.Freeze()
+	if len(f.children) != len(prev.children) || f.root != prev.root {
+		t.Fatalf("freeze after removing a shadowed entry: %d blocks root %d, was %d blocks root %d",
+			len(f.children)/256, f.root, len(prev.children)/256, prev.root)
+	}
+	checkSlots(t, f, map[dynKey]int{{p, 64 + 17}: 0, {netutil.MustParsePrefix("10.1.7.0/24"), 24}: 2})
+}
+
 // TestDynamicVsReference drives random insert/remove churn and checks
 // every freeze against the brute-force oracle at all boundary probes.
 func TestDynamicVsReference(t *testing.T) {
@@ -226,6 +410,7 @@ func TestDynamicIncrementalFreezeMatchesScratch(t *testing.T) {
 			keys = append(keys, k)
 		}
 		lastFrozen = d.Freeze()
+		checkSlots(t, lastFrozen, live)
 	}
 
 	scratch := NewMultibit[int]()
@@ -406,18 +591,34 @@ func TestDynamicRawIsCanonical(t *testing.T) {
 }
 
 // TestDynamicFreezeCostsWhatChanged is the guard on "a swap costs what
-// changed": on a ~2k-node table one single-prefix insert plus Freeze
-// appends no more blocks than the path from the root to the prefix's
-// node and allocates well under one full copy (8 MiB here).
+// changed": on a ~2k-node table one single-prefix insert or withdrawal
+// plus Freeze appends no more blocks than the path from the root to the
+// prefix's node, and an insert allocates well under one full copy
+// (8 MiB here).
 func TestDynamicFreezeCostsWhatChanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDynamic[int]()
+	var inserted []netutil.Prefix
 	for d.NumNodes() < 2000 {
 		bits := 9 + rng.Intn(16)
 		p := netutil.PrefixFrom(netutil.Addr(rng.Uint32())&netutil.Addr(netutil.MaskOf(bits)), bits)
-		d.InsertRanked(p, 0, bits)
+		if d.InsertRanked(p, 0, bits) {
+			inserted = append(inserted, p)
+		}
 	}
 	prev := d.Freeze()
+	// appended freezes after edit and reports the blocks it appended, or
+	// -1 when the freeze re-rendered the arena.
+	appended := func(edit func()) int {
+		edit()
+		f := d.Freeze()
+		added := (len(f.children) - len(prev.children)) / 256
+		if &f.children[0] != &prev.children[0] {
+			added = -1 // re-rendered: the full cost, paid once per arena
+		}
+		prev = f
+		return added
+	}
 	var allocs []uint64
 	var ms runtime.MemStats
 	for trial := 0; trial < 15; trial++ {
@@ -426,18 +627,15 @@ func TestDynamicFreezeCostsWhatChanged(t *testing.T) {
 		depth, _, _ := expansion(p)
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		d.InsertRanked(p, trial, bits)
-		f := d.Freeze()
+		added := appended(func() { d.InsertRanked(p, trial, bits) })
 		runtime.ReadMemStats(&ms)
-		if &f.children[0] != &prev.children[0] {
-			prev = f
-			continue // re-rendered: the full cost, paid once per arena
+		if added < 0 {
+			continue
 		}
 		allocs = append(allocs, ms.TotalAlloc-before)
-		if added := (len(f.children) - len(prev.children)) / 256; added > depth+1 {
+		if added > depth+1 {
 			t.Fatalf("trial %d: inserting %v appended %d blocks, want <= %d", trial, p, added, depth+1)
 		}
-		prev = f
 	}
 	if len(allocs) < 10 {
 		t.Fatalf("only %d of 15 single-prefix freezes path-copied", len(allocs))
@@ -447,6 +645,26 @@ func TestDynamicFreezeCostsWhatChanged(t *testing.T) {
 	sort.Slice(allocs, func(i, j int) bool { return allocs[i] < allocs[j] })
 	if med := allocs[len(allocs)/2]; med >= 64<<10 {
 		t.Fatalf("single-prefix insert + Freeze allocated %d B (median of %d), want < 64 KiB", med, len(allocs))
+	}
+
+	copied := 0
+	for trial := 0; trial < 15; trial++ {
+		i := rng.Intn(len(inserted))
+		p := inserted[i]
+		inserted[i] = inserted[len(inserted)-1]
+		inserted = inserted[:len(inserted)-1]
+		depth, _, _ := expansion(p)
+		added := appended(func() { d.Remove(p, p.Bits()) })
+		if added < 0 {
+			continue
+		}
+		copied++
+		if added > depth+1 {
+			t.Fatalf("trial %d: withdrawing %v appended %d blocks, want <= %d", trial, p, added, depth+1)
+		}
+	}
+	if copied < 10 {
+		t.Fatalf("only %d of 15 single-prefix withdrawals path-copied", copied)
 	}
 }
 
