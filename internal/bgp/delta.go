@@ -13,6 +13,7 @@ var (
 	deltaAnnounced = obsv.C("bgp.delta.announced")
 	deltaWithdrawn = obsv.C("bgp.delta.withdrawn")
 	deltaCompacts  = obsv.C("bgp.delta.compactions")
+	deltaRenders   = obsv.C("bgp.delta.full_renders")
 )
 
 // Op is one routing-table delta operation. An announce carries the full
@@ -62,7 +63,8 @@ func (d Delta) Withdrawn() int { return len(d.Ops) - d.Announced() }
 //
 // Sustained churn strands dead entry rows and emptied nodes in the
 // shared structure (superseded node blocks are reclaimed by
-// radix.Dynamic's own arena re-render); when the dead rows' share
+// radix.Dynamic's own full render into a fresh arena, counted by
+// "bgp.delta.full_renders"); when the dead rows' share
 // crosses compactThreshold, Apply transparently rebuilds from the live
 // key set (counted by the "bgp.delta.compactions" metric), bounding
 // memory at a constant factor of the live table.
@@ -214,12 +216,14 @@ func (inc *Incremental) publish() *Compiled {
 	inc.mu.RLock()
 	np, ns := len(inc.prov[0]), len(inc.prov[1])
 	inc.mu.RUnlock()
+	renders := inc.dyn.FullRenders()
 	c := &Compiled{
 		frozen:       inc.dyn.Freeze(),
 		inc:          inc,
 		numPrimary:   np,
 		numSecondary: ns,
 	}
+	deltaRenders.Add(uint64(inc.dyn.FullRenders() - renders))
 	compiledPrefixes.Set(int64(c.Len()))
 	compiledNodes.Set(int64(c.frozen.NumNodes()))
 	return c

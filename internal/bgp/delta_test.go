@@ -272,3 +272,44 @@ func entriesOfSet(set map[netutil.Prefix]struct{}) []Entry {
 	}
 	return out
 }
+
+// TestIncrementalCountsFullRenders checks "bgp.delta.full_renders": it
+// advances by one when an Apply's generation is a full render into the
+// next arena and stays put when the generation is a path copy. A full
+// render is the one generation already in Raw's canonical layout, so
+// exporting it allocates nothing.
+func TestIncrementalCountsFullRenders(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	randPrefix := func() netutil.Prefix {
+		bits := 9 + rng.Intn(16)
+		return netutil.PrefixFrom(netutil.Addr(rng.Uint32())&netutil.Addr(netutil.MaskOf(bits)), bits)
+	}
+	var seed []string
+	for i := 0; i < 50; i++ {
+		seed = append(seed, randPrefix().String())
+	}
+	m := NewMerged()
+	m.Add(snap("AADS", SourceBGP, seed...))
+	inc := NewIncremental(m)
+	inc.Compiled()
+	switches, copies := 0, 0
+	for i := 0; i < 400 && (switches < 2 || copies < 2); i++ {
+		before := deltaRenders.Value()
+		c := inc.Apply(Delta{Ops: []Op{{Kind: SourceBGP, Entry: Entry{Prefix: randPrefix()}}}})
+		got := deltaRenders.Value() - before
+		if testing.AllocsPerRun(1, func() { c.frozen.Raw() }) == 0 {
+			switches++
+			if got != 1 {
+				t.Fatalf("apply %d: a full render advanced bgp.delta.full_renders by %d, want 1", i, got)
+			}
+		} else {
+			copies++
+			if got != 0 {
+				t.Fatalf("apply %d: a path copy advanced bgp.delta.full_renders by %d", i, got)
+			}
+		}
+	}
+	if switches < 2 || copies < 2 {
+		t.Fatalf("%d full renders and %d path copies in 400 applies, want 2 of each", switches, copies)
+	}
+}

@@ -123,11 +123,22 @@ type Proxy struct {
 
 	Stats Stats
 
-	used    int64
-	lru     *list.List // front = most recent
-	items   map[int32]*list.Element
-	expired map[int32]struct{} // stale entries awaiting piggybacked validation
-	seq     uint64             // request counter driving trace sampling
+	used  int64
+	lru   *list.List // front = most recent
+	items map[int32]*list.Element
+	// expired holds the stale entries awaiting piggybacked validation,
+	// each with the ticket it was queued under; queue lists the tickets
+	// in queueing order. A ticket whose entry left expired, or was queued
+	// again under a newer one, is skipped when it reaches the front.
+	expired map[int32]uint64
+	queue   []ticket
+	tickets uint64
+	seq     uint64 // request counter driving trace sampling
+}
+
+type ticket struct {
+	url int32
+	n   uint64
 }
 
 // traceSampleEvery sets the 1-in-N trace sampling rate for simulated
@@ -151,7 +162,7 @@ func NewProxy(capacity int64, ttl uint32, pcv bool) *Proxy {
 		PiggybackLimit: 10,
 		lru:            list.New(),
 		items:          make(map[int32]*list.Element),
-		expired:        make(map[int32]struct{}),
+		expired:        make(map[int32]uint64),
 	}
 }
 
@@ -230,16 +241,19 @@ func (p *Proxy) fetch(resources []weblog.Resource, url int32, t uint32) {
 }
 
 // contactServer accounts one message to the origin and, when PCV is on,
-// piggybacks validations for expired entries.
+// piggybacks validations for expired entries, oldest queued first.
 func (p *Proxy) contactServer(resources []weblog.Resource, t uint32) {
 	p.Stats.ServerContacts++
 	if !p.PCV {
 		return
 	}
 	n := 0
-	for url := range p.expired {
-		if n >= p.PiggybackLimit {
-			break
+	for len(p.queue) > 0 && n < p.PiggybackLimit {
+		tk := p.queue[0]
+		p.queue = p.queue[1:]
+		url := tk.url
+		if p.expired[url] != tk.n {
+			continue // validated, refetched or evicted since, or queued again
 		}
 		el, ok := p.items[url]
 		if !ok {
@@ -276,7 +290,11 @@ func (p *Proxy) Tick(t uint32) {
 	for i := 0; i < probe && el != nil; i++ {
 		e := el.Value.(*entry)
 		if t >= e.validatedAt+p.TTL {
-			p.expired[e.url] = struct{}{}
+			if _, queued := p.expired[e.url]; !queued {
+				p.tickets++
+				p.expired[e.url] = p.tickets
+				p.queue = append(p.queue, ticket{e.url, p.tickets})
+			}
 		}
 		el = el.Prev()
 	}

@@ -155,14 +155,27 @@ func TestPiggybackLimit(t *testing.T) {
 	for i := int32(0); i < 20; i++ {
 		p.Request(rs, i, 0)
 	}
-	// Expire everything (probe the whole tail).
+	// Every tick probes the same LRU tail: /0 … /7 queue, coldest first.
 	for i := 0; i < 10; i++ {
 		p.Tick(4000)
 	}
-	valsBefore := p.Stats.Validations
-	p.Request(rs, 25, 4100) // one server contact
-	if got := p.Stats.Validations - valsBefore; got > 2 {
-		t.Fatalf("piggybacked %d validations, limit is 2", got)
+	// Each server contact validates the next two in queueing order, so
+	// which entries get validated never depends on map iteration order.
+	for contact, at := range []uint32{4100, 4200} {
+		valsBefore := p.Stats.Validations
+		p.Request(rs, int32(25+contact), at) // a miss: one server contact
+		if got := p.Stats.Validations - valsBefore; got != 2 {
+			t.Fatalf("contact %d piggybacked %d validations, limit is 2", contact, got)
+		}
+		for url := int32(0); url < 8; url++ {
+			want := uint32(0) // still stale, still queued
+			if int(url) < 2*(contact+1) {
+				want = 4100 + 100*uint32(url/2)
+			}
+			if got := p.items[url].Value.(*entry).validatedAt; got != want {
+				t.Fatalf("after contact %d, /%d was validated at %d, want %d", contact, url, got, want)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/netaware/netcluster/internal/netutil"
 )
@@ -761,6 +764,210 @@ func TestDynamicWalk(t *testing.T) {
 	for k, v := range want {
 		if got[k] != v {
 			t.Fatalf("Walk[%s] = %d, want %d", k, got[k], v)
+		}
+	}
+}
+
+// TestDynamicArenaSwitchUnderReaders drives a Dynamic through full
+// renders by every hand-over of the next arena: the spare delivered
+// before the switch, the spare still on its way (the switch waits for
+// it), a spare filled before nodes were added (every node renders into
+// it), and a spare the table outgrew after it was sized (the switch
+// allocates inline). Readers meanwhile re-check every pinned generation
+// against the answers recorded at its freeze, so under -race a write
+// into a published arena shows as a race. FullRenders must advance at
+// each switch and at no path copy, and every switch must render what a
+// from-scratch Dynamic renders.
+func TestDynamicArenaSwitchUnderReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	d := NewDynamic[int]()
+	live := make(map[dynKey]int)
+	var keys []dynKey
+	insert := func(p netutil.Prefix) {
+		k := dynKey{prefix: p, rank: int16(p.Bits())}
+		d.InsertRanked(p, len(keys), int(k.rank))
+		live[k] = len(keys)
+		keys = append(keys, k)
+	}
+	for d.NumNodes() < 40 {
+		insert(randPrefix(rng))
+	}
+	// edit toggles a key ever inserted: it dirties a path that exists, so
+	// the node count holds still.
+	edit := func() {
+		k := keys[rng.Intn(len(keys))]
+		if _, ok := live[k]; ok {
+			d.Remove(k.prefix, int(k.rank))
+			delete(live, k)
+			return
+		}
+		d.InsertRanked(k.prefix, -len(keys), int(k.rank))
+		live[k] = -len(keys)
+	}
+
+	type ans struct {
+		p  netutil.Prefix
+		v  int
+		ok bool
+	}
+	type pinned struct {
+		f    *Frozen[int]
+		want []ans
+	}
+	var probes []netutil.Addr
+	for i := 0; i < 500; i++ {
+		probes = append(probes, netutil.Addr(rng.Uint32()))
+	}
+	var (
+		mu     sync.Mutex
+		gens   []pinned
+		stop   = make(chan struct{})
+		wg     sync.WaitGroup
+		failed atomic.Bool
+	)
+	// freeze publishes and pins a generation; it reports whether the
+	// freeze switched arenas and how long Freeze took.
+	prev := d.Freeze()
+	freeze := func() (f *Frozen[int], switched bool, took time.Duration) {
+		renders := d.FullRenders()
+		start := time.Now()
+		f = d.Freeze()
+		took = time.Since(start)
+		switched = &f.children[0] != &prev.children[0]
+		want := 0
+		if switched {
+			want = 1
+		}
+		if got := d.FullRenders() - renders; got != want {
+			t.Fatalf("FullRenders advanced by %d at a freeze that switched=%v", got, switched)
+		}
+		prev = f
+		g := pinned{f: f, want: make([]ans, len(probes))}
+		for j, a := range probes {
+			p, v, ok := f.Lookup(a)
+			g.want[j] = ans{p, v, ok}
+		}
+		mu.Lock()
+		gens = append(gens, g)
+		mu.Unlock()
+		return f, switched, took
+	}
+	freeze()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; !failed.Load(); i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				g := gens[i%len(gens)]
+				mu.Unlock()
+				for j, a := range probes {
+					if p, v, ok := g.f.Lookup(a); (ans{p, v, ok}) != g.want[j] {
+						t.Errorf("reader: pinned generation answers %v %d %v for %v, recorded %v",
+							p, v, ok, a, g.want[j])
+						failed.Store(true)
+						return
+					}
+				}
+			}
+		}()
+	}
+	// untilTrigger path-copies until the next arena is on its way;
+	// untilSwitchDue edits until the pending freeze must switch.
+	untilTrigger := func() {
+		for d.spare == nil {
+			edit()
+			if _, switched, _ := freeze(); switched {
+				t.Fatal("switched arenas before any spare was on its way")
+			}
+		}
+	}
+	untilSwitchDue := func() {
+		for edit(); d.pathCopyFits(); edit() {
+			freeze()
+		}
+	}
+	// switchTo runs the due switch and checks it rendered from scratch
+	// into spare's storage, or into a fresh arena when spare is nil.
+	switchTo := func(spare *blockArena) time.Duration {
+		t.Helper()
+		f, switched, took := freeze()
+		if !switched {
+			t.Fatal("a freeze past the arena's capacity did not switch")
+		}
+		if got := &d.arena.children[:1][0]; spare != nil && got != &spare.children[:1][0] {
+			t.Fatal("the switch did not render into the spare")
+		} else if spare == nil && cap(d.arena.children) != 2*d.numNodes*256 {
+			t.Fatalf("inline arena holds %d slots, want %d", cap(d.arena.children), 2*d.numNodes*256)
+		}
+		checkSlots(t, f, live)
+		return took
+	}
+
+	// 1. The spare is delivered before the switch.
+	untilTrigger()
+	spare := <-d.spare
+	d.spare <- spare
+	untilSwitchDue()
+	switchTo(&spare)
+
+	// 2. The spare is still on its way: the switch waits for it.
+	untilTrigger()
+	ch := d.spare
+	spare = <-ch
+	untilSwitchDue()
+	const late = 20 * time.Millisecond
+	go func() {
+		time.Sleep(late)
+		ch <- spare
+	}()
+	if took := switchTo(&spare); took < late {
+		t.Fatalf("the switch took %v, before the spare was delivered %v in", took, late)
+	}
+
+	// 3. Nodes were added after the spare was filled, which moves others
+	// from the positions it holds them at.
+	untilTrigger()
+	spare = <-d.spare
+	d.spare <- spare
+	newNode := func() {
+		for n := d.NumNodes(); d.NumNodes() == n; {
+			bits := 17 + rng.Intn(16)
+			insert(netutil.PrefixFrom(netutil.Addr(rng.Uint32())&netutil.Addr(netutil.MaskOf(bits)), bits))
+		}
+	}
+	newNode()
+	untilSwitchDue()
+	switchTo(&spare)
+
+	// 4. The table outgrew the spare between trigger and switch.
+	untilTrigger()
+	spare = <-d.spare
+	d.spare <- spare
+	for 2*cap(spare.children) >= 3*d.NumNodes()*256 {
+		newNode()
+	}
+	untilSwitchDue()
+	switchTo(nil)
+	if d.spare != nil {
+		t.Fatal("the outgrown spare is still pending after the switch")
+	}
+
+	close(stop)
+	wg.Wait()
+	if n := d.FullRenders(); n < 5 {
+		t.Fatalf("%d full renders, want the first freeze and 4 switches", n)
+	}
+	for i, g := range gens {
+		for j, a := range probes {
+			if p, v, ok := g.f.Lookup(a); (ans{p, v, ok}) != g.want[j] {
+				t.Fatalf("generation %d answers %v %d %v for %v, recorded %v", i, p, v, ok, a, g.want[j])
+			}
 		}
 	}
 }

@@ -151,25 +151,12 @@ func (f *Frozen[V]) Raw() (children, slots []int32, prefixes []netutil.Prefix, r
 	return children, slots, f.prefixes, f.ranks, f.values, f.size
 }
 
-// canonical renders the blocks reachable from root breadth-first, the
+// canonical copies the blocks reachable from root breadth-first, the
 // order Multibit.Freeze assigns.
 func (f *Frozen[V]) canonical() (children, slots []int32) {
-	children = make([]int32, 0, f.nodes*256)
-	slots = make([]int32, 0, f.nodes*256)
-	order := make([]int32, 1, f.nodes)
-	order[0] = f.root
-	for i := 0; i < len(order); i++ {
-		off := int(order[i]) << 8
-		slots = append(slots, f.slots[off:off+256]...)
-		for _, c := range f.children[off : off+256] {
-			if c != 0 {
-				order = append(order, c)
-				c = int32(len(order) - 1)
-			}
-			children = append(children, c)
-		}
-	}
-	return children, slots
+	dst := blockArena{children: make([]int32, f.nodes*256), slots: make([]int32, f.nodes*256)}
+	copyCanonical(dst, blockArena{children: f.children, slots: f.slots}, f.root, f.nodes)
+	return dst.children, dst.slots
 }
 
 // NewFrozen assembles a Frozen directly from flat arrays — the snapshot

@@ -6,7 +6,9 @@
 package weblog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -101,12 +103,38 @@ func (l *Log) Clients() []netutil.Addr {
 	return out
 }
 
-// SortByTime orders requests chronologically; generators and parsers call
-// it before returning a log, and every consumer may rely on the order.
+// SortByTime orders requests chronologically, keeping requests of the
+// same second in their input order; generators and parsers call it
+// before returning a log, and every consumer may rely on the order.
+//
+// It is a counting sort over the seconds, linear in the requests and the
+// time range. A range far wider than the log (a sparse log spanning
+// months, or a parsed log with one timestamp years off) would make the
+// counts outweigh the requests, so those logs take a comparison sort.
 func (l *Log) SortByTime() {
-	sort.SliceStable(l.Requests, func(i, j int) bool {
-		return l.Requests[i].Time < l.Requests[j].Time
-	})
+	r := l.Requests
+	var last uint32
+	for i := range r {
+		last = max(last, r[i].Time)
+	}
+	if uint64(last) > 4*uint64(len(r))+1<<16 {
+		slices.SortStableFunc(r, func(a, b Request) int { return cmp.Compare(a.Time, b.Time) })
+		return
+	}
+	// start[t] is where the first request of second t goes.
+	start := make([]uint32, last+2)
+	for i := range r {
+		start[r[i].Time+1]++
+	}
+	for t := 1; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	sorted := make([]Request, len(r))
+	for i := range r {
+		sorted[start[r[i].Time]] = r[i]
+		start[r[i].Time]++
+	}
+	copy(r, sorted)
 }
 
 // Slice returns a shallow log containing only requests with Time in

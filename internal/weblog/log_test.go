@@ -1,6 +1,7 @@
 package weblog
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -112,6 +113,30 @@ func TestResourceLastModified(t *testing.T) {
 	}
 	if r.LastModified(7300) != 7200 {
 		t.Errorf("LastModified(7300) = %d", r.LastModified(7300))
+	}
+}
+
+// TestSortByTimeIsStable sorts requests whose seconds repeat, over a
+// dense range (the counting sort) and a sparse one (the comparison
+// sort): requests of the same second must keep their input order.
+func TestSortByTimeIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, seconds := range [][]uint32{
+		{0, 1, 2, 3, 59, 60, 61, 3599},
+		{0, 7, 1 << 20, 1 << 30, 1<<32 - 1},
+	} {
+		l := &Log{Requests: make([]Request, 5000)}
+		for i := range l.Requests {
+			l.Requests[i] = Request{Time: seconds[rng.Intn(len(seconds))], URL: int32(i)}
+		}
+		l.SortByTime()
+		for i := 1; i < len(l.Requests); i++ {
+			a, b := l.Requests[i-1], l.Requests[i]
+			if a.Time > b.Time || a.Time == b.Time && a.URL > b.URL {
+				t.Fatalf("range up to %d: request %d (second %d, input #%d) before request %d (second %d, input #%d)",
+					seconds[len(seconds)-1], i-1, a.Time, a.URL, i, b.Time, b.URL)
+			}
+		}
 	}
 }
 
