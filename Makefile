@@ -32,6 +32,7 @@ FUZZ_TARGETS = \
 	internal/radix:FuzzDynamicOps \
 	internal/netutil:FuzzParseAddrBytes \
 	internal/cluster:FuzzClusterStreamWorkers \
+	internal/cluster:FuzzURLSet \
 	internal/obsv:FuzzParseTraceHeader
 FUZZTIME ?= 20s
 
@@ -115,8 +116,8 @@ bench-json:
 
 # Compare a fresh benchmark run against the committed recording and fail
 # on >25% ns/op or allocs/op regression in the gated rows (benchdiff's
-# -gate: compiled lookup, CLF fast path, churn delta apply and the other
-# hot paths). The fresh recording is left in bin/ for CI to
+# -gate: compiled lookup, CLF fast path, churn delta apply, the
+# clustering pass and the other hot paths). The fresh recording is left in bin/ for CI to
 # archive as an artifact.
 bench-gate:
 	$(GO) build -o bin/benchjson ./cmd/benchjson

@@ -7,7 +7,8 @@
 // and allocs/op deltas. Rows matching -gate (default: the compiled
 // lookup table, the CLF ingestion fast path, the batch lookup kernel,
 // the snapshot loader and the other hot paths the observability layer
-// must not tax, plus the churn writer's delta apply) additionally
+// must not tax, plus the churn writer's delta apply and the clustering
+// pass, in memory and over a stream) additionally
 // enforce -threshold: a gated row whose ns/op or
 // allocs/op grew by more than the threshold fraction exits nonzero.
 // Rows matching -zero-alloc (default: the sketch update and bounded
@@ -39,7 +40,7 @@ func main() {
 	oldPath := flag.String("old", "BENCH_clustering.json", "baseline recording")
 	newPath := flag.String("new", "", "fresh recording to compare (required)")
 	threshold := flag.Float64("threshold", 0.25, "max allowed fractional regression on gated rows")
-	gate := flag.String("gate", "^Benchmark(LongestPrefixMatchCompiled|CLFParseStream|LookupBatch|SnapshotLoad|RouterFanout|DeltaBroadcast|TraceHeaderInject|TraceHeaderExtract|SketchUpdate|BoundedStream|ChurnDeltaApply)$",
+	gate := flag.String("gate", "^Benchmark(LongestPrefixMatchCompiled|CLFParseStream|LookupBatch|SnapshotLoad|RouterFanout|DeltaBroadcast|TraceHeaderInject|TraceHeaderExtract|SketchUpdate|BoundedStream|ChurnDeltaApply|ClusterLogNetworkAware|ClusterStreamParallel/workers-1)$",
 		"regexp of benchmark names whose regressions fail the gate")
 	zeroAlloc := flag.String("zero-alloc", "^Benchmark(SketchUpdate|BoundedStream)$",
 		"regexp of benchmark names whose fresh allocs/op must be exactly 0 — the firehose hot paths are garbage-free by contract, and unlike the fractional gate this holds even when the baseline lacks the row (empty disables)")

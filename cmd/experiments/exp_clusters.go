@@ -67,9 +67,7 @@ func flagSmallBusy(res *cluster.Result, ordered []*cluster.Cluster) {
 	urls := map[int32]struct{}{}
 	for _, c := range ordered {
 		totalReqs += c.Requests
-		for u := range c.URLSet() {
-			urls[u] = struct{}{}
-		}
+		c.EachURL(func(u int32) { urls[u] = struct{}{} })
 	}
 	for i, c := range ordered {
 		if i < len(ordered)/2 {

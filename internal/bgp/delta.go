@@ -14,6 +14,8 @@ var (
 	deltaWithdrawn = obsv.C("bgp.delta.withdrawn")
 	deltaCompacts  = obsv.C("bgp.delta.compactions")
 	deltaRenders   = obsv.C("bgp.delta.full_renders")
+	spareWaits     = obsv.C("bgp.delta.spare_waits")
+	spareWaitNS    = obsv.H("bgp.delta.spare_wait.ns")
 )
 
 // Op is one routing-table delta operation. An announce carries the full
@@ -64,7 +66,9 @@ func (d Delta) Withdrawn() int { return len(d.Ops) - d.Announced() }
 // Sustained churn strands dead entry rows and emptied nodes in the
 // shared structure (superseded node blocks are reclaimed by
 // radix.Dynamic's own full render into a fresh arena, counted by
-// "bgp.delta.full_renders"); when the dead rows' share
+// "bgp.delta.full_renders"; a render that waits for that arena to be
+// filled counts in "bgp.delta.spare_waits" and records the wait in the
+// "bgp.delta.spare_wait.ns" histogram); when the dead rows' share
 // crosses compactThreshold, Apply transparently rebuilds from the live
 // key set (counted by the "bgp.delta.compactions" metric), bounding
 // memory at a constant factor of the live table.
@@ -217,6 +221,7 @@ func (inc *Incremental) publish() *Compiled {
 	np, ns := len(inc.prov[0]), len(inc.prov[1])
 	inc.mu.RUnlock()
 	renders := inc.dyn.FullRenders()
+	waits, waited := inc.dyn.SpareWaits()
 	c := &Compiled{
 		frozen:       inc.dyn.Freeze(),
 		inc:          inc,
@@ -224,6 +229,10 @@ func (inc *Incremental) publish() *Compiled {
 		numSecondary: ns,
 	}
 	deltaRenders.Add(uint64(inc.dyn.FullRenders() - renders))
+	if n, total := inc.dyn.SpareWaits(); n > waits {
+		spareWaits.Add(uint64(n - waits))
+		spareWaitNS.Observe(int64(total - waited))
+	}
 	compiledPrefixes.Set(int64(c.Len()))
 	compiledNodes.Set(int64(c.frozen.NumNodes()))
 	return c

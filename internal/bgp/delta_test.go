@@ -277,7 +277,9 @@ func entriesOfSet(set map[netutil.Prefix]struct{}) []Entry {
 // advances by one when an Apply's generation is a full render into the
 // next arena and stays put when the generation is a path copy. A full
 // render is the one generation already in Raw's canonical layout, so
-// exporting it allocates nothing.
+// exporting it allocates nothing. "bgp.delta.spare_waits" and the
+// "bgp.delta.spare_wait.ns" histogram must advance exactly as the
+// table's own SpareWaits does.
 func TestIncrementalCountsFullRenders(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	randPrefix := func() netutil.Prefix {
@@ -295,8 +297,16 @@ func TestIncrementalCountsFullRenders(t *testing.T) {
 	switches, copies := 0, 0
 	for i := 0; i < 400 && (switches < 2 || copies < 2); i++ {
 		before := deltaRenders.Value()
+		waits, waitCount, waitSum := spareWaits.Value(), spareWaitNS.Count(), spareWaitNS.Sum()
+		n0, total0 := inc.dyn.SpareWaits()
 		c := inc.Apply(Delta{Ops: []Op{{Kind: SourceBGP, Entry: Entry{Prefix: randPrefix()}}}})
 		got := deltaRenders.Value() - before
+		n1, total1 := inc.dyn.SpareWaits()
+		if spareWaits.Value()-waits != uint64(n1-n0) || spareWaitNS.Count()-waitCount != uint64(n1-n0) ||
+			spareWaitNS.Sum()-waitSum != int64(total1-total0) {
+			t.Fatalf("apply %d: %d spare waits of %v published as %d waits, %d observations of %d ns in all",
+				i, n1-n0, total1-total0, spareWaits.Value()-waits, spareWaitNS.Count()-waitCount, spareWaitNS.Sum()-waitSum)
+		}
 		if testing.AllocsPerRun(1, func() { c.frozen.Raw() }) == 0 {
 			switches++
 			if got != 1 {

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/binary"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,8 +78,11 @@ func streamOf(r *Result) *StreamResult {
 		Unclustered:   make(map[netutil.Addr]struct{}),
 		TotalRequests: r.TotalRequests,
 	}
+	var bitmaps bitmapSlab
 	for _, c := range r.Clusters {
-		s.Clusters[c.Prefix] = &StreamCluster{Prefix: c.Prefix, Clients: c.Clients, Requests: c.Requests, Bytes: c.Bytes, urls: c.urls}
+		sc := &StreamCluster{Prefix: c.Prefix, Clients: c.Clients, Requests: c.Requests, Bytes: c.Bytes}
+		c.EachURL(func(u int32) { sc.urls.add(u, &bitmaps) })
+		s.Clusters[c.Prefix] = sc
 	}
 	for _, a := range r.Unclustered {
 		s.Unclustered[a] = struct{}{}
@@ -83,8 +91,8 @@ func streamOf(r *Result) *StreamResult {
 }
 
 // requireSameStreamResult asserts got is want: the same stats, the same
-// clusters with the same metrics and client tallies, the same unclustered
-// clients and coverage.
+// clusters with the same metrics, client tallies and URL sets, the same
+// unclustered clients and coverage.
 func requireSameStreamResult(t *testing.T, want, got *StreamResult) {
 	t.Helper()
 	if want.Stats.Lines != got.Stats.Lines || want.Stats.Records != got.Stats.Records ||
@@ -122,6 +130,9 @@ func requireSameClusters(t *testing.T, want, got *StreamResult) {
 			}
 		}
 	}
+	if w, g := urlSignatures(t, want), urlSignatures(t, got); !maps.Equal(w, g) {
+		t.Fatalf("URL sets differ: %d vs %d distinct cluster sets", len(w), len(g))
+	}
 	if len(want.Unclustered) != len(got.Unclustered) {
 		t.Fatalf("unclustered: %d vs %d", len(want.Unclustered), len(got.Unclustered))
 	}
@@ -133,6 +144,38 @@ func requireSameClusters(t *testing.T, want, got *StreamResult) {
 	if want.Coverage() != got.Coverage() {
 		t.Fatalf("coverage: %g vs %g", want.Coverage(), got.Coverage())
 	}
+}
+
+// urlSignatures describes r's URL sets without their ids: for each set of
+// clusters, how many URLs exactly those clusters accessed. ClusterLog
+// numbers URLs by the log's Resources, a stream pass in the order its
+// scanner met them and a parallel pass by whichever worker saw a URL
+// first, so two results' ids agree only up to a relabeling; one carries
+// every cluster's URL set onto the other's exactly when these counts
+// agree. Each cluster's EachURL must hand out NumURLs distinct ids.
+func urlSignatures(t *testing.T, r *StreamResult) map[string]int {
+	t.Helper()
+	prefixes := make([]netutil.Prefix, 0, len(r.Clusters))
+	for p := range r.Clusters {
+		prefixes = append(prefixes, p)
+	}
+	slices.SortFunc(prefixes, netutil.ComparePrefix)
+	byURL := make(map[int32][]byte)
+	for i, p := range prefixes {
+		c, n := r.Clusters[p], 0
+		c.EachURL(func(u int32) {
+			byURL[u] = binary.AppendUvarint(byURL[u], uint64(i))
+			n++
+		})
+		if n != c.NumURLs() {
+			t.Fatalf("cluster %v: EachURL gave %d ids, NumURLs %d", p, n, c.NumURLs())
+		}
+	}
+	sigs := make(map[string]int)
+	for _, sig := range byURL {
+		sigs[string(sig)]++
+	}
+	return sigs
 }
 
 // requireWorkersAgree runs clf through every worker count and asserts each
@@ -211,6 +254,25 @@ func TestParallelAdversarialLogs(t *testing.T) {
 			requireWorkersAgree(t, logOf(tc.pairs...), na, tc.chunkBytes)
 		})
 	}
+}
+
+// TestParallelManyURLs runs a log of over 5,000 distinct URLs, so the
+// clusters' URL sets spill past the bitmap into the overflow map, and a
+// worker's ids on either side of 4,096 remap to the other side in the
+// merge.
+func TestParallelManyURLs(t *testing.T) {
+	na := NetworkAware{Table: mergedTable("10.0.0.0/16", "10.1.0.0/16", "10.1.2.0/24", "10.2.0.0/20")}.Compile()
+	rng := rand.New(rand.NewSource(7))
+	pairs := make([][2]string, 20000)
+	for i := range pairs {
+		client := fmt.Sprintf("10.%d.%d.%d", rng.Intn(4), rng.Intn(4), 1+rng.Intn(50))
+		pairs[i] = [2]string{client, fmt.Sprintf("/u%d", rng.Intn(6000))}
+	}
+	l := logOf(pairs...)
+	if len(l.Resources) < 5000 {
+		t.Fatalf("log has %d distinct URLs, want at least 5,000", len(l.Resources))
+	}
+	requireWorkersAgree(t, l, na, testChunkBytes)
 }
 
 func TestParallelTinyLogFallsBackSequential(t *testing.T) {

@@ -17,17 +17,18 @@ type Cluster struct {
 	Clients  map[netutil.Addr]int // requests issued per client
 	Requests int
 	Bytes    int64
-	urls     map[int32]struct{}
+	urls     urlSet
 }
 
 // NumClients returns the cluster's client population.
 func (c *Cluster) NumClients() int { return len(c.Clients) }
 
 // NumURLs returns how many distinct URLs the cluster accessed.
-func (c *Cluster) NumURLs() int { return len(c.urls) }
+func (c *Cluster) NumURLs() int { return c.urls.n }
 
-// URLSet exposes the set of URL ids accessed from within the cluster.
-func (c *Cluster) URLSet() map[int32]struct{} { return c.urls }
+// EachURL calls fn once for each id of a URL accessed from within the
+// cluster (an index into the log's Resources), in no particular order.
+func (c *Cluster) EachURL(fn func(int32)) { c.urls.each(fn) }
 
 // Result is the outcome of clustering one log with one method.
 type Result struct {
@@ -62,6 +63,7 @@ func ClusterLogCtx(ctx context.Context, l *weblog.Log, c Clusterer) *Result {
 		byClient: make(map[netutil.Addr]*Cluster),
 	}
 	unclustered := make(map[netutil.Addr]struct{})
+	var bitmaps bitmapSlab
 	for i := range l.Requests {
 		r := &l.Requests[i]
 		if r.Client.IsUnspecified() {
@@ -81,11 +83,7 @@ func ClusterLogCtx(ctx context.Context, l *weblog.Log, c Clusterer) *Result {
 			}
 			cl = res.byPrefix[p]
 			if cl == nil {
-				cl = &Cluster{
-					Prefix:  p,
-					Clients: make(map[netutil.Addr]int),
-					urls:    make(map[int32]struct{}),
-				}
+				cl = &Cluster{Prefix: p, Clients: make(map[netutil.Addr]int)}
 				res.byPrefix[p] = cl
 				res.Clusters = append(res.Clusters, cl)
 			}
@@ -96,7 +94,7 @@ func ClusterLogCtx(ctx context.Context, l *weblog.Log, c Clusterer) *Result {
 		cl.Clients[r.Client]++
 		cl.Requests++
 		cl.Bytes += int64(l.Resources[r.URL].Size)
-		cl.urls[r.URL] = struct{}{}
+		cl.urls.add(r.URL, &bitmaps)
 	}
 	// Canonical order: by prefix, so results are deterministic regardless
 	// of log ordering.

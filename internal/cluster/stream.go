@@ -17,14 +17,19 @@ type StreamCluster struct {
 	Clients  map[netutil.Addr]int
 	Requests int
 	Bytes    int64
-	urls     map[int32]struct{}
+	urls     urlSet
+	clients  int // distinct clients tallied while accumulating
 }
 
 // NumClients returns the cluster's client population.
 func (c *StreamCluster) NumClients() int { return len(c.Clients) }
 
 // NumURLs returns how many distinct URLs the cluster accessed.
-func (c *StreamCluster) NumURLs() int { return len(c.urls) }
+func (c *StreamCluster) NumURLs() int { return c.urls.n }
+
+// EachURL calls fn once for each id of a URL the cluster accessed, in no
+// particular order.
+func (c *StreamCluster) EachURL(fn func(int32)) { c.urls.each(fn) }
 
 // StreamResult is the single-pass analogue of Result for logs that are
 // parsed incrementally rather than loaded.
@@ -132,10 +137,7 @@ func clusterStream(ctx context.Context, r io.Reader, c Clusterer, workers, chunk
 		sp.End()
 		return nil, err
 	}
-	res := accs[0].result()
-	for w, acc := range accs[1:] {
-		acc.mergeInto(res, remap[w+1])
-	}
+	res := streamResult(accs, remap)
 	res.Stats = stats
 	streamRecords.Add(uint64(res.TotalRequests))
 	sp.SetAttrInt("records", int64(res.TotalRequests))
@@ -145,9 +147,10 @@ func clusterStream(ctx context.Context, r io.Reader, c Clusterer, workers, chunk
 }
 
 // streamAcc is one worker's accumulation. byClient memoises the lookup and
-// counts requests per distinct client; the Clients maps are filled from it
-// once, after the pass, instead of by one map assignment per record.
-// Accumulators are carved from fixed-size slabs: pointers stay valid and
+// counts requests per distinct client; the Clients maps are made and
+// filled from it once, after the pass, at their final size, instead of by
+// one map assignment per record. Client accumulators, clusters and URL
+// bitmaps are carved from fixed-size slabs: pointers stay valid and
 // growth copies nothing. An unclusterable client's accumulator has no
 // cluster.
 type streamAcc struct {
@@ -155,6 +158,8 @@ type streamAcc struct {
 	res      *StreamResult
 	byClient map[netutil.Addr]*clientAcc
 	slab     []clientAcc
+	clusters []StreamCluster
+	bitmaps  bitmapSlab
 }
 
 type clientAcc struct {
@@ -189,7 +194,8 @@ func (a *streamAcc) add(rec weblog.StreamRecord) bool {
 		if p, ok := a.c.Cluster(client); !ok {
 			a.res.Unclustered[client] = struct{}{}
 		} else {
-			acc.cl = streamCluster(a.res, p)
+			acc.cl = a.cluster(p)
+			acc.cl.clients++
 		}
 	}
 	cl := acc.cl
@@ -199,52 +205,55 @@ func (a *streamAcc) add(rec weblog.StreamRecord) bool {
 	acc.n++
 	cl.Requests++
 	cl.Bytes += int64(rec.Size)
-	cl.urls[rec.Request.URL] = struct{}{}
+	cl.urls.add(rec.Request.URL, &a.bitmaps)
 	return true
 }
 
-// result fills the Clients maps and returns the accumulation.
-func (a *streamAcc) result() *StreamResult {
-	for client, acc := range a.byClient {
-		if acc.cl != nil {
-			acc.cl.Clients[client] = acc.n
-		}
-	}
-	return a.res
-}
-
-// mergeInto folds the accumulation into res, whose URL ids this worker's
-// map to through remap. A client several workers saw sums its counts.
-func (a *streamAcc) mergeInto(res *StreamResult, remap []int32) {
-	res.TotalRequests += a.res.TotalRequests
-	for p, cl := range a.res.Clusters {
-		dst := streamCluster(res, p)
-		dst.Requests += cl.Requests
-		dst.Bytes += cl.Bytes
-		for u := range cl.urls {
-			dst.urls[remap[u]] = struct{}{}
-		}
-	}
-	for client, acc := range a.byClient {
-		if acc.cl != nil {
-			res.Clusters[acc.cl.Prefix].Clients[client] += acc.n
-		}
-	}
-	for client := range a.res.Unclustered {
-		res.Unclustered[client] = struct{}{}
-	}
-}
-
-// streamCluster returns res's cluster for p, creating it if need be.
-func streamCluster(res *StreamResult, p netutil.Prefix) *StreamCluster {
-	cl := res.Clusters[p]
+// cluster returns the accumulation's cluster for p, creating it if need
+// be.
+func (a *streamAcc) cluster(p netutil.Prefix) *StreamCluster {
+	cl := a.res.Clusters[p]
 	if cl == nil {
-		cl = &StreamCluster{
-			Prefix:  p,
-			Clients: make(map[netutil.Addr]int),
-			urls:    make(map[int32]struct{}),
+		if len(a.clusters) == cap(a.clusters) {
+			a.clusters = make([]StreamCluster, 0, 256)
 		}
-		res.Clusters[p] = cl
+		a.clusters = append(a.clusters, StreamCluster{Prefix: p})
+		cl = &a.clusters[len(a.clusters)-1]
+		a.res.Clusters[p] = cl
 	}
 	return cl
+}
+
+// streamResult folds every worker's accumulation into the first one's,
+// whose URL ids worker w's map to through remap[w], and then fills the
+// Clients maps. A client several workers saw sums its counts, so the
+// summed client tallies size its map for the worst case.
+func streamResult(accs []*streamAcc, remap [][]int32) *StreamResult {
+	first := accs[0]
+	res := first.res
+	for w, a := range accs[1:] {
+		ids := remap[w+1]
+		res.TotalRequests += a.res.TotalRequests
+		for p, cl := range a.res.Clusters {
+			dst := first.cluster(p)
+			dst.Requests += cl.Requests
+			dst.Bytes += cl.Bytes
+			dst.clients += cl.clients
+			dst.urls.addRemapped(&cl.urls, ids, &first.bitmaps)
+		}
+		for client := range a.res.Unclustered {
+			res.Unclustered[client] = struct{}{}
+		}
+	}
+	for _, cl := range res.Clusters {
+		cl.Clients = make(map[netutil.Addr]int, cl.clients)
+	}
+	for _, a := range accs {
+		for client, acc := range a.byClient {
+			if acc.cl != nil {
+				res.Clusters[acc.cl.Prefix].Clients[client] += acc.n
+			}
+		}
+	}
+	return res
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,6 +42,10 @@ func TestClusterStreamMatchesClusterLog(t *testing.T) {
 			sc.Bytes != mc.Bytes || sc.NumURLs() != mc.NumURLs() {
 			t.Fatalf("cluster %v differs: stream %+v vs memory clients=%d req=%d bytes=%d urls=%d",
 				mc.Prefix, sc, mc.NumClients(), mc.Requests, mc.Bytes, mc.NumURLs())
+		}
+		// Both number URLs in first-seen order, so the ids themselves agree.
+		if s, m := sortedURLs(sc.EachURL), sortedURLs(mc.EachURL); !slices.Equal(s, m) {
+			t.Fatalf("cluster %v URLs: stream %v vs memory %v", mc.Prefix, s, m)
 		}
 	}
 	if len(st.Unclustered) != len(mem.Unclustered) {
@@ -118,6 +123,14 @@ func TestClusterStreamPerClientCounts(t *testing.T) {
 			t.Errorf("record %d = %+v, want %+v", i, r, want)
 		}
 	}
+}
+
+// sortedURLs collects the ids each hands out, in increasing order.
+func sortedURLs(each func(func(int32))) []int32 {
+	var ids []int32
+	each(func(u int32) { ids = append(ids, u) })
+	slices.Sort(ids)
+	return ids
 }
 
 // clfOf serializes l as CLF text.

@@ -2,6 +2,7 @@ package radix
 
 import (
 	"math/bits"
+	"time"
 
 	"github.com/netaware/netcluster/internal/netutil"
 )
@@ -89,6 +90,8 @@ type Dynamic[V any] struct {
 
 	freezes     uint64
 	fullRenders int
+	spareWaits  int
+	spareWait   time.Duration
 	deadEntries int
 }
 
@@ -366,6 +369,12 @@ func (d *Dynamic[V]) markDirty(n *dynNode[V]) {
 // arena, the first freeze included.
 func (d *Dynamic[V]) FullRenders() int { return d.fullRenders }
 
+// SpareWaits returns how many full renders found the spare arena still
+// being filled and waited for it, and how long they waited in all.
+func (d *Dynamic[V]) SpareWaits() (n int, total time.Duration) {
+	return d.spareWaits, d.spareWait
+}
+
 // Freeze publishes the current table as an immutable Frozen: the dirty
 // nodes path-copied into the shared block arena, or, when they do not
 // fit its capacity (and on the first call), every node rendered into the
@@ -447,7 +456,8 @@ func (d *Dynamic[V]) pathCopyFits() bool {
 // — leaving room for as many path-copied blocks again. The next arena is
 // the spare when one is coming and it still holds the table with at
 // least half that headroom (the table grew by at most a third since it
-// was sized); otherwise it is allocated here. Nodes render in reverse
+// was sized); otherwise it is allocated here. A spare still being
+// filled is waited for, and the wait counted in SpareWaits. Nodes render in reverse
 // order, which puts every child before its parent, each copying its
 // block from the old arena and re-deriving its child indexes. When no
 // node was added since the spare was filled, every node keeps the
@@ -457,7 +467,14 @@ func (d *Dynamic[V]) renderAll() {
 	var next blockArena
 	filled := false
 	if d.spare != nil {
-		next = <-d.spare // waits if the spare is still being filled
+		select {
+		case next = <-d.spare:
+		default: // the spare is still being filled: wait for it
+			start := time.Now()
+			next = <-d.spare
+			d.spareWaits++
+			d.spareWait += time.Since(start)
+		}
 		d.spare = nil
 		filled = d.numNodes == d.spareNodes
 	}

@@ -909,14 +909,19 @@ func TestDynamicArenaSwitchUnderReaders(t *testing.T) {
 		return took
 	}
 
-	// 1. The spare is delivered before the switch.
+	// 1. The spare is delivered before the switch, which waits for
+	// nothing.
 	untilTrigger()
 	spare := <-d.spare
 	d.spare <- spare
 	untilSwitchDue()
 	switchTo(&spare)
+	if n, total := d.SpareWaits(); n != 0 || total != 0 {
+		t.Fatalf("a delivered spare counted %d waits of %v", n, total)
+	}
 
-	// 2. The spare is still on its way: the switch waits for it.
+	// 2. The spare is still on its way: the switch waits for it, and
+	// counts one wait at least as long as the delay.
 	untilTrigger()
 	ch := d.spare
 	spare = <-ch
@@ -928,6 +933,9 @@ func TestDynamicArenaSwitchUnderReaders(t *testing.T) {
 	}()
 	if took := switchTo(&spare); took < late {
 		t.Fatalf("the switch took %v, before the spare was delivered %v in", took, late)
+	}
+	if n, total := d.SpareWaits(); n != 1 || total < late {
+		t.Fatalf("a spare delivered %v late counted %d waits of %v, want 1 of at least that", late, n, total)
 	}
 
 	// 3. Nodes were added after the spare was filled, which moves others
@@ -956,6 +964,9 @@ func TestDynamicArenaSwitchUnderReaders(t *testing.T) {
 	switchTo(nil)
 	if d.spare != nil {
 		t.Fatal("the outgrown spare is still pending after the switch")
+	}
+	if n, _ := d.SpareWaits(); n != 1 {
+		t.Fatalf("%d spare waits after four switches, want only case 2's", n)
 	}
 
 	close(stop)
