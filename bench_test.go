@@ -21,6 +21,7 @@ import (
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/obsv"
 	"github.com/netaware/netcluster/internal/radix"
+	"github.com/netaware/netcluster/internal/selfcorrect"
 	"github.com/netaware/netcluster/internal/shard"
 	"github.com/netaware/netcluster/internal/sketch"
 	"github.com/netaware/netcluster/internal/stats"
@@ -108,13 +109,13 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	f := setup(b)
 	compiled := f.table.Compile()
 	path := b.TempDir() + "/table.nct"
-	if err := netcluster.SaveTable(path, compiled); err != nil {
+	if err := bgp.SaveTable(path, compiled); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(compiled.Len()), "prefixes/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tf, err := netcluster.OpenTable(path)
+		tf, err := bgp.OpenTable(path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func perfSetup(b testing.TB) *fixture {
 			panic(err)
 		}
 		var buf bytes.Buffer
-		if err := netcluster.WriteLog(&buf, l); err != nil {
+		if err := weblog.WriteCLF(&buf, l); err != nil {
 			panic(err)
 		}
 		apacheLog, apacheCLF = l, buf.Bytes()
@@ -167,7 +168,7 @@ func BenchmarkClusterStreamParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(apacheCLF)))
 			for i := 0; i < b.N; i++ {
-				if _, err := netcluster.ClusterStreamParallel(bytes.NewReader(apacheCLF), na, netcluster.ParallelOptions{Workers: workers}); err != nil {
+				if _, err := cluster.ClusterStreamParallel(bytes.NewReader(apacheCLF), na, cluster.ParallelOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -197,7 +198,7 @@ func BenchmarkWriteCLF(b *testing.B) {
 	b.SetBytes(int64(len(apacheCLF)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := netcluster.WriteLog(io.Discard, apacheLog); err != nil {
+		if err := weblog.WriteCLF(io.Discard, apacheLog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +269,7 @@ func BenchmarkFig5Distributions(b *testing.B) {
 // behind Figure 6's cross-log comparison.
 func BenchmarkFig6CrossLog(b *testing.B) {
 	f := setup(b)
-	l, err := netcluster.GenerateLog(f.world, netcluster.EW3Profile(0.005))
+	l, err := netcluster.GenerateLog(f.world, weblog.EW3(0.005))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func BenchmarkTab3Validation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resolver := netcluster.NewResolver(f.world)
-		tracer := netcluster.NewTracer(f.world, f.world.VantageASes()[0])
+		tracer := tracesim.New(f.world, f.world.VantageASes()[0])
 		validate.Nslookup(f.world, resolver, sampled)
 		validate.Traceroute(f.world, resolver, tracer, sampled)
 	}
@@ -309,7 +310,10 @@ func BenchmarkTab4Dynamics(b *testing.B) {
 	f := setup(b)
 	sim := netcluster.NewBGPSim(f.world, netcluster.DefaultBGPSimConfig())
 	vc := bgpsim.ViewConfig{Name: "AADS", Visibility: 0.25}
-	series := sim.Series(vc, []int{0, 1, 4, 7, 14})
+	var series []*bgp.Snapshot
+	for _, day := range []int{0, 1, 4, 7, 14} {
+		series = append(series, sim.View(vc, day))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bgp.DynamicPrefixSet(series)
@@ -424,7 +428,8 @@ func BenchmarkAblationLinearVsTrie(b *testing.B) {
 
 // BenchmarkAblationTrieDesign compares the path-compressed binary trie
 // against the stride-8 controlled-prefix-expansion trie (what hardware
-// routers use): the memory-for-speed trade on LPM.
+// routers use), frozen into the flat arrays the compiled table serves
+// from: the memory-for-speed trade on LPM.
 func BenchmarkAblationTrieDesign(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	binary := radix.New[int]()
@@ -443,9 +448,10 @@ func BenchmarkAblationTrieDesign(b *testing.B) {
 			binary.Lookup(probes[i%len(probes)])
 		}
 	})
+	frozen := multibit.Freeze()
 	b.Run("multibit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			multibit.Lookup(probes[i%len(probes)])
+			frozen.Lookup(probes[i%len(probes)])
 		}
 	})
 }
@@ -530,9 +536,9 @@ func BenchmarkSelfCorrection(b *testing.B) {
 	f := setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		corr := &netcluster.Corrector{
+		corr := &selfcorrect.Corrector{
 			Resolver:   netcluster.NewResolver(f.world),
-			Tracer:     netcluster.NewTracer(f.world, f.world.VantageASes()[0]),
+			Tracer:     tracesim.New(f.world, f.world.VantageASes()[0]),
 			SampleSize: 3,
 		}
 		corr.Correct(f.na)
@@ -800,7 +806,7 @@ const routerBatch = 512
 // cluster's router, failing b on any degraded answer.
 func routeBatches(b *testing.B, addrs []netutil.Addr, n int) {
 	for i := 0; i < n; i++ {
-		resp := shardCluster.Router.Batch(addrs)
+		resp := shardCluster.Router.BatchCtx(context.Background(), addrs)
 		if len(resp.Degradation) != 0 {
 			b.Fatalf("degraded: %v", resp.Degradation)
 		}

@@ -161,7 +161,7 @@ func TestLookupAnswer(t *testing.T) {
 func TestLookupTimedOnce(t *testing.T) {
 	s := testServer(t)
 	ns := obsv.H("clusterd.lookup.ns")
-	timed, counted := ns.Count(), lookupCount.Value()
+	timed, counted := ns.Snapshot().Count, lookupCount.Value()
 	const n = 5
 	for i := 0; i < n; i++ {
 		rec := httptest.NewRecorder()
@@ -170,7 +170,7 @@ func TestLookupTimedOnce(t *testing.T) {
 			t.Fatalf("GET /lookup = %d %q", rec.Code, rec.Body)
 		}
 	}
-	if got, want := ns.Count()-timed, lookupCount.Value()-counted; got != want || want != n {
+	if got, want := ns.Snapshot().Count-timed, lookupCount.Value()-counted; got != want || want != n {
 		t.Fatalf("%d lookups: clusterd.lookup.ns counted %d, clusterd.lookups %d", n, got, want)
 	}
 }

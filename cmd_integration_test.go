@@ -14,7 +14,7 @@ import (
 	"sync"
 	"testing"
 
-	netcluster "github.com/netaware/netcluster"
+	"github.com/netaware/netcluster/internal/bgp"
 )
 
 var (
@@ -151,7 +151,7 @@ func TestBgpgenFormatsParseBack(t *testing.T) {
 	sizes := map[string]int{}
 	for _, format := range []string{"cidr", "netmask", "classful"} {
 		out, _ := run(t, "bgpgen", "-view", "MAE-WEST", "-scale", "0.005", "-seed", "3", "-format", format)
-		snap, err := netclusterReadSnapshot(out)
+		snap, err := bgp.ReadSnapshot(strings.NewReader(out))
 		if err != nil {
 			t.Fatalf("format %s: %v", format, err)
 		}
@@ -218,9 +218,4 @@ func TestExperimentsList(t *testing.T) {
 			t.Errorf("experiments -list missing %q", id)
 		}
 	}
-}
-
-// netclusterReadSnapshot parses snapshot text through the public API.
-func netclusterReadSnapshot(s string) (*netcluster.Snapshot, error) {
-	return netcluster.ReadSnapshot(strings.NewReader(s))
 }

@@ -8,19 +8,21 @@ import (
 	"strings"
 
 	netcluster "github.com/netaware/netcluster"
+	"github.com/netaware/netcluster/internal/bgp"
+	"github.com/netaware/netcluster/internal/weblog"
 )
 
 // The paper's worked example from Section 3.2.1: six clients, two
 // routing-table prefixes, two clusters.
 func ExampleClusterLog() {
-	snapshot, _ := netcluster.ReadSnapshot(strings.NewReader(
+	snapshot, _ := bgp.ReadSnapshot(strings.NewReader(
 		"# name: EXAMPLE\n# kind: bgp\n" +
 			"12.65.128.0/19\n" +
 			"24.48.2.0/23\n"))
-	table := netcluster.NewTable()
+	table := bgp.NewMerged()
 	table.Add(snapshot)
 
-	log, _ := netcluster.ReadLog(strings.NewReader(
+	log, _ := weblog.ReadCLF(strings.NewReader(
 		`12.65.147.94 - - [13/Feb/1998:06:15:04 +0000] "GET /a.html HTTP/1.0" 200 100
 12.65.147.149 - - [13/Feb/1998:06:15:05 +0000] "GET /a.html HTTP/1.0" 200 100
 12.65.146.207 - - [13/Feb/1998:06:15:06 +0000] "GET /b.html HTTP/1.0" 200 200
@@ -41,7 +43,7 @@ func ExampleClusterLog() {
 // The simple /24 baseline mis-clusters the paper's Bell Atlantic example:
 // three hosts in three distinct /28 networks land in one cluster.
 func ExampleSimple() {
-	log, _ := netcluster.ReadLog(strings.NewReader(
+	log, _ := weblog.ReadCLF(strings.NewReader(
 		`151.198.194.17 - - [13/Feb/1998:06:15:04 +0000] "GET /a HTTP/1.0" 200 10
 151.198.194.34 - - [13/Feb/1998:06:15:05 +0000] "GET /a HTTP/1.0" 200 10
 151.198.194.50 - - [13/Feb/1998:06:15:06 +0000] "GET /a HTTP/1.0" 200 10
@@ -50,22 +52,6 @@ func ExampleSimple() {
 	fmt.Printf("%d cluster(s): %v\n", len(result.Clusters), result.Clusters[0].Prefix)
 	// Output:
 	// 1 cluster(s): 151.198.194.0/24
-}
-
-// ParsePrefixEntry accepts all three 1999-era routing-dump notations.
-func ExampleParsePrefixEntry() {
-	for _, entry := range []string{
-		"12.65.128.0/19",        // CIDR
-		"12.65.128/255.255.224", // dotted netmask, zero octets dropped
-		"18.0.0.0",              // bare classful Class A block
-	} {
-		p, _ := netcluster.ParsePrefixEntry(entry)
-		fmt.Println(p)
-	}
-	// Output:
-	// 12.65.128.0/19
-	// 12.65.128.0/19
-	// 18.0.0.0/8
 }
 
 // Thresholding keeps the busy clusters that cover 70% of requests.
@@ -81,7 +67,7 @@ func ExampleResult_ThresholdBusy() {
 	emit("2.2.2.2", 30)
 	emit("3.3.3.3", 15)
 	emit("4.4.4.4", 5)
-	log, _ := netcluster.ReadLog(strings.NewReader(lines.String()), "t")
+	log, _ := weblog.ReadCLF(strings.NewReader(lines.String()), "t")
 	result := netcluster.ClusterLog(log, netcluster.Simple{})
 	th := result.ThresholdBusy(0.70)
 	fmt.Printf("%d busy of %d clusters; smallest busy cluster issues %d requests\n",

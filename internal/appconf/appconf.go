@@ -13,9 +13,9 @@
 //     or validate is rejected, counted on config.rejected, remembered
 //     for /debug/config and readiness — and the previous generation
 //     keeps serving untouched.
-//   - Every accepted swap increments a generation number; /debug/config
-//     (Handler) shows the live generation, its source and load time, so
-//     an operator can verify a reload actually landed.
+//   - Every accepted swap increments a generation number; the caller's
+//     /debug/config shows the live generation, its source and load time,
+//     so an operator can verify a reload actually landed.
 //
 // Reloads trigger on the poll, on SIGHUP (the caller wires the signal to
 // Reload), or programmatically. A missing file at startup is an error
@@ -24,11 +24,9 @@
 package appconf
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -221,43 +219,6 @@ func (w *Watcher[T]) loop() {
 func (w *Watcher[T]) Close() {
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
-}
-
-// Handler serves the live generation as JSON — the /debug/config
-// endpoint. The body shows the generation number, source path, load
-// time, the rendered config, and the last rejected reload (if any), so
-// "did my edit land?" is one curl.
-func (w *Watcher[T]) Handler() http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		cur := w.Current()
-		body := struct {
-			Generation  uint64     `json:"generation"`
-			Path        string     `json:"path"`
-			LoadedAt    time.Time  `json:"loaded_at"`
-			Config      any        `json:"config"`
-			LastError   string     `json:"last_error,omitempty"`
-			LastErrorAt *time.Time `json:"last_error_at,omitempty"`
-		}{
-			Generation: cur.Generation,
-			Path:       cur.Path,
-			LoadedAt:   cur.LoadedAt,
-			Config:     cur.Config,
-		}
-		if le := w.lastErr.Load(); le != nil {
-			body.LastError = le.Err.Error()
-			t := le.When
-			body.LastErrorAt = &t
-		}
-		rw.Header().Set("Content-Type", "application/json")
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(body); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		rw.Write(buf.Bytes())
-	})
 }
 
 // Duration is a time.Duration that JSON-decodes from either a Go

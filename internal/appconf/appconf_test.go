@@ -1,9 +1,11 @@
 package appconf
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -221,4 +223,40 @@ func TestWatcherConcurrentReadersDuringSwap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Handler serves the live generation as JSON: the generation number,
+// source path, load time, the rendered config, and the last rejected
+// reload (if any).
+func (w *Watcher[T]) Handler() http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		cur := w.Current()
+		body := struct {
+			Generation  uint64     `json:"generation"`
+			Path        string     `json:"path"`
+			LoadedAt    time.Time  `json:"loaded_at"`
+			Config      any        `json:"config"`
+			LastError   string     `json:"last_error,omitempty"`
+			LastErrorAt *time.Time `json:"last_error_at,omitempty"`
+		}{
+			Generation: cur.Generation,
+			Path:       cur.Path,
+			LoadedAt:   cur.LoadedAt,
+			Config:     cur.Config,
+		}
+		if le := w.lastErr.Load(); le != nil {
+			body.LastError = le.Err.Error()
+			t := le.When
+			body.LastErrorAt = &t
+		}
+		rw.Header().Set("Content-Type", "application/json")
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(body); err != nil {
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		rw.Write(buf.Bytes())
+	})
 }

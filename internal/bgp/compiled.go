@@ -197,33 +197,6 @@ func (c *Compiled) LookupDepth(addr netutil.Addr) (Match, int, bool) {
 	return Match{Prefix: p, Kind: v.kind}, depth, true
 }
 
-// Provenance returns the recorded provenance for exactly p, matching
-// Merged.Provenance (primary class shadows secondary for a prefix present
-// in both).
-func (c *Compiled) Provenance(p netutil.Prefix) (*Provenance, bool) {
-	if c.inc != nil {
-		return c.inc.provenance(p)
-	}
-	if c.snap != nil {
-		return c.snap.provenance(p)
-	}
-	prov, ok := c.prov[p]
-	return prov, ok
-}
-
-// KindOf reports which source class prefix p was compiled from (primary
-// shadows secondary, as in Provenance).
-func (c *Compiled) KindOf(p netutil.Prefix) (SourceKind, bool) {
-	if c.inc != nil {
-		return c.inc.kindOf(p)
-	}
-	if c.snap != nil {
-		return c.snap.kindOf(p)
-	}
-	k, ok := c.kinds[p]
-	return k, ok
-}
-
 // Len returns the number of unique prefixes per class summed, mirroring
 // Merged.Len at compile time.
 func (c *Compiled) Len() int { return c.numPrimary + c.numSecondary }

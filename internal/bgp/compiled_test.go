@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/netutil"
@@ -141,4 +142,93 @@ func TestCompiledIgnoresLaterAdds(t *testing.T) {
 	if _, ok := m.Compile().Lookup(netutil.MustParseAddr("20.1.2.3")); !ok {
 		t.Fatal("recompile must pick up the new snapshot")
 	}
+}
+
+// Exact-prefix provenance queries, for the tests: serving looks up
+// addresses, and a snapshot carries provenance rows through MarshalTable.
+
+// Provenance returns the recorded provenance for exactly p, matching
+// Merged.Provenance (primary class shadows secondary for a prefix present
+// in both).
+func (c *Compiled) Provenance(p netutil.Prefix) (*Provenance, bool) {
+	if c.inc != nil {
+		return c.inc.provenance(p)
+	}
+	if c.snap != nil {
+		return c.snap.provenance(p)
+	}
+	prov, ok := c.prov[p]
+	return prov, ok
+}
+
+// KindOf reports which source class prefix p was compiled from (primary
+// shadows secondary, as in Provenance).
+func (c *Compiled) KindOf(p netutil.Prefix) (SourceKind, bool) {
+	if c.inc != nil {
+		return c.inc.kindOf(p)
+	}
+	if c.snap != nil {
+		return c.snap.kindOf(p)
+	}
+	k, ok := c.kinds[p]
+	return k, ok
+}
+
+// provenance serves Compiled.Provenance for incremental generations:
+// primary class shadows secondary, as in Merged.Provenance.
+func (inc *Incremental) provenance(p netutil.Prefix) (*Provenance, bool) {
+	inc.mu.RLock()
+	defer inc.mu.RUnlock()
+	if pv, ok := inc.prov[0][p]; ok {
+		return pv, true
+	}
+	pv, ok := inc.prov[1][p]
+	return pv, ok
+}
+
+// kindOf serves Compiled.KindOf for incremental generations.
+func (inc *Incremental) kindOf(p netutil.Prefix) (SourceKind, bool) {
+	inc.mu.RLock()
+	defer inc.mu.RUnlock()
+	if _, ok := inc.prov[0][p]; ok {
+		return SourceBGP, true
+	}
+	if _, ok := inc.prov[1][p]; ok {
+		return SourceNetworkDump, true
+	}
+	return SourceBGP, false
+}
+
+func (s *snapTable) provenance(p netutil.Prefix) (*Provenance, bool) {
+	i, ok := s.find(p)
+	if !ok {
+		return nil, false
+	}
+	return &Provenance{
+		Sources:  s.sources(i),
+		Kind:     SourceKind(s.recKind[i]),
+		OriginAS: s.originAS[i],
+	}, true
+}
+
+func (s *snapTable) kindOf(p netutil.Prefix) (SourceKind, bool) {
+	i, ok := s.find(p)
+	if !ok {
+		return SourceBGP, false
+	}
+	if s.class[i] == 0 {
+		return SourceBGP, true
+	}
+	return SourceNetworkDump, true
+}
+
+func (s *snapTable) find(p netutil.Prefix) (int, bool) {
+	a, b := uint32(p.Addr()), byte(p.Bits())
+	i := sort.Search(len(s.addr), func(i int) bool {
+		return !provRowLess(s.addr[i], s.bits[i], a, b)
+	})
+	if i < len(s.addr) && s.addr[i] == a && s.bits[i] == b {
+		return i, true
+	}
+	return 0, false
 }

@@ -237,28 +237,3 @@ func (inc *Incremental) publish() *Compiled {
 	compiledNodes.Set(int64(c.frozen.NumNodes()))
 	return c
 }
-
-// provenance serves Compiled.Provenance for incremental generations:
-// primary class shadows secondary, as in Merged.Provenance.
-func (inc *Incremental) provenance(p netutil.Prefix) (*Provenance, bool) {
-	inc.mu.RLock()
-	defer inc.mu.RUnlock()
-	if pv, ok := inc.prov[0][p]; ok {
-		return pv, true
-	}
-	pv, ok := inc.prov[1][p]
-	return pv, ok
-}
-
-// kindOf serves Compiled.KindOf for incremental generations.
-func (inc *Incremental) kindOf(p netutil.Prefix) (SourceKind, bool) {
-	inc.mu.RLock()
-	defer inc.mu.RUnlock()
-	if _, ok := inc.prov[0][p]; ok {
-		return SourceBGP, true
-	}
-	if _, ok := inc.prov[1][p]; ok {
-		return SourceNetworkDump, true
-	}
-	return SourceBGP, false
-}

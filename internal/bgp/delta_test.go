@@ -297,15 +297,15 @@ func TestIncrementalCountsFullRenders(t *testing.T) {
 	switches, copies := 0, 0
 	for i := 0; i < 400 && (switches < 2 || copies < 2); i++ {
 		before := deltaRenders.Value()
-		waits, waitCount, waitSum := spareWaits.Value(), spareWaitNS.Count(), spareWaitNS.Sum()
+		waits, waitCount, waitSum := spareWaits.Value(), spareWaitNS.Snapshot().Count, spareWaitNS.Snapshot().Sum
 		n0, total0 := inc.dyn.SpareWaits()
 		c := inc.Apply(Delta{Ops: []Op{{Kind: SourceBGP, Entry: Entry{Prefix: randPrefix()}}}})
 		got := deltaRenders.Value() - before
 		n1, total1 := inc.dyn.SpareWaits()
-		if spareWaits.Value()-waits != uint64(n1-n0) || spareWaitNS.Count()-waitCount != uint64(n1-n0) ||
-			spareWaitNS.Sum()-waitSum != int64(total1-total0) {
+		if spareWaits.Value()-waits != uint64(n1-n0) || spareWaitNS.Snapshot().Count-waitCount != uint64(n1-n0) ||
+			spareWaitNS.Snapshot().Sum-waitSum != int64(total1-total0) {
 			t.Fatalf("apply %d: %d spare waits of %v published as %d waits, %d observations of %d ns in all",
-				i, n1-n0, total1-total0, spareWaits.Value()-waits, spareWaitNS.Count()-waitCount, spareWaitNS.Sum()-waitSum)
+				i, n1-n0, total1-total0, spareWaits.Value()-waits, spareWaitNS.Snapshot().Count-waitCount, spareWaitNS.Snapshot().Sum-waitSum)
 		}
 		if testing.AllocsPerRun(1, func() { c.frozen.Raw() }) == 0 {
 			switches++

@@ -151,20 +151,9 @@ func (m *Merged) Walk(fn func(p netutil.Prefix, prov *Provenance) bool) {
 	m.secondary.Walk(fn)
 }
 
-// PrefixLengthHistogram counts unique prefixes per mask length across both
-// classes; index i holds the count of /i prefixes. This is the data behind
-// Figure 1(a).
-func (m *Merged) PrefixLengthHistogram() [33]int {
-	var h [33]int
-	m.Walk(func(p netutil.Prefix, _ *Provenance) bool {
-		h[p.Bits()]++
-		return true
-	})
-	return h
-}
-
-// SnapshotPrefixLengthHistogram computes the same histogram for a single
-// snapshot, deduplicated.
+// SnapshotPrefixLengthHistogram counts a snapshot's unique prefixes per
+// mask length; index i holds the count of /i prefixes. This is the data
+// behind Figure 1(a).
 func SnapshotPrefixLengthHistogram(s *Snapshot) [33]int {
 	var h [33]int
 	for p := range s.PrefixSet() {

@@ -194,3 +194,15 @@ func TestAggregateIdempotentAndCoversSameSpace(t *testing.T) {
 		t.Fatalf("aggregation changed covered space: %d -> %d", before, after)
 	}
 }
+
+// PrefixLengthHistogram counts unique prefixes per mask length across both
+// classes; index i holds the count of /i prefixes. This is the data behind
+// Figure 1(a).
+func (m *Merged) PrefixLengthHistogram() [33]int {
+	var h [33]int
+	m.Walk(func(p netutil.Prefix, _ *Provenance) bool {
+		h[p.Bits()]++
+		return true
+	})
+	return h
+}

@@ -121,10 +121,23 @@ func (h *tableHeader) secLengths() [tableNumSection]uint64 {
 	}
 }
 
+// sectionOffsets lays the sections out in file order after the header,
+// each at an 8-byte-aligned offset, and returns the offsets and the file
+// length. MarshalTable writes exactly this layout and parseTableHeader
+// accepts no other, so no two sections can overlap.
+func sectionOffsets(lengths [tableNumSection]uint64) (offsets [tableNumSection]uint64, size uint64) {
+	size = tableHeaderLen
+	for i, l := range lengths {
+		offsets[i] = size
+		size += (l + 7) &^ 7
+	}
+	return offsets, size
+}
+
 // parseTableHeader validates everything a reader must trust before
 // touching the body: magic, version, header checksum, count sanity, and
-// that every section lies inside the buffer with exactly the length the
-// counts imply.
+// that every section lies inside the buffer, at its place in the layout,
+// with exactly the length the counts imply.
 func parseTableHeader(data []byte) (*tableHeader, error) {
 	if len(data) < tableHeaderLen {
 		return nil, fmt.Errorf("table snapshot: %d bytes, need at least the %d-byte header", len(data), tableHeaderLen)
@@ -163,13 +176,17 @@ func parseTableHeader(data []byte) (*tableHeader, error) {
 	}
 
 	want := h.secLengths()
+	wantOff, _ := sectionOffsets(want)
 	for i := 0; i < tableNumSection; i++ {
 		off := le.Uint64(data[72+16*i:])
 		length := le.Uint64(data[72+16*i+8:])
 		if length != want[i] {
 			return nil, fmt.Errorf("table snapshot: section %d length %d, counts imply %d", i, length, want[i])
 		}
-		if off%8 != 0 || off < tableHeaderLen || off > uint64(len(data)) || length > uint64(len(data))-off {
+		if off != wantOff[i] {
+			return nil, fmt.Errorf("table snapshot: section %d at offset %d, layout puts it at %d", i, off, wantOff[i])
+		}
+		if off > uint64(len(data)) || length > uint64(len(data))-off {
 			return nil, fmt.Errorf("table snapshot: section %d [%d,+%d) outside %d-byte file", i, off, length, len(data))
 		}
 		h.sec[i] = data[off : off+length : off+length]
@@ -405,13 +422,8 @@ func MarshalTable(c *Compiled) ([]byte, error) {
 		strBytes:      strBytes,
 	}
 	lengths := h.secLengths()
-	offsets := [tableNumSection]uint64{}
-	pos := uint64(tableHeaderLen)
-	for i, l := range lengths {
-		offsets[i] = pos
-		pos += (l + 7) &^ 7
-	}
-	buf := make([]byte, pos)
+	offsets, fileLen := sectionOffsets(lengths)
+	buf := make([]byte, fileLen)
 	le := binary.LittleEndian
 
 	put32 := func(sec int, i int, v uint32) { le.PutUint32(buf[offsets[sec]+uint64(i)*4:], v) }
@@ -576,17 +588,6 @@ type snapTable struct {
 	strData  []byte
 }
 
-func (s *snapTable) find(p netutil.Prefix) (int, bool) {
-	a, b := uint32(p.Addr()), byte(p.Bits())
-	i := sort.Search(len(s.addr), func(i int) bool {
-		return !provRowLess(s.addr[i], s.bits[i], a, b)
-	})
-	if i < len(s.addr) && s.addr[i] == a && s.bits[i] == b {
-		return i, true
-	}
-	return 0, false
-}
-
 func (s *snapTable) sources(i int) []string {
 	lo, hi := s.srcStart[i], s.srcStart[i+1]
 	if lo >= hi || hi > uint32(len(s.srcRefs)) {
@@ -604,29 +605,6 @@ func (s *snapTable) sources(i int) []string {
 		out = append(out, string(s.strData[o1:o2]))
 	}
 	return out
-}
-
-func (s *snapTable) provenance(p netutil.Prefix) (*Provenance, bool) {
-	i, ok := s.find(p)
-	if !ok {
-		return nil, false
-	}
-	return &Provenance{
-		Sources:  s.sources(i),
-		Kind:     SourceKind(s.recKind[i]),
-		OriginAS: s.originAS[i],
-	}, true
-}
-
-func (s *snapTable) kindOf(p netutil.Prefix) (SourceKind, bool) {
-	i, ok := s.find(p)
-	if !ok {
-		return SourceBGP, false
-	}
-	if s.class[i] == 0 {
-		return SourceBGP, true
-	}
-	return SourceNetworkDump, true
 }
 
 // TableFile is an open table snapshot. When the load took the mmap fast

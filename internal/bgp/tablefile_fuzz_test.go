@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/netutil"
@@ -61,4 +63,52 @@ func FuzzReadTable(f *testing.F) {
 			t.Fatalf("accepted table failed to marshal: %v", err)
 		}
 	})
+}
+
+// TestReadTableResealedFlips covers what FuzzReadTable cannot reach:
+// checksum-valid but malformed bodies. Every mutation the fuzzer makes
+// dies at a CRC, so here each single-byte flip of the seed table (by
+// 0xff, 0x01, 0x80 and 0x10) has both checksums recomputed before it is
+// loaded. A resealed table must be rejected or behave as a table: no
+// lookup faults, LookupBatch answers as Lookup does, and it marshals.
+func TestReadTableResealedFlips(t *testing.T) {
+	seed := fuzzSeedTable()
+	var probes []netutil.Addr
+	for _, ip := range []string{"0.0.0.0", "10.1.2.3", "10.255.255.255", "12.65.128.0",
+		"12.65.147.94", "12.65.159.255", "24.48.2.1", "127.0.0.1", "255.255.255.255"} {
+		probes = append(probes, netutil.MustParseAddr(ip))
+	}
+	le := binary.LittleEndian
+	accepted := 0
+	for i := range seed {
+		for _, mask := range []byte{0xff, 0x01, 0x80, 0x10} {
+			mut := append([]byte(nil), seed...)
+			mut[i] ^= mask
+			le.PutUint32(mut[24:], crc32.Checksum(mut[tableHeaderLen:], crcTable))
+			le.PutUint32(mut[20:], 0)
+			le.PutUint32(mut[20:], crc32.Checksum(mut[:tableHeaderLen], crcTable))
+			c, err := ReadTable(mut)
+			if err != nil {
+				continue
+			}
+			accepted++
+			batch := c.LookupBatch(probes, nil)
+			for j, a := range probes {
+				m, ok := c.Lookup(a)
+				if ok && m.Prefix.IsZero() {
+					t.Fatalf("byte %d ^%#x: Lookup(%v) returned ok with the zero prefix", i, mask, a)
+				}
+				if !ok {
+					m = Match{}
+				}
+				if batch[j] != m {
+					t.Fatalf("byte %d ^%#x: LookupBatch(%v) = %+v, Lookup = %+v", i, mask, a, batch[j], m)
+				}
+			}
+			if _, err := MarshalTable(c); err != nil {
+				t.Fatalf("byte %d ^%#x: accepted table failed to marshal: %v", i, mask, err)
+			}
+		}
+	}
+	t.Logf("%d bytes × 4 flips: %d resealed tables accepted", len(seed), accepted)
 }

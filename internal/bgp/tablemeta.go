@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -75,6 +76,11 @@ func LoadTableMeta(tablePath string) (TableMeta, bool, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return TableMeta{}, false, fmt.Errorf("table meta %s: %w", MetaPath(tablePath), err)
+	}
+	// One object, then only whitespace: a second value or stray bytes
+	// mean the file is not what SaveTableMeta wrote.
+	if _, err := dec.Token(); err != io.EOF {
+		return TableMeta{}, false, fmt.Errorf("table meta %s: trailing data after the object", MetaPath(tablePath))
 	}
 	return m, true, nil
 }

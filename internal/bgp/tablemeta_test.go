@@ -33,7 +33,13 @@ func TestTableMetaMissingIsNotError(t *testing.T) {
 
 func TestTableMetaCorruptIsError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.nct")
-	for _, body := range []string{"not json", `{"generation": 1, "bogus": true}`} {
+	for _, body := range []string{
+		"not json",
+		`{"generation": 1, "bogus": true}`,
+		`{"generation":5,"seq":5} junk`,
+		`{"generation":5,"seq":5}{"generation":6,"seq":6}`,
+		`{"generation":5,"seq":5}}`,
+	} {
 		if err := os.WriteFile(MetaPath(path), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -119,16 +119,6 @@ func (s *Sim) viewRNG(name string, day int) *rand.Rand {
 	return rand.New(rand.NewSource(s.seed ^ int64(h.Sum64()) ^ int64(day)*0x9e3779b9))
 }
 
-// allocOf finds the allocation index containing network n within its AS.
-func allocOf(n *inet.Network) int {
-	for i, a := range n.AS.Allocations {
-		if a.ContainsPrefix(n.Prefix) {
-			return i
-		}
-	}
-	return -1
-}
-
 // View generates the routing table visible at one vantage on one day.
 // Day 0 is the base snapshot; later days apply cumulative churn (see
 // churned below) to model BGP dynamics.

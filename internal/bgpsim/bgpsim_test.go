@@ -149,7 +149,10 @@ func TestDynamicsGrowWithPeriod(t *testing.T) {
 
 	var prevEffect int
 	for _, days := range [][]int{{0, 1}, {0, 1, 4}, {0, 1, 4, 7}, {0, 1, 4, 7, 14}} {
-		series := s.Series(vc, days)
+		var series []*bgp.Snapshot
+		for _, d := range days {
+			series = append(series, s.View(vc, d))
+		}
 		dyn := bgp.DynamicPrefixSet(series)
 		effect := len(dyn)
 		if effect < prevEffect {

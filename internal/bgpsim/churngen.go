@@ -8,57 +8,12 @@ import (
 )
 
 // Churn-stream generation: the delta-shaped view of the BGP dynamics the
-// day-indexed snapshots already model. Two sources:
-//
-//   - Diff/DeltaSeries derive announce/withdraw deltas from consecutive
-//     snapshots of one vantage, the exact day-over-day deltas behind the
-//     paper's 14-snapshot dynamics tables;
-//   - ChurnGen synthesizes an open-ended bursty schedule against a base
-//     snapshot's prefix universe, for soak-testing a live service past
-//     the 14 days the paper observed. Churn literature (Kitsak et al.'s
-//     long-range correlations, Magnien et al.'s dynamics modeling) says
-//     update arrivals are bursty, not Poisson-smooth, so batch sizes
-//     follow a two-state quiet/burst regime.
-
-// Diff computes the delta that transforms snapshot old into snapshot
-// new: prefixes only in old are withdrawn, prefixes only in new are
-// announced (carrying new's entry metadata). Both snapshots must be of
-// the same source kind.
-func Diff(old, new *bgp.Snapshot) bgp.Delta {
-	d := bgp.Delta{Source: new.Name}
-	oldSet := old.PrefixSet()
-	newSet := make(map[netutil.Prefix]struct{}, len(new.Entries))
-	for _, e := range new.Entries {
-		if _, dup := newSet[e.Prefix]; dup {
-			continue
-		}
-		newSet[e.Prefix] = struct{}{}
-		if _, present := oldSet[e.Prefix]; !present {
-			d.Ops = append(d.Ops, bgp.Op{Kind: new.Kind, Entry: e})
-		}
-	}
-	for p := range oldSet {
-		if _, present := newSet[p]; !present {
-			d.Ops = append(d.Ops, bgp.Op{Withdraw: true, Kind: old.Kind, Entry: bgp.Entry{Prefix: p}})
-		}
-	}
-	return d
-}
-
-// DeltaSeries generates the day-over-day deltas of one vantage across a
-// testing period: element i transforms the day-i view into the
-// day-(i+1) view. Applying them in order to a table seeded from the
-// day-0 view reproduces each day's snapshot incrementally.
-func (s *Sim) DeltaSeries(cfg ViewConfig, days int) []bgp.Delta {
-	out := make([]bgp.Delta, 0, days)
-	prev := s.View(cfg, 0)
-	for day := 1; day <= days; day++ {
-		next := s.View(cfg, day)
-		out = append(out, Diff(prev, next))
-		prev = next
-	}
-	return out
-}
+// day-indexed snapshots already model. ChurnGen synthesizes an
+// open-ended bursty schedule against a base snapshot's prefix universe,
+// for soak-testing a live service past the 14 days the paper observed.
+// Churn literature (Kitsak et al.'s long-range correlations, Magnien et
+// al.'s dynamics modeling) says update arrivals are bursty, not
+// Poisson-smooth, so batch sizes follow a two-state quiet/burst regime.
 
 // ChurnConfig parameterizes a synthetic bursty churn schedule.
 type ChurnConfig struct {
@@ -131,9 +86,6 @@ func NewChurnGen(base *bgp.Snapshot, cfg ChurnConfig) *ChurnGen {
 	}
 	return g
 }
-
-// Live returns how many universe prefixes are currently announced.
-func (g *ChurnGen) Live() int { return len(g.live) }
 
 // Next produces the next delta batch. Batch size is MeanBatch±50% in
 // the quiet regime and MeanBatch*BurstMul±50% in a burst.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/netaware/netcluster/internal/bgp"
+	"github.com/netaware/netcluster/internal/netutil"
 )
 
 func TestDiffRoundTrip(t *testing.T) {
@@ -61,12 +62,13 @@ func TestDeltaSeriesReproducesViews(t *testing.T) {
 	for day := 1; day <= days; day++ {
 		c := inc.Apply(series[day-1])
 		want := s.View(vc, day).PrefixSet()
+		have := bgp.UniverseOf(c, "incremental").PrefixSet()
 		for p := range want {
-			if _, ok := c.KindOf(p); !ok {
+			if _, ok := have[p]; !ok {
 				t.Fatalf("day %d: view prefix %v missing from incremental table", day, p)
 			}
 		}
-		// KindOf covered the ⊇ direction; the size closes ⊆.
+		// The loop covered the ⊇ direction; the size closes ⊆.
 		if c.NumPrimary() != len(want) {
 			t.Fatalf("day %d: table has %d primary prefixes, view has %d", day, c.NumPrimary(), len(want))
 		}
@@ -82,14 +84,14 @@ func TestChurnGenInvariants(t *testing.T) {
 	cfg := DefaultChurnConfig()
 	cfg.Seed = 5
 	g := NewChurnGen(base, cfg)
-	if g.Live() != uniq {
-		t.Fatalf("fresh generator: Live = %d, want %d (universe size)", g.Live(), uniq)
+	if len(g.live) != uniq {
+		t.Fatalf("fresh generator: Live = %d, want %d (universe size)", len(g.live), uniq)
 	}
 
 	live := base.PrefixSet()
 	for i := 0; i < 200; i++ {
 		d := g.Next()
-		if len(d.Ops) == 0 && g.Live() > 0 && g.Live() < uniq {
+		if len(d.Ops) == 0 && len(g.live) > 0 && len(g.live) < uniq {
 			t.Fatalf("batch %d: empty delta with a mixed universe", i)
 		}
 		for _, op := range d.Ops {
@@ -105,13 +107,13 @@ func TestChurnGenInvariants(t *testing.T) {
 				live[op.Entry.Prefix] = struct{}{}
 			}
 		}
-		if g.Live() != len(live) {
-			t.Fatalf("batch %d: generator Live = %d, tracked %d", i, g.Live(), len(live))
+		if len(g.live) != len(live) {
+			t.Fatalf("batch %d: generator Live = %d, tracked %d", i, len(g.live), len(live))
 		}
 	}
 	// The schedule flaps the universe, never grows or leaks it.
-	if g.Live() > uniq {
-		t.Fatalf("Live = %d exceeds universe %d", g.Live(), uniq)
+	if len(g.live) > uniq {
+		t.Fatalf("Live = %d exceeds universe %d", len(g.live), uniq)
 	}
 }
 
@@ -155,4 +157,44 @@ func TestChurnGenBurstsHappen(t *testing.T) {
 	if maxOps < cfg.MeanBatch*cfg.BurstMul/2 {
 		t.Fatalf("no burst in 100 batches: max ops = %d", maxOps)
 	}
+}
+
+// Diff computes the delta that transforms snapshot old into snapshot
+// new: prefixes only in old are withdrawn, prefixes only in new are
+// announced (carrying new's entry metadata). Both snapshots must be of
+// the same source kind.
+func Diff(old, new *bgp.Snapshot) bgp.Delta {
+	d := bgp.Delta{Source: new.Name}
+	oldSet := old.PrefixSet()
+	newSet := make(map[netutil.Prefix]struct{}, len(new.Entries))
+	for _, e := range new.Entries {
+		if _, dup := newSet[e.Prefix]; dup {
+			continue
+		}
+		newSet[e.Prefix] = struct{}{}
+		if _, present := oldSet[e.Prefix]; !present {
+			d.Ops = append(d.Ops, bgp.Op{Kind: new.Kind, Entry: e})
+		}
+	}
+	for p := range oldSet {
+		if _, present := newSet[p]; !present {
+			d.Ops = append(d.Ops, bgp.Op{Withdraw: true, Kind: old.Kind, Entry: bgp.Entry{Prefix: p}})
+		}
+	}
+	return d
+}
+
+// DeltaSeries generates the day-over-day deltas of one vantage across a
+// testing period: element i transforms the day-i view into the
+// day-(i+1) view. Applying them in order to a table seeded from the
+// day-0 view reproduces each day's snapshot incrementally.
+func (s *Sim) DeltaSeries(cfg ViewConfig, days int) []bgp.Delta {
+	out := make([]bgp.Delta, 0, days)
+	prev := s.View(cfg, 0)
+	for day := 1; day <= days; day++ {
+		next := s.View(cfg, day)
+		out = append(out, Diff(prev, next))
+		prev = next
+	}
+	return out
 }

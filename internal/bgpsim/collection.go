@@ -78,13 +78,3 @@ func (s *Sim) ASRegistry() map[uint32]ASInfo {
 	}
 	return out
 }
-
-// Series generates day-indexed snapshots of one view over a testing period
-// (day 0 .. days-1), the input to the Section 3.4 dynamics experiments.
-func (s *Sim) Series(cfg ViewConfig, days []int) []*bgp.Snapshot {
-	out := make([]*bgp.Snapshot, 0, len(days))
-	for _, d := range days {
-		out = append(out, s.View(cfg, d))
-	}
-	return out
-}

@@ -69,21 +69,6 @@ type Stats struct {
 	Evictions       int
 }
 
-// MeanLatency estimates the client-perceived mean response latency under
-// a two-level delay model: cache hits cost one proxy round trip, full
-// fetches and synchronous validations additionally cost an origin round
-// trip (piggybacked validations are free — that is PCV's point). Lowering
-// exactly this number is the paper's motivation for placing proxies in
-// front of clusters.
-func (s Stats) MeanLatency(proxyRTT, originRTT float64) float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	total := float64(s.Requests)*proxyRTT +
-		float64(s.FullFetches+s.SyncValidations)*originRTT
-	return total / float64(s.Requests)
-}
-
 // HitRatio returns hits/requests, 0 on an idle proxy.
 func (s Stats) HitRatio() float64 {
 	if s.Requests == 0 {
@@ -330,9 +315,3 @@ func (p *Proxy) remove(el *list.Element) {
 	delete(p.expired, e.url)
 	p.used -= int64(e.size)
 }
-
-// Len returns the number of cached resources.
-func (p *Proxy) Len() int { return p.lru.Len() }
-
-// Used returns the bytes currently cached.
-func (p *Proxy) Used() int64 { return p.used }

@@ -77,8 +77,8 @@ func TestLRUEviction(t *testing.T) {
 	p.Request(rs, 0, 1) // 1000
 	p.Request(rs, 1, 2) // +2000 = 3000
 	p.Request(rs, 2, 3) // +4000 = 7000 → evict /a (LRU), then /b → 4000
-	if p.Used() > 5000 {
-		t.Fatalf("used = %d exceeds capacity", p.Used())
+	if p.used > 5000 {
+		t.Fatalf("used = %d exceeds capacity", p.used)
 	}
 	if p.Stats.Evictions == 0 {
 		t.Fatal("expected evictions")
@@ -185,7 +185,7 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.Request(rs, int32(i), uint32(i))
 	}
-	if p.Stats.Evictions != 0 || p.Len() != 4 {
+	if p.Stats.Evictions != 0 || p.lru.Len() != 4 {
 		t.Fatalf("unbounded cache evicted: %+v", p.Stats)
 	}
 }
@@ -244,4 +244,19 @@ func TestDefaultTTL(t *testing.T) {
 	if p.TTL != 3600 {
 		t.Fatalf("default TTL = %d, want 3600", p.TTL)
 	}
+}
+
+// MeanLatency estimates the client-perceived mean response latency under
+// a two-level delay model: cache hits cost one proxy round trip, full
+// fetches and synchronous validations additionally cost an origin round
+// trip (piggybacked validations are free — that is PCV's point). Lowering
+// exactly this number is the paper's motivation for placing proxies in
+// front of clusters.
+func (s Stats) MeanLatency(proxyRTT, originRTT float64) float64 {
+	if s.Requests == 0 {
+		return 0
+	}
+	total := float64(s.Requests)*proxyRTT +
+		float64(s.FullFetches+s.SyncValidations)*originRTT
+	return total / float64(s.Requests)
 }

@@ -86,19 +86,6 @@ func New(m *bgp.Merged) *Table {
 	return t
 }
 
-// NewStatic wraps an already compiled table — typically one loaded from
-// a snapshot file — as generation 0 of a churn table with no delta
-// compiler behind it. Readers get the same wait-free Load/Lookup
-// surface; Apply is a no-op (the stream has nowhere to patch into), so
-// a snapshot-booted service serves a fixed table until it is restarted
-// with a fresh snapshot or a live feed.
-func NewStatic(c *bgp.Compiled) *Table {
-	t := &Table{}
-	t.cur.Store(c)
-	gaugeGeneration.Set(0)
-	return t
-}
-
 // NewFromCompiled warm-starts a churn table from an immutable compiled
 // table — one loaded from a snapshot file or received from a delta
 // feed's catch-up endpoint — publishing it as generation gen with a live
@@ -129,10 +116,6 @@ func (t *Table) Reseed(c *bgp.Compiled, keep func(netutil.Prefix) bool, gen uint
 	t.mu.Unlock()
 	gaugeGeneration.Set(int64(gen))
 }
-
-// Static reports whether the table was built by NewStatic and therefore
-// ignores Apply.
-func (t *Table) Static() bool { return t.inc == nil }
 
 // Load returns the current generation. It is wait-free: one atomic
 // pointer load, safe from any number of goroutines, and the returned
@@ -174,11 +157,6 @@ func (t *Table) Apply(d bgp.Delta) SwapStats {
 // records a "bgp.delta.apply" span and the whole swap a "churn.swap"
 // span.
 func (t *Table) ApplyCtx(ctx context.Context, d bgp.Delta) SwapStats {
-	if t.inc == nil {
-		// Static table (NewStatic): there is no compiler to patch, so the
-		// delta is dropped and the generation stands.
-		return SwapStats{Generation: t.gen.Load()}
-	}
 	sctx, sp := obsv.StartTraceSpan(ctx, "churn.swap")
 	t.mu.Lock()
 	old := t.cur.Load()

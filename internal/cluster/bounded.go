@@ -122,9 +122,8 @@ type BusyCluster struct {
 //
 // The tail sketches see only what leaves the summary: every
 // observation lands on a monitored entry (space-saving admits each
-// newcomer), and an entry that is evicted or dropped by a merge spills
-// the traffic of its own stint, Count-Err requests and Bytes-ByteErr
-// bytes. So a cluster's true volume is always its spills plus, while
+// newcomer), and an entry that is evicted spills the traffic of its
+// own stint, Count-Err requests and Bytes-ByteErr bytes. So a cluster's true volume is always its spills plus, while
 // monitored, its current stint.
 type BoundedAccumulator struct {
 	cfg     BoundedConfig
@@ -133,7 +132,6 @@ type BoundedAccumulator struct {
 	tailByt *sketch.CountMin // spilled bytes; nil under SpillDrop
 
 	requests    uint64
-	bytes       uint64
 	unclustered uint64
 
 	pubEvictions uint64 // last eviction total flushed to the obsv counter
@@ -171,7 +169,6 @@ func (b *BoundedAccumulator) Config() BoundedConfig { return b.cfg }
 // sketches, spilling the displaced cluster's stint — no allocations.
 func (b *BoundedAccumulator) Observe(p netutil.Prefix, size int64) {
 	b.requests++
-	b.bytes += uint64(size)
 	if victim, evicted := b.summary.Add(prefixKey(p), 1, uint64(size)); evicted {
 		b.spill(victim)
 	}
@@ -203,9 +200,6 @@ func (b *BoundedAccumulator) ObserveUnclustered() {
 // Requests returns the total observed request count (clustered +
 // unclustered).
 func (b *BoundedAccumulator) Requests() uint64 { return b.requests }
-
-// Bytes returns the total observed byte volume.
-func (b *BoundedAccumulator) Bytes() uint64 { return b.bytes }
 
 // Unclustered returns how many requests no prefix covered.
 func (b *BoundedAccumulator) Unclustered() uint64 { return b.unclustered }
@@ -284,91 +278,6 @@ func (b *BoundedAccumulator) GuaranteedTopK(k int) bool {
 	return true
 }
 
-// EstimateRequests returns an upper-bound request count for any
-// cluster. exact is true when the cluster is monitored eviction-free
-// (the value equals the true count). A monitored cluster answers its
-// counter; an unmonitored one answers from the tail sketch (every
-// request it made was spilled there, so ≥ true, and ≤ true + ε·N with
-// probability 1-δ) or, under SpillDrop, from the summary's eviction
-// threshold.
-func (b *BoundedAccumulator) EstimateRequests(p netutil.Prefix) (est uint64, exact bool) {
-	key := prefixKey(p)
-	if e, ok := b.summary.Get(key); ok {
-		return e.Count, e.Err == 0
-	}
-	if b.tailReq != nil {
-		return b.tailReq.Estimate(key), false
-	}
-	return b.summary.MinCount(), false
-}
-
-// EstimateBytes is EstimateRequests for byte volume, with one twist:
-// the summary's eviction invariant (the minimum counter dominates any
-// evicted key) holds for request counts — the heap's order key — but
-// not for bytes, so an inexact entry's byte counter is not an upper
-// bound (it inherited its victim's bytes, not its own earlier ones).
-// Exact therefore needs both slacks zero. An inexact monitored entry
-// answers its earlier stints' spills from the byte sketch plus its
-// current stint, Bytes-ByteErr; under SpillDrop only the bracketed
-// summary value exists and exact stays false.
-func (b *BoundedAccumulator) EstimateBytes(p netutil.Prefix) (est uint64, exact bool) {
-	key := prefixKey(p)
-	e, ok := b.summary.Get(key)
-	if ok && e.Err == 0 && e.ByteErr == 0 {
-		return e.Bytes, true
-	}
-	if b.tailByt != nil {
-		est = b.tailByt.Estimate(key)
-		if ok {
-			est += e.Bytes - e.ByteErr
-		}
-		return est, false
-	}
-	if ok {
-		return e.Bytes, false
-	}
-	return 0, false
-}
-
-// Merge folds a shard's accumulator into b: tail sketches cell-wise,
-// then summaries with the space-saving rule, the entries that no
-// longer fit spilling into the merged tail. Configurations must agree
-// (capacity, spill policy and sketch dimensions), or the merge is
-// rejected with b untouched.
-func (b *BoundedAccumulator) Merge(o *BoundedAccumulator) error {
-	if o == nil {
-		return fmt.Errorf("cluster: merge with nil bounded accumulator")
-	}
-	if b.summary.Capacity() != o.summary.Capacity() {
-		return fmt.Errorf("cluster: merge capacity mismatch: %d vs %d", b.summary.Capacity(), o.summary.Capacity())
-	}
-	if (b.tailReq == nil) != (o.tailReq == nil) {
-		return fmt.Errorf("cluster: merge across spill policies (%q vs %q)", b.cfg.Spill, o.cfg.Spill)
-	}
-	if b.tailReq != nil {
-		if !sameDims(b.tailReq, o.tailReq) || !sameDims(b.tailByt, o.tailByt) {
-			return fmt.Errorf("cluster: merge sketch dimension mismatch: %dx%d vs %dx%d",
-				b.tailReq.Width(), b.tailReq.Depth(), o.tailReq.Width(), o.tailReq.Depth())
-		}
-		// Dimensions checked above: neither merge can fail.
-		_ = b.tailReq.Merge(o.tailReq)
-		_ = b.tailByt.Merge(o.tailByt)
-	}
-	// Capacity checked above: the merge cannot fail.
-	dropped, _ := b.summary.Merge(o.summary)
-	for _, e := range dropped {
-		b.spill(e)
-	}
-	b.requests += o.requests
-	b.bytes += o.bytes
-	b.unclustered += o.unclustered
-	return nil
-}
-
-func sameDims(a, b *sketch.CountMin) bool {
-	return a.Width() == b.Width() && a.Depth() == b.Depth()
-}
-
 // FootprintBytes returns the accumulator's fixed memory budget — the
 // quantity the firehose RSS ceiling is asserted against.
 func (b *BoundedAccumulator) FootprintBytes() int {
@@ -398,8 +307,7 @@ func (b *BoundedAccumulator) PublishMetrics() {
 }
 
 // BoundedStreamResult is what one bounded pass over a CLF stream
-// yields: the busy tail exactly, totals, and the accumulator itself
-// for tail queries and shard merges.
+// yields: the busy tail exactly, totals, and the accumulator itself.
 type BoundedStreamResult struct {
 	Method        string
 	Busy          []BusyCluster

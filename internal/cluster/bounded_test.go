@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/netutil"
@@ -100,7 +99,7 @@ func TestBoundedExactWhileUnderCapacity(t *testing.T) {
 
 // TestBoundedSpillPolicies: under SpillSketch an evicted cluster stays
 // queryable within ε·N; under SpillDrop the estimate degrades to the
-// eviction threshold, and the two policies refuse to merge.
+// eviction threshold.
 func TestBoundedSpillPolicies(t *testing.T) {
 	sk, err := NewBoundedAccumulator(BoundedConfig{K: 2, Capacity: 2, Epsilon: 0.001})
 	if err != nil {
@@ -126,35 +125,6 @@ func TestBoundedSpillPolicies(t *testing.T) {
 	}
 	if dr.ErrorBound() != 0 {
 		t.Fatal("drop policy reports a sketch error bound")
-	}
-	if err := sk.Merge(dr); err == nil {
-		t.Fatal("cross-policy merge accepted")
-	}
-}
-
-// TestBoundedMerge: sharded accumulators merge into one whose busy set
-// covers the union, with totals summed exactly.
-func TestBoundedMerge(t *testing.T) {
-	cfg := BoundedConfig{K: 8, Capacity: 128}
-	a, _ := NewBoundedAccumulator(cfg)
-	b, _ := NewBoundedAccumulator(cfg)
-	p1, p2 := mustPrefix(t, "10.0.0.0/8"), mustPrefix(t, "20.0.0.0/8")
-	for i := 0; i < 40; i++ {
-		a.Observe(p1, 100)
-		b.Observe(p2, 50)
-	}
-	b.Observe(p1, 100)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Requests() != 81 || a.Bytes() != 40*100+40*50+100 {
-		t.Fatalf("merged totals: %d requests, %d bytes", a.Requests(), a.Bytes())
-	}
-	if est, exact := a.EstimateRequests(p1); !exact || est != 41 {
-		t.Fatalf("merged p1 estimate %d exact=%v, want 41 exact", est, exact)
-	}
-	if est, exact := a.EstimateRequests(p2); !exact || est != 40 {
-		t.Fatalf("merged p2 estimate %d exact=%v, want 40 exact", est, exact)
 	}
 }
 
@@ -205,8 +175,7 @@ func TestClusterStreamBoundedMatchesExact(t *testing.T) {
 }
 
 // TestBoundedAccumulatorProperties is the accumulator's contract over
-// seeded streams split across 1–3 shards and merged, under both spill
-// policies, with all-zero, all-nonzero and mixed request sizes (mixed
+// seeded streams, under both spill policies, with all-zero, all-nonzero and mixed request sizes (mixed
 // is where a re-admitted cluster inherits a zero-byte victim). For
 // every cluster, observed or not:
 //
@@ -241,41 +210,31 @@ func TestBoundedAccumulatorProperties(t *testing.T) {
 		plainByt, _ := sketch.NewCountMinError(eps, delta)
 		trueReq := make(map[netutil.Prefix]uint64)
 		trueByt := make(map[netutil.Prefix]uint64)
-		var acc *BoundedAccumulator
-		var clustered, unclustered, bytesTotal uint64
-		shards := 1 + rng.Intn(3)
-		for sh := 0; sh < shards; sh++ {
-			a, err := NewBoundedAccumulator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			z := rand.NewZipf(rng, 1.05+rng.Float64(), 1, uint64(len(universe)-1))
-			for n := rng.Intn(4000); n > 0; n-- {
-				if rng.Intn(50) == 0 {
-					a.ObserveUnclustered()
-					unclustered++
-					continue
-				}
-				i := z.Uint64()
-				p, sz := universe[i], size(i)
-				a.Observe(p, sz)
-				trueReq[p]++
-				trueByt[p] += uint64(sz)
-				plainReq.Add(prefixKey(p), 1)
-				plainByt.Add(prefixKey(p), uint64(sz))
-				clustered++
-				bytesTotal += uint64(sz)
-			}
-			if acc == nil {
-				acc = a
-			} else if err := acc.Merge(a); err != nil {
-				t.Fatal(err)
-			}
+		var clustered, unclustered uint64
+		acc, err := NewBoundedAccumulator(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		where := fmt.Sprintf("seed %d (%s, %s sizes, capacity %d, %d shards)", seed, spill, sizing, cfg.Capacity, shards)
-		if acc.Requests() != clustered+unclustered || acc.Bytes() != bytesTotal || acc.Unclustered() != unclustered {
-			t.Fatalf("%s: totals %d/%d/%d, want %d/%d/%d", where,
-				acc.Requests(), acc.Bytes(), acc.Unclustered(), clustered+unclustered, bytesTotal, unclustered)
+		z := rand.NewZipf(rng, 1.05+rng.Float64(), 1, uint64(len(universe)-1))
+		for n := rng.Intn(12000); n > 0; n-- {
+			if rng.Intn(50) == 0 {
+				acc.ObserveUnclustered()
+				unclustered++
+				continue
+			}
+			i := z.Uint64()
+			p, sz := universe[i], size(i)
+			acc.Observe(p, sz)
+			trueReq[p]++
+			trueByt[p] += uint64(sz)
+			plainReq.Add(prefixKey(p), 1)
+			plainByt.Add(prefixKey(p), uint64(sz))
+			clustered++
+		}
+		where := fmt.Sprintf("seed %d (%s, %s sizes, capacity %d)", seed, spill, sizing, cfg.Capacity)
+		if acc.Requests() != clustered+unclustered || acc.Unclustered() != unclustered {
+			t.Fatalf("%s: totals %d/%d, want %d/%d", where,
+				acc.Requests(), acc.Unclustered(), clustered+unclustered, unclustered)
 		}
 		wantBound := uint64(0)
 		if spill == SpillSketch {
@@ -301,65 +260,6 @@ func TestBoundedAccumulatorProperties(t *testing.T) {
 					t.Fatalf("%s: unmonitored %v bytes %d above the whole-stream sketch's %d", where, p, byt, max)
 				}
 			}
-		}
-	}
-}
-
-// TestBoundedMergeRejectedLeavesReceiver: a merge refused for a
-// mismatched capacity, spill policy, ε or δ changes nothing the
-// receiver reports — the checks run before either structure is
-// touched.
-func TestBoundedMergeRejectedLeavesReceiver(t *testing.T) {
-	base := BoundedConfig{K: 4, Capacity: 16, Epsilon: 1e-3, Delta: 0.01}
-	universe := make([]netutil.Prefix, 64)
-	for i := range universe {
-		universe[i] = netutil.PrefixFrom(netutil.Addr(uint32(i+1)<<8), 24)
-	}
-	fill := func(cfg BoundedConfig, seed int64) *BoundedAccumulator {
-		acc, err := NewBoundedAccumulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 2000; i++ {
-			acc.Observe(universe[rng.Intn(len(universe))], int64(rng.Intn(900)))
-		}
-		return acc
-	}
-	type estimate struct {
-		req, byt           uint64
-		reqExact, bytExact bool
-	}
-	type view struct {
-		Requests, Bytes, ErrorBound uint64
-		Busy                        []BusyCluster
-		Estimates                   []estimate
-	}
-	look := func(acc *BoundedAccumulator) view {
-		v := view{Requests: acc.Requests(), Bytes: acc.Bytes(), ErrorBound: acc.ErrorBound(), Busy: acc.Busy(base.Capacity)}
-		for _, p := range universe {
-			var e estimate
-			e.req, e.reqExact = acc.EstimateRequests(p)
-			e.byt, e.bytExact = acc.EstimateBytes(p)
-			v.Estimates = append(v.Estimates, e)
-		}
-		return v
-	}
-	for name, edit := range map[string]func(*BoundedConfig){
-		"capacity": func(c *BoundedConfig) { c.Capacity = 32 },
-		"spill":    func(c *BoundedConfig) { c.Spill = SpillDrop },
-		"epsilon":  func(c *BoundedConfig) { c.Epsilon = 1e-2 },
-		"delta":    func(c *BoundedConfig) { c.Delta = 1e-4 },
-	} {
-		other := base
-		edit(&other)
-		acc := fill(base, 1)
-		before := look(acc)
-		if err := acc.Merge(fill(other, 2)); err == nil {
-			t.Fatalf("%s: mismatched merge accepted", name)
-		}
-		if after := look(acc); !reflect.DeepEqual(before, after) {
-			t.Fatalf("%s: rejected merge changed what the receiver reports", name)
 		}
 	}
 }
@@ -390,4 +290,50 @@ func TestBoundedObserveAllocs(t *testing.T) {
 	if take.Evictions() < 1000 {
 		t.Fatalf("%d evictions over 1001 alternating observations", take.Evictions())
 	}
+}
+
+// EstimateRequests returns an upper-bound request count for any
+// cluster. exact is true when the cluster is monitored eviction-free
+// (the value equals the true count). A monitored cluster answers its
+// counter; an unmonitored one answers from the tail sketch (every
+// request it made was spilled there, so ≥ true, and ≤ true + ε·N with
+// probability 1-δ) or, under SpillDrop, from the summary's eviction
+// threshold.
+func (b *BoundedAccumulator) EstimateRequests(p netutil.Prefix) (est uint64, exact bool) {
+	key := prefixKey(p)
+	if e, ok := b.summary.Get(key); ok {
+		return e.Count, e.Err == 0
+	}
+	if b.tailReq != nil {
+		return b.tailReq.Estimate(key), false
+	}
+	return b.summary.MinCount(), false
+}
+
+// EstimateBytes is EstimateRequests for byte volume, with one twist:
+// the summary's eviction invariant (the minimum counter dominates any
+// evicted key) holds for request counts — the heap's order key — but
+// not for bytes, so an inexact entry's byte counter is not an upper
+// bound (it inherited its victim's bytes, not its own earlier ones).
+// Exact therefore needs both slacks zero. An inexact monitored entry
+// answers its earlier stints' spills from the byte sketch plus its
+// current stint, Bytes-ByteErr; under SpillDrop only the bracketed
+// summary value exists and exact stays false.
+func (b *BoundedAccumulator) EstimateBytes(p netutil.Prefix) (est uint64, exact bool) {
+	key := prefixKey(p)
+	e, ok := b.summary.Get(key)
+	if ok && e.Err == 0 && e.ByteErr == 0 {
+		return e.Bytes, true
+	}
+	if b.tailByt != nil {
+		est = b.tailByt.Estimate(key)
+		if ok {
+			est += e.Bytes - e.ByteErr
+		}
+		return est, false
+	}
+	if ok {
+		return e.Bytes, false
+	}
+	return 0, false
 }

@@ -206,9 +206,6 @@ func TestOrderings(t *testing.T) {
 	if got := URLCounts(byR); got[0] != 10 {
 		t.Fatalf("URLCounts = %v", got)
 	}
-	if got := ByteCounts(byR); got[0] != 10000 {
-		t.Fatalf("ByteCounts = %v", got)
-	}
 }
 
 func TestThresholdBusy(t *testing.T) {

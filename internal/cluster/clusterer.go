@@ -28,17 +28,6 @@ type Clusterer interface {
 	Name() string
 }
 
-// BatchClusterer is a Clusterer that can resolve many addresses in one
-// call — same answers as per-address Cluster, amortized table walks (see
-// bgp.Compiled.LookupBatch). ClusterBatch fills prefixes[i], ok[i] for
-// addrs[i]; all three slices must have equal length. The parallel
-// clustering engines detect this interface and feed their per-shard
-// client sets through it.
-type BatchClusterer interface {
-	Clusterer
-	ClusterBatch(addrs []netutil.Addr, prefixes []netutil.Prefix, ok []bool)
-}
-
 // NetworkAware clusters through a merged routing table. When Compiled is
 // set it is used transparently for every lookup — same matches, same
 // source-class accounting, one flat-array walk instead of two tree walks,
@@ -90,7 +79,8 @@ func (n NetworkAware) Cluster(addr netutil.Addr) (netutil.Prefix, bool) {
 // state even with many concurrent engine workers.
 var matchBufPool = sync.Pool{New: func() any { return new([]bgp.Match) }}
 
-// ClusterBatch implements BatchClusterer: one batched table walk for the
+// ClusterBatch resolves addrs[i] into prefixes[i], ok[i] (equal-length
+// slices) with the same answers as Cluster: one batched table walk for the
 // whole probe set, with the same observability semantics as per-address
 // Cluster — every address counts toward "bgp.lookup.count", misses
 // toward "bgp.lookup.nomatch", and exactly the lookups whose global

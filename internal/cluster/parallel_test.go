@@ -81,7 +81,7 @@ func streamOf(r *Result) *StreamResult {
 	var bitmaps bitmapSlab
 	for _, c := range r.Clusters {
 		sc := &StreamCluster{Prefix: c.Prefix, Clients: c.Clients, Requests: c.Requests, Bytes: c.Bytes}
-		c.EachURL(func(u int32) { sc.urls.add(u, &bitmaps) })
+		c.urls.each(func(u int32) { sc.urls.add(u, &bitmaps) })
 		s.Clusters[c.Prefix] = sc
 	}
 	for _, a := range r.Unclustered {
@@ -152,7 +152,7 @@ func requireSameClusters(t *testing.T, want, got *StreamResult) {
 // scanner met them and a parallel pass by whichever worker saw a URL
 // first, so two results' ids agree only up to a relabeling; one carries
 // every cluster's URL set onto the other's exactly when these counts
-// agree. Each cluster's EachURL must hand out NumURLs distinct ids.
+// agree. Each cluster's URL set must hand out NumURLs distinct ids.
 func urlSignatures(t *testing.T, r *StreamResult) map[string]int {
 	t.Helper()
 	prefixes := make([]netutil.Prefix, 0, len(r.Clusters))
@@ -163,12 +163,12 @@ func urlSignatures(t *testing.T, r *StreamResult) map[string]int {
 	byURL := make(map[int32][]byte)
 	for i, p := range prefixes {
 		c, n := r.Clusters[p], 0
-		c.EachURL(func(u int32) {
+		c.urls.each(func(u int32) {
 			byURL[u] = binary.AppendUvarint(byURL[u], uint64(i))
 			n++
 		})
 		if n != c.NumURLs() {
-			t.Fatalf("cluster %v: EachURL gave %d ids, NumURLs %d", p, n, c.NumURLs())
+			t.Fatalf("cluster %v: URL set gave %d ids, NumURLs %d", p, n, c.NumURLs())
 		}
 	}
 	sigs := make(map[string]int)

@@ -202,7 +202,7 @@ func (r *Result) ThresholdBusy(coverFrac float64) Thresholding {
 	return th
 }
 
-// ClientCounts, RequestCounts, URLCounts and ByteCounts extract aligned
+// ClientCounts, RequestCounts and URLCounts extract aligned
 // metric slices from an externally chosen cluster ordering; the figures
 // plot several metrics against one shared x ordering.
 func ClientCounts(cs []*Cluster) []int {
@@ -227,16 +227,6 @@ func URLCounts(cs []*Cluster) []int {
 	out := make([]int, len(cs))
 	for i, c := range cs {
 		out[i] = c.NumURLs()
-	}
-	return out
-}
-
-// ByteCounts extracts per-cluster byte totals (KB would lose precision;
-// callers convert for display).
-func ByteCounts(cs []*Cluster) []int64 {
-	out := make([]int64, len(cs))
-	for i, c := range cs {
-		out[i] = c.Bytes
 	}
 	return out
 }

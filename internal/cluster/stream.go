@@ -27,10 +27,6 @@ func (c *StreamCluster) NumClients() int { return len(c.Clients) }
 // NumURLs returns how many distinct URLs the cluster accessed.
 func (c *StreamCluster) NumURLs() int { return c.urls.n }
 
-// EachURL calls fn once for each id of a URL the cluster accessed, in no
-// particular order.
-func (c *StreamCluster) EachURL(fn func(int32)) { c.urls.each(fn) }
-
 // StreamResult is the single-pass analogue of Result for logs that are
 // parsed incrementally rather than loaded.
 type StreamResult struct {

@@ -44,7 +44,7 @@ func TestClusterStreamMatchesClusterLog(t *testing.T) {
 				mc.Prefix, sc, mc.NumClients(), mc.Requests, mc.Bytes, mc.NumURLs())
 		}
 		// Both number URLs in first-seen order, so the ids themselves agree.
-		if s, m := sortedURLs(sc.EachURL), sortedURLs(mc.EachURL); !slices.Equal(s, m) {
+		if s, m := sortedURLs(sc.urls.each), sortedURLs(mc.urls.each); !slices.Equal(s, m) {
 			t.Fatalf("cluster %v URLs: stream %v vs memory %v", mc.Prefix, s, m)
 		}
 	}

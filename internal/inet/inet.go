@@ -146,14 +146,6 @@ func (in *Internet) NetworkOf(addr netutil.Addr) (*Network, bool) {
 	return n, ok
 }
 
-// NetworkByID returns the network with the given id.
-func (in *Internet) NetworkByID(id int) (*Network, bool) {
-	if id < 0 || id >= len(in.Networks) {
-		return nil, false
-	}
-	return in.Networks[id], true
-}
-
 // VantageASes returns the tier-1 ASes, the candidates for hosting routing
 // table vantage points and for traceroute/probe origins.
 func (in *Internet) VantageASes() []*AS {

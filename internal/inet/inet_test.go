@@ -272,3 +272,11 @@ func TestOrgKindString(t *testing.T) {
 		t.Error("unknown kind string should include the value")
 	}
 }
+
+// NetworkByID returns the network with the given id.
+func (in *Internet) NetworkByID(id int) (*Network, bool) {
+	if id < 0 || id >= len(in.Networks) {
+		return nil, false
+	}
+	return in.Networks[id], true
+}

@@ -37,15 +37,6 @@ func (p Prefix) Contains(a Addr) bool {
 	return a&Addr(MaskOf(int(p.bits))) == p.addr
 }
 
-// Overlaps reports whether p and q share any address, which for prefixes
-// means one contains the other's base address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.bits <= q.bits {
-		return p.Contains(q.addr)
-	}
-	return q.Contains(p.addr)
-}
-
 // ContainsPrefix reports whether q is a (non-strict) sub-prefix of p.
 func (p Prefix) ContainsPrefix(q Prefix) bool {
 	return p.bits <= q.bits && p.Contains(q.addr)
@@ -87,12 +78,6 @@ func (p *Prefix) UnmarshalText(text []byte) error {
 	}
 	*p = q
 	return nil
-}
-
-// StringNetmask renders p in the dotted prefix/netmask notation that several
-// 1999-era routing-table dumps use ("12.65.128.0/255.255.224.0").
-func (p Prefix) StringNetmask() string {
-	return p.addr.String() + "/" + Addr(MaskOf(int(p.bits))).String()
 }
 
 // IsZero reports whether p is the zero Prefix (0.0.0.0/0). The default route

@@ -358,3 +358,18 @@ func TestPrefixAppendMatchesString(t *testing.T) {
 		}
 	}
 }
+
+// Overlaps reports whether p and q share any address, which for prefixes
+// means one contains the other's base address.
+func (p Prefix) Overlaps(q Prefix) bool {
+	if p.bits <= q.bits {
+		return p.Contains(q.addr)
+	}
+	return q.Contains(p.addr)
+}
+
+// StringNetmask renders p in the dotted prefix/netmask notation that several
+// 1999-era routing-table dumps use ("12.65.128.0/255.255.224.0").
+func (p Prefix) StringNetmask() string {
+	return p.addr.String() + "/" + Addr(MaskOf(int(p.bits))).String()
+}

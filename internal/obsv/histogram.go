@@ -57,12 +57,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the running sum of observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 func (h *Histogram) reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
@@ -117,20 +111,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.P99 = quantile(&counts, s.Count, 0.99)
 	}
 	return s
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) of the recorded
-// distribution by locating the bucket holding the q·count-th observation
-// and interpolating linearly within it — exact when observations are
-// uniform inside the bucket, and always inside the bucket's bounds.
-func (h *Histogram) Quantile(q float64) float64 {
-	var counts [numBuckets]uint64
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	return quantile(&counts, total, q)
 }
 
 // quantile interpolates the q-quantile from bucket counts. The rank is

@@ -85,9 +85,6 @@ type Registry struct {
 // The Default registry is wired to DefaultRing at init.
 func (r *Registry) SetRing(ring *Ring) { r.ring.Store(ring) }
 
-// Ring returns the registry's flight recorder, or nil.
-func (r *Registry) Ring() *Ring { return r.ring.Load() }
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{

@@ -49,9 +49,6 @@ func NewRing(size int) *Ring {
 	return &Ring{slots: make([]atomic.Pointer[SpanRecord], n), mask: uint64(n - 1)}
 }
 
-// Cap returns the ring's capacity in spans.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Record stores one completed span, overwriting the oldest when full.
 // rec must not be mutated after the call.
 func (r *Ring) Record(rec *SpanRecord) {
@@ -60,26 +57,6 @@ func (r *Ring) Record(rec *SpanRecord) {
 	}
 	i := r.writes.Add(1) - 1
 	r.slots[i&r.mask].Store(rec)
-}
-
-// Recorded returns the total number of spans ever recorded.
-func (r *Ring) Recorded() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.writes.Load()
-}
-
-// Dropped returns how many spans have been overwritten.
-func (r *Ring) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	w := r.writes.Load()
-	if w <= uint64(len(r.slots)) {
-		return 0
-	}
-	return w - uint64(len(r.slots))
 }
 
 // Snapshot copies the resident spans, ordered by start time. The copy is
@@ -107,16 +84,4 @@ func (r *Ring) Snapshot() []SpanRecord {
 		return out[i].Duration > out[j].Duration
 	})
 	return out
-}
-
-// Reset discards all recorded spans. Not intended to race writers; tests
-// use it to scope the ring to one scenario.
-func (r *Ring) Reset() {
-	if r == nil {
-		return
-	}
-	for i := range r.slots {
-		r.slots[i].Store(nil)
-	}
-	r.writes.Store(0)
 }

@@ -40,9 +40,6 @@ type Config struct {
 	Registry *obsv.Registry
 	// Snapshot overrides the collection source: when set, each tick
 	// diffs this function's result instead of Registry.Snapshot().
-	// Wiring a shard.Aggregator's FederatedSnapshot here exports the
-	// cluster-wide federated view through the same durable sink path a
-	// single process uses.
 	Snapshot func() obsv.Snapshot
 	// Now is the batch timestamp clock, overridable in tests.
 	Now func() time.Time

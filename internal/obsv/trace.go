@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// Hierarchical tracing. A TSpan is the causal sibling of ASpan: where
-// ASpan measures an isolated operation, a TSpan carries a trace identity
-// through a context.Context so that the full pipeline — table compile,
-// shard fan-out, stream parse, per-request proxy work, retry ladders —
-// reconstructs as one tree. Completed spans feed the same <name>.count /
-// <name>.ns metrics ASpan does (no allocation histogram: trace spans are
-// cheap enough to wrap per-request work) and are additionally recorded
-// into the registry's flight-recorder Ring, from which the Chrome
+// Hierarchical tracing. A TSpan carries a trace identity through a
+// context.Context so that the full pipeline — table compile, shard
+// fan-out, stream parse, per-request proxy work, retry ladders —
+// reconstructs as one tree. Completed spans feed <name>.count and
+// <name>.ns metrics (no allocation histogram: trace spans are cheap
+// enough to wrap per-request work) and are additionally recorded into
+// the registry's flight-recorder Ring, from which the Chrome
 // trace_event exporter and /debug/trace serve them.
 //
 // IDs are drawn from process-wide atomic sequences, not wall-clock

@@ -83,7 +83,7 @@ func TestTraceSpanHierarchy(t *testing.T) {
 	if got := reg.Counter("root.count").Value(); got != 1 {
 		t.Errorf("root.count = %d, want 1", got)
 	}
-	if got := reg.Histogram("root.ns").Count(); got != 1 {
+	if got := reg.Histogram("root.ns").count.Load(); got != 1 {
 		t.Errorf("root.ns count = %d, want 1", got)
 	}
 }
@@ -226,7 +226,7 @@ func TestSpanSiteBuildsTracedOrSampled(t *testing.T) {
 		if got := reg.Counter(name + ".count").Value(); got != want {
 			t.Errorf("%s.count = %d, want %d", name, got, want)
 		}
-		if got := reg.Histogram(name + ".ns").Count(); got != want {
+		if got := reg.Histogram(name + ".ns").count.Load(); got != want {
 			t.Errorf("%s.ns holds %d observations, want %d", name, got, want)
 		}
 	}
@@ -265,8 +265,8 @@ func TestSpanContextPropagation(t *testing.T) {
 
 func TestRingWraparoundAndReset(t *testing.T) {
 	ring := NewRing(16)
-	if ring.Cap() != 16 {
-		t.Fatalf("Cap = %d, want 16", ring.Cap())
+	if len(ring.slots) != 16 {
+		t.Fatalf("Cap = %d, want 16", len(ring.slots))
 	}
 	base := time.Unix(1000, 0)
 	for i := 0; i < 40; i++ {
@@ -633,4 +633,36 @@ func TestTraceHandlerAndMetricsHandlerWired(t *testing.T) {
 	if n, err := ValidateChromeTrace(rec.Body.Bytes()); err != nil || n == 0 {
 		t.Errorf("/debug/trace payload invalid: n=%d err=%v", n, err)
 	}
+}
+
+// Recorded returns the total number of spans ever recorded.
+func (r *Ring) Recorded() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.writes.Load()
+}
+
+// Dropped returns how many spans have been overwritten.
+func (r *Ring) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	w := r.writes.Load()
+	if w <= uint64(len(r.slots)) {
+		return 0
+	}
+	return w - uint64(len(r.slots))
+}
+
+// Reset discards all recorded spans. Not intended to race writers; tests
+// use it to scope the ring to one scenario.
+func (r *Ring) Reset() {
+	if r == nil {
+		return
+	}
+	for i := range r.slots {
+		r.slots[i].Store(nil)
+	}
+	r.writes.Store(0)
 }

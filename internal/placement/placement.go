@@ -119,13 +119,6 @@ type ProxyCluster struct {
 	Requests int
 }
 
-// GroupByAS buckets a plan's assignments by the origin AS recorded in the
-// merged table's provenance. Clusters whose prefix carries no AS
-// information (registry dumps) fall into the OriginAS == 0 group.
-func GroupByAS(plan Plan, table *bgp.Merged) []ProxyCluster {
-	return groupBy(plan, table, nil)
-}
-
 // GroupByASAndLocation additionally splits groups by country, using a
 // whois-style lookup from AS number to country code (unknown ASes get
 // country ""). This is the full form of the paper's strategy 2: "all

@@ -118,7 +118,7 @@ func TestGroupByAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := GroupByAS(plan, table)
+	groups := groupBy(plan, table, nil)
 	// AS 7018 gets clusters 10.1 and 10.2; AS 701 gets 10.3; unknown gets 10.4.
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d: %+v", len(groups), groups)
@@ -187,7 +187,7 @@ func TestGroupByASAndLocation(t *testing.T) {
 	}
 	// Nil lookup degrades to plain AS grouping.
 	plain := GroupByASAndLocation(plan, table, nil)
-	if len(plain) != len(GroupByAS(plan, table)) {
+	if len(plain) != len(groupBy(plan, table, nil)) {
 		t.Fatal("nil countryOf must match GroupByAS")
 	}
 }

@@ -202,10 +202,6 @@ func NewDynamic[V any]() *Dynamic[V] {
 // Len returns the number of live (prefix, rank) keys.
 func (d *Dynamic[V]) Len() int { return len(d.keys) }
 
-// NumNodes returns the number of stride-8 nodes, including nodes emptied
-// by removals (they stay linked).
-func (d *Dynamic[V]) NumNodes() int { return d.numNodes }
-
 // DeadEntries returns the number of arena rows orphaned by removals and
 // replacements since construction — the caller's compaction signal.
 func (d *Dynamic[V]) DeadEntries() int { return d.deadEntries }

@@ -982,3 +982,7 @@ func TestDynamicArenaSwitchUnderReaders(t *testing.T) {
 		}
 	}
 }
+
+// NumNodes returns the number of stride-8 nodes, including nodes emptied
+// by removals (they stay linked).
+func (d *Dynamic[V]) NumNodes() int { return d.numNodes }

@@ -77,9 +77,6 @@ func (m *Multibit[V]) Freeze() *Frozen[V] {
 	return f
 }
 
-// Len returns the number of distinct prefixes in the table.
-func (f *Frozen[V]) Len() int { return f.size }
-
 // NumNodes returns the number of stride-8 nodes reachable from the root,
 // a direct proxy for the table's memory footprint: each node is 2 KiB of
 // children and slots plus 2 KiB of packed words once the batch kernel

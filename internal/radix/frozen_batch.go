@@ -122,12 +122,6 @@ func (f *Frozen[V]) LookupBatch(addrs []netutil.Addr, dst []int32) []int32 {
 	return dst
 }
 
-// Entry resolves an entry row returned by LookupBatch to its stored
-// prefix and value. Rows are stable for the lifetime of the Frozen.
-func (f *Frozen[V]) Entry(row int32) (netutil.Prefix, V) {
-	return f.prefixes[row], f.values[row]
-}
-
 // Entries returns the entry tables LookupBatch's rows index. Unlike Raw
 // it never copies, so a per-batch row resolver can call it.
 func (f *Frozen[V]) Entries() (prefixes []netutil.Prefix, values []V) {

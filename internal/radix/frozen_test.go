@@ -115,3 +115,12 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 		<-done
 	}
 }
+
+// Len returns the number of distinct prefixes in the table.
+func (f *Frozen[V]) Len() int { return f.size }
+
+// Entry resolves an entry row returned by LookupBatch to its stored
+// prefix and value. Rows are stable for the lifetime of the Frozen.
+func (f *Frozen[V]) Entry(row int32) (netutil.Prefix, V) {
+	return f.prefixes[row], f.values[row]
+}

@@ -41,9 +41,6 @@ func NewMultibit[V any]() *Multibit[V] {
 	return &Multibit[V]{keys: make(map[netutil.Prefix]struct{})}
 }
 
-// Len returns the number of distinct prefixes inserted.
-func (m *Multibit[V]) Len() int { return m.size }
-
 // Insert adds or replaces the value for prefix p. It reports whether the
 // prefix was newly inserted.
 func (m *Multibit[V]) Insert(p netutil.Prefix, v V) bool {
@@ -104,28 +101,4 @@ func (m *Multibit[V]) InsertRanked(p netutil.Prefix, v V, rank int) bool {
 		}
 	}
 	return !existed
-}
-
-// Lookup returns the highest-ranked stored prefix containing addr. With
-// Insert's rank = bits convention that is the longest match.
-func (m *Multibit[V]) Lookup(addr netutil.Addr) (netutil.Prefix, V, bool) {
-	octets := addr.Octets()
-	var best *mbEntry[V]
-	n := &m.root
-	for level := 0; level < 4; level++ {
-		b := octets[level]
-		if e := n.entries[b]; e != nil && (best == nil || best.rank <= e.rank) {
-			best = e
-		}
-		next := n.children[b]
-		if next == nil {
-			break
-		}
-		n = next
-	}
-	if best == nil {
-		var zero V
-		return netutil.Prefix{}, zero, false
-	}
-	return best.prefix, best.value, true
 }

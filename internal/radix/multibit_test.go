@@ -147,3 +147,30 @@ func TestMultibitEmpty(t *testing.T) {
 		t.Fatal("empty table has size")
 	}
 }
+
+// Len returns the number of distinct prefixes inserted.
+func (m *Multibit[V]) Len() int { return m.size }
+
+// Lookup returns the highest-ranked stored prefix containing addr. With
+// Insert's rank = bits convention that is the longest match.
+func (m *Multibit[V]) Lookup(addr netutil.Addr) (netutil.Prefix, V, bool) {
+	octets := addr.Octets()
+	var best *mbEntry[V]
+	n := &m.root
+	for level := 0; level < 4; level++ {
+		b := octets[level]
+		if e := n.entries[b]; e != nil && (best == nil || best.rank <= e.rank) {
+			best = e
+		}
+		next := n.children[b]
+		if next == nil {
+			break
+		}
+		n = next
+	}
+	if best == nil {
+		var zero V
+		return netutil.Prefix{}, zero, false
+	}
+	return best.prefix, best.value, true
+}

@@ -326,3 +326,130 @@ func TestPrefixesMatchesWalk(t *testing.T) {
 		t.Fatalf("Prefixes len = %d, tree len = %d", len(ps), tr.Len())
 	}
 }
+
+// Delete removes the value for exactly p, reporting whether it was present.
+// Structural nodes left without values or branching purpose are pruned so
+// repeated insert/delete cycles do not leak memory.
+func (t *Tree[V]) Delete(p netutil.Prefix) bool {
+	var parent *node[V]
+	n := t.root
+	for n != nil && n.prefix.ContainsPrefix(p) {
+		if n.prefix == p {
+			if !n.hasValue {
+				return false
+			}
+			var zero V
+			n.value, n.hasValue = zero, false
+			t.size--
+			t.prune(parent, n)
+			return true
+		}
+		parent = n
+		if bitAt(p.Addr(), n.prefix.Bits()) == 0 {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return false
+}
+
+// Prefixes returns all stored prefixes in walk order.
+func (t *Tree[V]) Prefixes() []netutil.Prefix {
+	out := make([]netutil.Prefix, 0, t.size)
+	t.Walk(func(p netutil.Prefix, _ V) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
+}
+
+// Covering returns the stored prefixes that contain addr, least specific
+// first — the full match chain a router would consider before choosing the
+// longest. Useful for diagnosing aggregation-induced mis-clustering.
+func (t *Tree[V]) Covering(addr netutil.Addr) []netutil.Prefix {
+	var out []netutil.Prefix
+	n := t.root
+	for n != nil && n.prefix.Contains(addr) {
+		if n.hasValue {
+			out = append(out, n.prefix)
+		}
+		if n.prefix.Bits() == 32 {
+			break
+		}
+		if bitAt(addr, n.prefix.Bits()) == 0 {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return out
+}
+
+// prune removes n if it is now a valueless leaf, or splices it out if it is
+// a valueless one-child branch. parent may be nil only when n is the root,
+// which is never pruned.
+func (t *Tree[V]) prune(parent, n *node[V]) {
+	if parent == nil || n.hasValue {
+		return
+	}
+	switch {
+	case n.left == nil && n.right == nil:
+		if parent.left == n {
+			parent.left = nil
+		} else {
+			parent.right = nil
+		}
+		// The parent may itself have become a splice-able branch; one
+		// level of cleanup is enough to keep the structure tight because
+		// parents above still branch or hold values by construction.
+		if parent != t.root && !parent.hasValue {
+			t.spliceSingleChild(parent)
+		}
+	case n.left == nil:
+		t.replaceChild(parent, n, n.right)
+	case n.right == nil:
+		t.replaceChild(parent, n, n.left)
+	}
+}
+
+func (t *Tree[V]) spliceSingleChild(n *node[V]) {
+	var only *node[V]
+	switch {
+	case n.left != nil && n.right == nil:
+		only = n.left
+	case n.right != nil && n.left == nil:
+		only = n.right
+	default:
+		return
+	}
+	if p := t.findParent(n); p != nil {
+		t.replaceChild(p, n, only)
+	}
+}
+
+func (t *Tree[V]) findParent(target *node[V]) *node[V] {
+	n := t.root
+	for n != nil {
+		if n.left == target || n.right == target {
+			return n
+		}
+		if !n.prefix.ContainsPrefix(target.prefix) {
+			return nil
+		}
+		if bitAt(target.prefix.Addr(), n.prefix.Bits()) == 0 {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return nil
+}
+
+func (t *Tree[V]) replaceChild(parent, old, new_ *node[V]) {
+	if parent.left == old {
+		parent.left = new_
+	} else if parent.right == old {
+		parent.right = new_
+	}
+}

@@ -59,17 +59,14 @@ type AggregatorConfig struct {
 	// MaxAge is the demand-pull threshold: a scrape older than this
 	// triggers a refresh. 0 = DefaultFederateEvery.
 	MaxAge time.Duration
-	// LoadCounters are the counters whose per-member share feeds the
-	// imbalance gauges (nil = DefaultLoadCounters).
-	LoadCounters []string
 	// Now is the scrape clock, overridable in tests.
 	Now func() time.Time
 }
 
-// DefaultLoadCounters are the per-shard work counters the imbalance
-// gauges are derived from: whichever of these a member exports first is
-// its load figure (NodeServer and clusterd name theirs differently).
-var DefaultLoadCounters = []string{"shard.node.addrs", "clusterd.batch.addrs"}
+// loadCounters are the per-shard work counters the imbalance gauges
+// are derived from: whichever of these a member exports first is its
+// load figure (NodeServer and clusterd name theirs differently).
+var loadCounters = [...]string{"shard.node.addrs", "clusterd.batch.addrs"}
 
 // Aggregator is the router-side metrics federation point: it pulls every
 // member's registry snapshot from /metrics.json and serves the merged
@@ -99,9 +96,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	}
 	if cfg.MaxAge <= 0 {
 		cfg.MaxAge = DefaultFederateEvery
-	}
-	if cfg.LoadCounters == nil {
-		cfg.LoadCounters = DefaultLoadCounters
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -180,13 +174,6 @@ func (a *Aggregator) refreshIfStale(ctx context.Context) {
 	}
 }
 
-// Members returns the last refresh's per-member state.
-func (a *Aggregator) Members() []MemberState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]MemberState(nil), a.state...)
-}
-
 // LiveShards counts members whose last pull succeeded.
 func (a *Aggregator) LiveShards() int {
 	a.mu.Lock()
@@ -224,58 +211,15 @@ func memberSnapshots(state []MemberState) []obsv.MemberSnapshot {
 	return members
 }
 
-// loadOf returns a member's load figure: the first configured load
-// counter its snapshot exports.
-func (a *Aggregator) loadOf(s obsv.Snapshot) (uint64, bool) {
-	for _, name := range a.cfg.LoadCounters {
+// loadOf returns a member's load figure: the first of loadCounters its
+// snapshot exports.
+func loadOf(s obsv.Snapshot) (uint64, bool) {
+	for _, name := range loadCounters {
 		if v, ok := s.Counters[name]; ok {
 			return v, true
 		}
 	}
 	return 0, false
-}
-
-// FederatedSnapshot flattens the last refresh into one registry-shaped
-// snapshot: every member metric under cluster.s<label>.<name>, merged
-// cluster-wide series under cluster.<name> (counters and gauges summed,
-// histograms bucket-merged so their quantiles are true cluster
-// quantiles), plus cluster.shards / cluster.live_shards gauges. Wiring
-// this into sink.Config.Snapshot exports the federated view through the
-// durable sink path.
-func (a *Aggregator) FederatedSnapshot() obsv.Snapshot {
-	state := a.Members()
-	out := obsv.Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]obsv.HistogramSnapshot),
-	}
-	merged := make(map[string][]obsv.HistogramSnapshot)
-	live := 0
-	for _, st := range state {
-		if st.Err != nil {
-			continue
-		}
-		live++
-		prefix := "cluster.s" + st.Label + "."
-		for name, v := range st.Snap.Counters {
-			out.Counters[prefix+name] = v
-			out.Counters["cluster."+name] += v
-		}
-		for name, v := range st.Snap.Gauges {
-			out.Gauges[prefix+name] = v
-			out.Gauges["cluster."+name] += v
-		}
-		for name, h := range st.Snap.Histograms {
-			out.Histograms[prefix+name] = h
-			merged[name] = append(merged[name], h)
-		}
-	}
-	for name, parts := range merged {
-		out.Histograms["cluster."+name] = obsv.MergeHistogramSnapshots(parts...)
-	}
-	out.Gauges["cluster.shards"] = int64(len(state))
-	out.Gauges["cluster.live_shards"] = int64(live)
-	return out
 }
 
 // Handler serves the federated Prometheus page. Every scrape refreshes
@@ -317,7 +261,7 @@ func (a *Aggregator) writeClusterGauges(w io.Writer, state []MemberState, age ti
 			continue
 		}
 		live++
-		if v, ok := a.loadOf(st.Snap); ok {
+		if v, ok := loadOf(st.Snap); ok {
 			loads = append(loads, load{st.Label, v})
 			total += v
 		}

@@ -116,7 +116,7 @@ func TestUntracedBatchSampling(t *testing.T) {
 		m := make(map[string]uint64)
 		for _, name := range names {
 			m[name+".count"] = obsv.Default.Counter(name + ".count").Value()
-			m[name+".ns"] = obsv.Default.Histogram(name + ".ns").Count()
+			m[name+".ns"] = obsv.Default.Histogram(name + ".ns").Snapshot().Count
 		}
 		return m
 	}
@@ -142,7 +142,7 @@ func TestUntracedBatchSampling(t *testing.T) {
 	sampled := 0
 	for i := 0; i < obsv.RootSampleEvery; i++ {
 		from := lastSpan()
-		if resp := c.Router.Batch(probes); len(resp.Degradation) != 0 {
+		if resp := c.Router.BatchCtx(context.Background(), probes); len(resp.Degradation) != 0 {
 			t.Fatalf("healthy cluster degraded: %v", resp.Degradation)
 		}
 		recs := recorded(from)
@@ -216,7 +216,7 @@ func TestRouterBatchCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp := c.Router.Batch(clusterProbes(t))
+	resp := c.Router.BatchCtx(context.Background(), clusterProbes(t))
 	if len(resp.Results) != len(clusterProbes(t)) {
 		t.Fatalf("%d results for %d probes", len(resp.Results), len(clusterProbes(t)))
 	}
@@ -233,7 +233,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 3; i++ {
-		if resp := c.Router.Batch(clusterProbes(t)); len(resp.Degradation) != 0 {
+		if resp := c.Router.BatchCtx(context.Background(), clusterProbes(t)); len(resp.Degradation) != 0 {
 			t.Fatalf("degraded: %v", resp.Degradation)
 		}
 	}
@@ -384,7 +384,7 @@ func TestFollowerLagProbe(t *testing.T) {
 	}
 }
 
-// TestAggregatorFederatedSnapshot: the sink-exportable flattening
+// TestAggregatorFederatedSnapshot: the registry-shaped flattening
 // carries per-member and merged series.
 func TestAggregatorFederatedSnapshot(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{Shards: 2, ASes: 120, Seed: 5, FederateEvery: time.Nanosecond})
@@ -392,9 +392,9 @@ func TestAggregatorFederatedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Router.Batch(clusterProbes(t))
+	c.Router.BatchCtx(context.Background(), clusterProbes(t))
 
-	agg := c.Router.Aggregator()
+	agg := c.Router.agg
 	agg.Refresh(context.Background())
 	snap := agg.FederatedSnapshot()
 	if snap.Gauges["cluster.shards"] != 2 || snap.Gauges["cluster.live_shards"] != 2 {
@@ -409,4 +409,53 @@ func TestAggregatorFederatedSnapshot(t *testing.T) {
 	if _, ok := snap.Histograms["cluster.node.batch.ns"]; !ok {
 		t.Fatalf("no merged histogram in federated snapshot")
 	}
+}
+
+// Members returns the last refresh's per-member state.
+func (a *Aggregator) Members() []MemberState {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]MemberState(nil), a.state...)
+}
+
+// FederatedSnapshot flattens the last refresh into one registry-shaped
+// snapshot: every member metric under cluster.s<label>.<name>, merged
+// cluster-wide series under cluster.<name> (counters and gauges summed,
+// histograms bucket-merged so their quantiles are true cluster
+// quantiles), plus cluster.shards / cluster.live_shards gauges: the
+// merge /metrics/cluster renders, in registry form for the tests.
+func (a *Aggregator) FederatedSnapshot() obsv.Snapshot {
+	state := a.Members()
+	out := obsv.Snapshot{
+		Counters:   make(map[string]uint64),
+		Gauges:     make(map[string]int64),
+		Histograms: make(map[string]obsv.HistogramSnapshot),
+	}
+	merged := make(map[string][]obsv.HistogramSnapshot)
+	live := 0
+	for _, st := range state {
+		if st.Err != nil {
+			continue
+		}
+		live++
+		prefix := "cluster.s" + st.Label + "."
+		for name, v := range st.Snap.Counters {
+			out.Counters[prefix+name] = v
+			out.Counters["cluster."+name] += v
+		}
+		for name, v := range st.Snap.Gauges {
+			out.Gauges[prefix+name] = v
+			out.Gauges["cluster."+name] += v
+		}
+		for name, h := range st.Snap.Histograms {
+			out.Histograms[prefix+name] = h
+			merged[name] = append(merged[name], h)
+		}
+	}
+	for name, parts := range merged {
+		out.Histograms["cluster."+name] = obsv.MergeHistogramSnapshots(parts...)
+	}
+	out.Gauges["cluster.shards"] = int64(len(state))
+	out.Gauges["cluster.live_shards"] = int64(live)
+	return out
 }

@@ -83,9 +83,6 @@ func NewFeed(t *churn.Table, maxLog int) *Feed {
 	return f
 }
 
-// Table returns the authoritative table behind the feed.
-func (f *Feed) Table() *churn.Table { return f.table }
-
 // Head returns the last published sequence number.
 func (f *Feed) Head() uint64 {
 	f.mu.Lock()

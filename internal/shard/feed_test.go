@@ -37,8 +37,8 @@ func TestFeedSequenceTracksGeneration(t *testing.T) {
 			t.Fatalf("apply %d: generation %d, seq %d", i, st.Generation, seq)
 		}
 	}
-	if f.Table().Generation() != 5 || f.Head() != 5 {
-		t.Fatalf("after 5 applies: table gen %d, head %d", f.Table().Generation(), f.Head())
+	if f.table.Generation() != 5 || f.Head() != 5 {
+		t.Fatalf("after 5 applies: table gen %d, head %d", f.table.Generation(), f.Head())
 	}
 }
 

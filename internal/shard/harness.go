@@ -184,7 +184,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 // Reference returns the compiler node's full table — the single-node
 // equivalence oracle.
-func (c *Cluster) Reference() *churn.Table { return c.Feed.Table() }
+func (c *Cluster) Reference() *churn.Table { return c.Feed.table }
 
 // FeedBase returns the compiler node's base URL.
 func (c *Cluster) FeedBase() string { return c.feedSrv.base }

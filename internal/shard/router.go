@@ -159,18 +159,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Aggregator returns the router's metrics federation point (the engine
-// behind /metrics/cluster and /readyz), for embedders that want to wire
-// its FederatedSnapshot into a sink exporter.
-func (rt *Router) Aggregator() *Aggregator { return rt.agg }
-
 // SetDraining flips the router's readiness: a draining router answers
 // /readyz 503 so load balancers stop sending new work, while in-flight
 // and even new batches still succeed during the drain window.
 func (rt *Router) SetDraining(v bool) { rt.draining.Store(v) }
-
-// Map returns the router's shard map.
-func (rt *Router) Map() *Map { return rt.cfg.Map }
 
 // Close closes the router's idle batch streams. A batch still in flight
 // finishes, and closes its connections behind it.
@@ -194,13 +186,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/readyz", rt.handleReadyz)
 	mux.Handle("/metrics/cluster", rt.agg.Handler())
 	return mux
-}
-
-// Batch routes one probe batch with no inbound context: a fresh trace
-// root. Kept for compatibility; request paths should call BatchCtx so
-// the fan-out parents into the caller's trace.
-func (rt *Router) Batch(addrs []netutil.Addr) *RouterBatchResponse {
-	return rt.BatchCtx(context.Background(), addrs)
 }
 
 // BatchCtx routes one probe batch and renders the outcome as a

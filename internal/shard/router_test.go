@@ -289,14 +289,14 @@ func TestRouterDegradationUnderFaultnet(t *testing.T) {
 				}, timeout)
 				rt := fx.router
 				if warm {
-					if out := rt.Batch(addrs); len(out.Degradation) != 0 {
+					if out := rt.BatchCtx(context.Background(), addrs); len(out.Degradation) != 0 {
 						t.Fatalf("cluster degraded before any fault: %v", out.Degradation)
 					}
 				}
 				inj.SetProfile(tc.profile)
 
 				degraded := routerDegraded.Value()
-				out := rt.Batch(addrs)
+				out := rt.BatchCtx(context.Background(), addrs)
 				checkDegraded(t, out, fx.tables, fx.m, addrs, 2)
 				t.Logf("shard 2: %s", out.Degradation["2"])
 				if got := routerDegraded.Value() - degraded; got != 1 {
@@ -478,7 +478,7 @@ func TestRouterRejectsBadFrames(t *testing.T) {
 	// the edits, not the node or the relay.
 	real.nodes["shard1:80"] = (&tamperer{node: real.nodes["shard1:80"]}).serve
 	rt := newRouter(t, RouterConfig{Map: m, Dial: real.dial})
-	checkClean(t, rt.Batch(addrs), tables, m, addrs)
+	checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs)
 }
 
 // TestRouterReusesShardConnections counts dials: the router keeps the
@@ -490,7 +490,7 @@ func TestRouterReusesShardConnections(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		rt, pn, tables := newPipeRouter(t)
 		for i := 0; i < 20; i++ {
-			checkClean(t, rt.Batch(addrs), tables, rt.Map(), addrs)
+			checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, rt.cfg.Map, addrs)
 		}
 		if n := pn.dials.Load(); n != 3 {
 			t.Fatalf("20 sequential batches dialed %d connections, want one per shard", n)
@@ -521,7 +521,7 @@ func TestRouterReusesShardConnections(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if out := rt.Batch(addrs); len(out.Degradation) != 0 {
+					if out := rt.BatchCtx(context.Background(), addrs); len(out.Degradation) != 0 {
 						t.Errorf("healthy cluster degraded: %v", out.Degradation)
 					}
 				}()
@@ -548,10 +548,10 @@ func TestRouterReusesShardConnections(t *testing.T) {
 		node := pn.nodes["shard1:80"]
 		pn.nodes["shard1:80"] = func(c net.Conn) { nodeEnd = c; node(c) }
 		rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial})
-		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs)
 		nodeEnd.Close()
 		errs := routerShardErrs.Value()
-		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs)
 		if n := pn.dials.Load(); n != 4 {
 			t.Fatalf("%d dials, want 3 and one redial", n)
 		}
@@ -574,12 +574,12 @@ func TestRouterReusesShardConnections(t *testing.T) {
 			return false
 		}}).serve
 		rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial})
-		checkClean(t, rt.Batch(addrs), tables, m, addrs)
-		checkDegraded(t, rt.Batch(addrs), tables, m, addrs, 1)
+		checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs)
+		checkDegraded(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs, 1)
 		if n := pn.dials.Load(); n != 3 {
 			t.Fatalf("%d dials after the broken answer, want 3: no retry", n)
 		}
-		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs)
 		if n := pn.dials.Load(); n != 4 {
 			t.Fatalf("%d dials, want 4: the broken connection replaced once", n)
 		}
@@ -595,13 +595,13 @@ func TestRouterReusesShardConnections(t *testing.T) {
 			return false
 		}}).serve
 		rt := newRouter(t, RouterConfig{Map: m, Dial: pn.dial})
-		checkClean(t, rt.Batch(addrs), tables, m, addrs)
-		out := rt.Batch(addrs)
+		checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs)
+		out := rt.BatchCtx(context.Background(), addrs)
 		checkDegraded(t, out, tables, m, addrs, 1)
 		if want := "503 Service Unavailable: " + errNoCapacity.Error(); out.Degradation["1"] != want {
 			t.Fatalf("degradation %q, want %q", out.Degradation["1"], want)
 		}
-		checkClean(t, rt.Batch(addrs), tables, m, addrs)
+		checkClean(t, rt.BatchCtx(context.Background(), addrs), tables, m, addrs)
 		if n := pn.dials.Load(); n != 3 {
 			t.Fatalf("%d dials, want 3: a refused batch leaves the stream in step", n)
 		}

@@ -24,7 +24,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"github.com/netaware/netcluster/internal/bgp"
@@ -114,18 +113,6 @@ func (m *Map) Validate() error {
 	return nil
 }
 
-// ParseMap decodes and validates a JSON shard map (the /shardmap body).
-func ParseMap(data []byte) (*Map, error) {
-	m := &Map{}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("shard map: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // NumShards returns the number of shards in the map.
 func (m *Map) NumShards() int { return len(m.Shards) }
 
@@ -148,12 +135,6 @@ func (m *Map) Overlaps(id int, p netutil.Prefix) bool {
 // but its provenance row travels with the table.
 func (m *Map) Keep(id int) func(netutil.Prefix) bool {
 	return func(p netutil.Prefix) bool { return m.Overlaps(id, p) }
-}
-
-// FilterDelta restricts d to the operations shard id must apply: ops
-// whose prefix overlaps the shard's range.
-func (m *Map) FilterDelta(id int, d bgp.Delta) bgp.Delta {
-	return FilterDelta(m.Keep(id), d)
 }
 
 // FilterDelta restricts d to the ops whose prefix keep accepts. The

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/bgp"
@@ -95,16 +96,16 @@ func TestFilterDelta(t *testing.T) {
 		{Kind: bgp.SourceBGP, Entry: bgp.Entry{Prefix: netutil.MustParsePrefix("200.1.0.0/16")}},
 		{Withdraw: true, Kind: bgp.SourceBGP, Entry: bgp.Entry{Prefix: netutil.MustParsePrefix("100.0.0.0/7")}},
 	}}
-	d0 := m.FilterDelta(0, d)
+	d0 := FilterDelta(m.Keep(0), d)
 	if len(d0.Ops) != 2 || d0.Ops[0].Entry.Prefix.String() != "10.0.0.0/8" || d0.Ops[1].Entry.Prefix.String() != "100.0.0.0/7" {
 		t.Fatalf("shard 0 delta = %+v", d0.Ops)
 	}
-	d1 := m.FilterDelta(1, d)
+	d1 := FilterDelta(m.Keep(1), d)
 	// 100.0.0.0/7 spans 100..101.x — entirely inside shard 0's range.
 	if len(d1.Ops) != 1 || d1.Ops[0].Entry.Prefix.String() != "200.1.0.0/16" {
 		t.Fatalf("shard 1 delta = %+v", d1.Ops)
 	}
-	if kept := m.FilterDelta(0, d0); len(kept.Ops) != len(d0.Ops) {
+	if kept := FilterDelta(m.Keep(0), d0); len(kept.Ops) != len(d0.Ops) {
 		t.Fatal("fully-kept delta changed size")
 	}
 	if d1.Source != "feed" {
@@ -174,4 +175,16 @@ func TestDeltaWireRoundTrip(t *testing.T) {
 	if _, err := DecodeDelta(WireDelta{Seq: 1, Ops: []WireOp{{Prefix: "10.0.0.0/8", Kind: 99}}}); err == nil {
 		t.Fatal("unknown kind decoded")
 	}
+}
+
+// ParseMap decodes and validates a JSON shard map (the /shardmap body).
+func ParseMap(data []byte) (*Map, error) {
+	m := &Map{}
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, fmt.Errorf("shard map: %w", err)
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

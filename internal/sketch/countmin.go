@@ -1,12 +1,12 @@
 // Package sketch provides the bounded-memory stream summaries behind
 // firehose-scale clustering: a count-min sketch with conservative
-// update and a space-saving heavy-hitter summary, both mergeable across
-// shards. The combination implements the paper's own thresholding
-// observation as a data structure: ~70% of requests come from a small
-// busy tail of clusters (Section 4.1.3), so the busy clusters are
-// tracked exactly in O(K) counters while the long tail is approximated
-// in O(width·depth) sketch cells — memory independent of how many
-// distinct clusters a 100M-request stream touches.
+// update and a space-saving heavy-hitter summary. The combination
+// implements the paper's own thresholding observation as a data
+// structure: ~70% of requests come from a small busy tail of clusters
+// (Section 4.1.3), so the busy clusters are tracked exactly in O(K)
+// counters while the long tail is approximated in O(width·depth) sketch
+// cells — memory independent of how many distinct clusters a
+// 100M-request stream touches.
 //
 // Guarantees, each property-tested in sketch_test.go:
 //
@@ -16,11 +16,6 @@
 //   - SpaceSaving with capacity C retains every item whose true count
 //     exceeds N/C, and brackets every retained item's true count in
 //     [Count-Err, Count]. An entry with Err == 0 is exact.
-//   - Merge(a, b) of plain-update count-min sketches equals the sketch
-//     of the concatenated stream, cell for cell. (Conservative update
-//     trades this equality for tighter estimates: merged cells then
-//     upper-bound the concatenated-stream sketch instead of matching
-//     it, preserving overestimate-only.)
 package sketch
 
 import (
@@ -30,7 +25,7 @@ import (
 
 // splitmix64 is the SplitMix64 finalizer: a full-avalanche bijection on
 // uint64, used to derive per-row hash functions. Deterministic, so any
-// two sketches with equal dimensions hash identically and merge.
+// two sketches with equal dimensions hash identically.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -39,8 +34,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // rowSeed returns the hash seed for sketch row i. Package-level and
-// pure, so every CountMin of a given depth uses the same hash family —
-// the precondition for cell-wise merge.
+// pure, so every CountMin of a given depth uses the same hash family.
 func rowSeed(i int) uint64 {
 	return splitmix64(uint64(i+1) * 0x9e3779b97f4a7c15)
 }
@@ -77,8 +71,7 @@ func NewCountMin(width, depth int) *CountMin {
 }
 
 // newCountMin allocates a zeroed sketch of power-of-two width w — the
-// one place rows, row seeds and the update scratch are sized, shared
-// by the constructors, UnmarshalCountMin and Clone.
+// one place rows, row seeds and the update scratch are sized.
 func newCountMin(w uint64, depth int) *CountMin {
 	c := &CountMin{
 		width: w,
@@ -110,24 +103,10 @@ func NewCountMinError(epsilon, delta float64) (*CountMin, error) {
 	return NewCountMin(width, depth), nil
 }
 
-// Width returns the (rounded) row width.
-func (c *CountMin) Width() int { return int(c.width) }
-
-// Depth returns the number of rows.
-func (c *CountMin) Depth() int { return c.depth }
-
-// Total returns N, the sum of every weight added so far.
-func (c *CountMin) Total() uint64 { return c.total }
-
 // Epsilon returns the guaranteed per-query error fraction for this
 // width: Estimate(k) ≤ true(k) + Epsilon()·Total() with probability
 // ≥ 1 - exp(-depth).
 func (c *CountMin) Epsilon() float64 { return math.E / float64(c.width) }
-
-// ErrorBound returns the current absolute error ceiling ε·N.
-func (c *CountMin) ErrorBound() uint64 {
-	return uint64(math.Ceil(c.Epsilon() * float64(c.total)))
-}
 
 // cell returns the row-i cell index for key.
 func (c *CountMin) cell(i int, key uint64) uint64 {
@@ -135,8 +114,8 @@ func (c *CountMin) cell(i int, key uint64) uint64 {
 }
 
 // Add records weight w for key with the plain update rule: every row's
-// cell grows by w. Plain updates keep the sketch exactly mergeable —
-// Merge(a, b) equals the sketch of the concatenated stream.
+// cell grows by w, so a plain sketch upper-bounds a conservative one
+// fed the same stream.
 func (c *CountMin) Add(key, w uint64) {
 	c.total += w
 	for i := 0; i < c.depth; i++ {
@@ -181,34 +160,6 @@ func (c *CountMin) Estimate(key uint64) uint64 {
 		}
 	}
 	return est
-}
-
-// Merge folds o into c cell by cell. Both sketches must have identical
-// dimensions — same width, same depth — or the merge is rejected
-// loudly; a dimension-mismatched merge would silently misalign every
-// hash. For plain-update sketches the result is exactly the sketch of
-// the concatenated streams.
-func (c *CountMin) Merge(o *CountMin) error {
-	if o == nil {
-		return fmt.Errorf("sketch: merge with nil count-min")
-	}
-	if c.width != o.width || c.depth != o.depth {
-		return fmt.Errorf("sketch: merge dimension mismatch: %dx%d vs %dx%d",
-			c.width, c.depth, o.width, o.depth)
-	}
-	for i, v := range o.rows {
-		c.rows[i] += v
-	}
-	c.total += o.total
-	return nil
-}
-
-// Clone returns an independent deep copy (snapshots for merge trees).
-func (c *CountMin) Clone() *CountMin {
-	out := newCountMin(c.width, c.depth)
-	out.total = c.total
-	copy(out.rows, c.rows)
-	return out
 }
 
 // FootprintBytes returns the fixed memory the sketch holds — the number

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -56,9 +55,6 @@ func NewSpaceSaving(capacity int) *SpaceSaving {
 		shift:    uint(64 - logSize),
 	}
 }
-
-// Capacity returns the fixed counter budget.
-func (s *SpaceSaving) Capacity() int { return s.capacity }
 
 // Len returns how many keys are currently monitored (≤ Capacity).
 func (s *SpaceSaving) Len() int { return len(s.heap) }
@@ -128,11 +124,6 @@ func (s *SpaceSaving) Get(key uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Entries returns every monitored entry in unspecified order.
-func (s *SpaceSaving) Entries() []Entry {
-	return append([]Entry(nil), s.heap...)
-}
-
 // Top returns the k largest entries by Count (descending), ties broken
 // by ascending key so the order is total and stable.
 func (s *SpaceSaving) Top(k int) []Entry {
@@ -147,82 +138,6 @@ func (s *SpaceSaving) Top(k int) []Entry {
 		out = out[:k]
 	}
 	return out
-}
-
-// Merge folds o into s. Both summaries must have equal capacity —
-// merging across mismatched budgets would weaken the N/C guarantee of
-// the smaller side silently, so it is rejected loudly instead. Matched
-// keys sum their counts and slacks; a key monitored on only one side
-// additionally inherits the other side's MinCount as slack (its count
-// there is unknown but bounded by that minimum). The result keeps the
-// top Capacity entries, preserving the merged guarantee: any key with
-// true combined count > (Na+Nb)/Capacity stays monitored. The merged
-// entries that did not fit are returned, largest first; as with Add's
-// victim, Count-Err and Bytes-ByteErr is the traffic they leave with.
-func (s *SpaceSaving) Merge(o *SpaceSaving) (dropped []Entry, err error) {
-	if o == nil {
-		return nil, fmt.Errorf("sketch: merge with nil space-saving summary")
-	}
-	if s.capacity != o.capacity {
-		return nil, fmt.Errorf("sketch: merge capacity mismatch: %d vs %d", s.capacity, o.capacity)
-	}
-	sMin, oMin := s.MinCount(), o.MinCount()
-	all := make([]Entry, 0, len(s.heap)+len(o.heap))
-	for _, e := range s.heap {
-		if slot, ok := o.find(e.Key); ok {
-			m := o.heap[o.index[slot]-1]
-			e.Count += m.Count
-			e.Err += m.Err
-			e.Bytes += m.Bytes
-			e.ByteErr += m.ByteErr
-		} else {
-			// Monitored only in s: its count in o's stream is at most o's
-			// minimum counter.
-			e.Count += oMin
-			e.Err += oMin
-		}
-		all = append(all, e)
-	}
-	for _, e := range o.heap {
-		if _, ok := s.find(e.Key); !ok {
-			e.Count += sMin
-			e.Err += sMin
-			all = append(all, e)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Key < all[j].Key
-	})
-	if len(all) > s.capacity {
-		s.evictions += uint64(len(all) - s.capacity)
-		all, dropped = all[:s.capacity], all[s.capacity:]
-	}
-	s.heap = s.heap[:0]
-	s.where = s.where[:0]
-	clear(s.index)
-	for _, e := range all {
-		slot, _ := s.find(e.Key)
-		s.push(slot, e)
-	}
-	s.total += o.total
-	s.evictions += o.evictions
-	return dropped, nil
-}
-
-// Clone returns an independent deep copy.
-func (s *SpaceSaving) Clone() *SpaceSaving {
-	return &SpaceSaving{
-		capacity:  s.capacity,
-		total:     s.total,
-		evictions: s.evictions,
-		heap:      append(make([]Entry, 0, s.capacity), s.heap...),
-		where:     append(make([]int32, 0, s.capacity), s.where...),
-		index:     append([]int32(nil), s.index...),
-		shift:     s.shift,
-	}
 }
 
 // FootprintBytes returns the fixed memory the summary holds: the

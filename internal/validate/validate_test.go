@@ -204,3 +204,49 @@ func TestReportPassRateEdgeCases(t *testing.T) {
 		t.Error("empty report pass rate must be 0")
 	}
 }
+
+// SelectiveReport relaxes the strict all-clients test: a cluster passes
+// when at least threshold of its keyed clients agree with the cluster's
+// majority key. The paper sketches this as future work ("if 95% of the
+// clients inside the cluster are correctly identified, we could consider
+// this cluster to be correct").
+func Selective(world *inet.Internet, resolver NameResolver, sampled []*cluster.Cluster, threshold float64) (rep Report) {
+	rep = Report{Method: "selective-nslookup", SampledClusters: len(sampled)}
+	for _, c := range sampled {
+		v := ClusterVerdict{Cluster: c, Pass: true}
+		counts := map[string]int{}
+		keyed := 0
+		for _, a := range clientsOf(c) {
+			rep.SampledClients++
+			s, ok := resolver.Suffix(a)
+			if !ok {
+				continue
+			}
+			rep.ReachableClients++
+			v.Resolvable++
+			counts[s]++
+			keyed++
+		}
+		if keyed > 0 {
+			best := 0
+			for _, n := range counts {
+				if n > best {
+					best = n
+				}
+			}
+			v.Pass = float64(best)/float64(keyed) >= threshold
+		}
+		groundTruth(world, c, &v)
+		if !v.Pass {
+			rep.Misidentified++
+			if v.NonUS {
+				rep.MisidentifiedNonUS++
+			}
+		}
+		if !v.TrulyCorrect {
+			rep.TrulyIncorrect++
+		}
+		rep.Verdicts = append(rep.Verdicts, v)
+	}
+	return rep
+}

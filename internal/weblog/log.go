@@ -172,13 +172,3 @@ func (l *Log) Sessions(n int) []*Log {
 	}
 	return out
 }
-
-// RequestsByClient groups request indexes per client address.
-func (l *Log) RequestsByClient() map[netutil.Addr][]int {
-	out := make(map[netutil.Addr][]int)
-	for i := range l.Requests {
-		c := l.Requests[i].Client
-		out[c] = append(out[c], i)
-	}
-	return out
-}

@@ -29,7 +29,6 @@ type StreamGen struct {
 	sizes   []int32
 	next    time.Time
 	step    time.Duration // mean inter-arrival
-	emitted int
 }
 
 // GenRecord is one synthesized request: exactly what the firehose
@@ -107,9 +106,6 @@ func NewStreamGen(world *inet.Internet, cfg GenConfig) (*StreamGen, error) {
 // NumClients returns the synthesized client population size.
 func (g *StreamGen) NumClients() int { return len(g.clients) }
 
-// Emitted returns how many records Next has produced.
-func (g *StreamGen) Emitted() int { return g.emitted }
-
 // Next returns the next record. The stream never ends — the caller
 // decides how many records a replay needs. Arrivals are a homogeneous
 // Poisson process at the profile's mean rate.
@@ -120,7 +116,6 @@ func (g *StreamGen) Next() GenRecord {
 	}
 	url := g.urls.draw()
 	g.next = g.next.Add(time.Duration(g.rng.ExpFloat64() * float64(g.step)))
-	g.emitted++
 	return GenRecord{
 		Client: g.clients[i],
 		URL:    url,

@@ -25,9 +25,6 @@ func TestStreamGenDeterministic(t *testing.T) {
 			t.Fatalf("record %d diverged: %+v vs %+v", i, ra, rb)
 		}
 	}
-	if a.Emitted() != 5000 {
-		t.Fatalf("emitted %d, want 5000", a.Emitted())
-	}
 }
 
 // TestStreamGenShape: records are well-formed (positive sizes,

@@ -56,20 +56,6 @@ type Outcome struct {
 	Proxies []ProxyOutcome
 }
 
-// MeanLatency estimates the mean client-perceived latency of the run
-// under a two-level delay model (see cache.Stats.MeanLatency). Bypassed
-// requests pay the full origin round trip.
-func (o Outcome) MeanLatency(proxyRTT, originRTT float64) float64 {
-	if o.Requests == 0 {
-		return 0
-	}
-	total := float64(o.Bypassed) * originRTT
-	for _, p := range o.Proxies {
-		total += p.Stats.MeanLatency(proxyRTT, originRTT) * float64(p.Stats.Requests)
-	}
-	return total / float64(o.Requests)
-}
-
 // Simulate replays res.Log through per-cluster proxies. Requests from
 // unclustered clients go straight to the origin (no proxy fronts them) and
 // count as misses in the server-wide ratios.

@@ -193,3 +193,19 @@ func TestEmptySimulation(t *testing.T) {
 		t.Fatalf("empty outcome = %+v", out)
 	}
 }
+
+// MeanLatency estimates the mean client-perceived latency of the run
+// under a two-level delay model: every proxied request costs a proxy
+// round trip, and full fetches, synchronous validations and bypassed
+// requests an origin round trip.
+func (o Outcome) MeanLatency(proxyRTT, originRTT float64) float64 {
+	if o.Requests == 0 {
+		return 0
+	}
+	total := float64(o.Bypassed) * originRTT
+	for _, p := range o.Proxies {
+		total += float64(p.Stats.Requests)*proxyRTT +
+			float64(p.Stats.FullFetches+p.Stats.SyncValidations)*originRTT
+	}
+	return total / float64(o.Requests)
+}

@@ -7,6 +7,12 @@ import (
 	"testing"
 
 	netcluster "github.com/netaware/netcluster"
+	"github.com/netaware/netcluster/internal/bgp"
+	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/selfcorrect"
+	"github.com/netaware/netcluster/internal/tracesim"
+	"github.com/netaware/netcluster/internal/validate"
+	"github.com/netaware/netcluster/internal/weblog"
 )
 
 // The facade tests exercise the full public pipeline exactly as a
@@ -51,37 +57,37 @@ func setup(t testing.TB) *fixture {
 }
 
 func TestPublicAddressing(t *testing.T) {
-	a, err := netcluster.ParseAddr("12.65.147.94")
+	a, err := netutil.ParseAddr("12.65.147.94")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := netcluster.ParsePrefix("12.65.128.0/19")
+	p, err := netutil.ParsePrefix("12.65.128.0/19")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.Contains(a) {
 		t.Error("prefix must contain address")
 	}
-	if netcluster.MustParseAddr("1.2.3.4").String() != "1.2.3.4" {
+	if netutil.MustParseAddr("1.2.3.4").String() != "1.2.3.4" {
 		t.Error("round trip failed")
 	}
-	if _, err := netcluster.ParsePrefixEntry("12.65.128/255.255.224"); err != nil {
+	if _, err := bgp.ParsePrefixEntry("12.65.128/255.255.224"); err != nil {
 		t.Errorf("netmask notation: %v", err)
 	}
 }
 
 func TestPublicSnapshotReading(t *testing.T) {
 	in := "# name: AADS\n# kind: bgp\n# date: 12/7/1999\n12.65.128.0/19|AT&T|||\n18.0.0.0\n"
-	snap, err := netcluster.ReadSnapshot(strings.NewReader(in))
+	snap, err := bgp.ReadSnapshot(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Name != "AADS" || len(snap.Entries) != 2 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	table := netcluster.NewTable()
+	table := bgp.NewMerged()
 	table.Add(snap)
-	m, ok := table.Lookup(netcluster.MustParseAddr("12.65.147.94"))
+	m, ok := table.Lookup(netutil.MustParseAddr("12.65.147.94"))
 	if !ok || m.Prefix.String() != "12.65.128.0/19" {
 		t.Fatalf("lookup = %+v, %v", m, ok)
 	}
@@ -108,10 +114,10 @@ func TestPublicPipeline(t *testing.T) {
 func TestPublicValidation(t *testing.T) {
 	f := setup(t)
 	resolver := netcluster.NewResolver(f.world)
-	tracer := netcluster.NewTracer(f.world, f.world.VantageASes()[0])
+	tracer := tracesim.New(f.world, f.world.VantageASes()[0])
 	sampled := netcluster.SampleClusters(f.na.Clusters, 0.05, 7)
 	ns := netcluster.ValidateNslookup(f.world, resolver, sampled)
-	tr := netcluster.ValidateTraceroute(f.world, resolver, tracer, sampled)
+	tr := validate.Traceroute(f.world, resolver, tracer, sampled)
 	if ns.PassRate() < 0.85 || tr.PassRate() < 0.85 {
 		t.Errorf("pass rates = %.2f / %.2f, want ≥ 0.85 (paper: >0.90)",
 			ns.PassRate(), tr.PassRate())
@@ -139,9 +145,9 @@ func TestPublicDetectionAndSimulation(t *testing.T) {
 
 func TestPublicSelfCorrection(t *testing.T) {
 	f := setup(t)
-	corr := &netcluster.Corrector{
+	corr := &selfcorrect.Corrector{
 		Resolver:   netcluster.NewResolver(f.world),
-		Tracer:     netcluster.NewTracer(f.world, f.world.VantageASes()[0]),
+		Tracer:     tracesim.New(f.world, f.world.VantageASes()[0]),
 		SampleSize: 3,
 	}
 	out := corr.Correct(f.na)
@@ -155,10 +161,10 @@ func TestPublicLogRoundTrip(t *testing.T) {
 	f := setup(t)
 	small := f.log.Slice(0, 600) // first 10 minutes
 	var buf bytes.Buffer
-	if err := netcluster.WriteLog(&buf, small); err != nil {
+	if err := weblog.WriteCLF(&buf, small); err != nil {
 		t.Fatal(err)
 	}
-	back, err := netcluster.ReadLog(&buf, "roundtrip")
+	back, err := weblog.ReadCLF(&buf, "roundtrip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +182,8 @@ func TestPublicProfilesMatchPaperScale(t *testing.T) {
 	if n.NumRequests != 11665713 || n.NumClients != 59582 {
 		t.Errorf("Nagano(1.0) = %+v", n)
 	}
-	for _, cfg := range []netcluster.LogConfig{
-		netcluster.ApacheProfile(0.01), netcluster.EW3Profile(0.01), netcluster.SunProfile(0.01),
+	for _, cfg := range []weblog.GenConfig{
+		netcluster.ApacheProfile(0.01), weblog.EW3(0.01), netcluster.SunProfile(0.01),
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)

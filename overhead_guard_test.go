@@ -83,11 +83,6 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 			probeH.Observe(int64(i))
 		}
 	})
-	spanNs := perOpNs(func(n int) {
-		for i := 0; i < n; i++ {
-			reg.StartSpan("overhead.probe").End()
-		}
-	})
 	// Trace spans additionally allocate a record and store it into the
 	// flight-recorder ring; priced with a private ring so the probes stay
 	// out of the Default recorder.
@@ -110,8 +105,8 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 			sp.End()
 		}
 	})
-	t.Logf("unit costs: atomic add %.1f ns, observe %.1f ns, span %.0f ns, trace span %.0f ns, unbuilt request span %.0f ns",
-		atomicNs, observeNs, spanNs, tspanNs, lazyNs)
+	t.Logf("unit costs: atomic add %.1f ns, observe %.1f ns, trace span %.0f ns, unbuilt request span %.0f ns",
+		atomicNs, observeNs, tspanNs, lazyNs)
 
 	// The fan-out row's denominator, measured now (see the header).
 	shardSetup(t)
@@ -131,34 +126,33 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		name    string
 		atomics float64 // atomic counter/gauge ops per benchmark op
 		obs     float64 // histogram observes per benchmark op
-		spans   float64 // ASpan start/end pairs per benchmark op
 		tspans  float64 // trace spans (start/attr/End + ring record) per op
 		lazy    float64 // unbuilt request spans per op
 		budget  float64
 		nsPerOp float64 // measured in this run; 0 divides by the recording
 	}{
 		// Compiled.Lookup itself: instrumented nowhere, on purpose.
-		{"BenchmarkLongestPrefixMatchCompiled", 0, 0, 0, 0, 0, budget, 0},
+		{"BenchmarkLongestPrefixMatchCompiled", 0, 0, 0, 0, budget, 0},
 		// The batch lookup kernel: like the single-probe walk it carries
 		// zero instrumentation ops — counting and 1-in-64 depth sampling
 		// are replayed by the memoized cluster layer (ClusterBatch), never
 		// inside the kernel, so batching cannot tax the per-address cost.
-		{"BenchmarkLookupBatch", 0, 0, 0, 0, 0, budget, 0},
+		{"BenchmarkLookupBatch", 0, 0, 0, 0, budget, 0},
 		// StreamCLF: one parseTally flush (fast+strict+time_slow+bytes
 		// counters) and one "weblog.stream" trace span wrapping the
 		// whole pass.
-		{"BenchmarkCLFParseStream", 4, 0, 0, 1, 0, budget, 0},
+		{"BenchmarkCLFParseStream", 4, 0, 1, 0, budget, 0},
 		// Sequential ClusterLog, plain table: one lookup counter per
 		// distinct client plus at most one no-match counter, then the
 		// three result flushes. One "cluster.log" trace span wraps the
 		// run.
-		{"BenchmarkClusterLogNetworkAware", 2*naganoClients + 3, 0, 0, 1, 0, budget, 0},
+		{"BenchmarkClusterLogNetworkAware", 2*naganoClients + 3, 0, 1, 0, budget, 0},
 		// workers-1 is ClusterStream with the compiled engine: per
 		// distinct client one lookup counter, at most one no-match, and a
 		// 1-in-64 sampled depth observe; the parse tally's four counters
 		// and the record counter per run, under the "cluster.stream" and
 		// "weblog.stream" trace spans.
-		{"BenchmarkClusterStreamParallel/workers-1", 2*apacheClients + 5, apacheClients / 64, 0, 2, 0, budget, 0},
+		{"BenchmarkClusterStreamParallel/workers-1", 2*apacheClients + 5, apacheClients / 64, 2, 0, budget, 0},
 		// The untraced routed batch across 3 shards starts 10 request
 		// spans: router.batch, per shard a router.shard, and on each node
 		// node.batch and node.table. Unsampled, none is built. The router
@@ -169,7 +163,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		// stats cost a latency observe and three counter/gauge ops, the
 		// node side two counters; the router's own batch/addr counters
 		// round those atomics up to 17.
-		{"BenchmarkRouterFanout", 17 + 4, 3, 0, 16.0 / 64, 10, fanoutBudget, fanoutNs},
+		{"BenchmarkRouterFanout", 17 + 4, 3, 16.0 / 64, 10, fanoutBudget, fanoutNs},
 	}
 
 	for _, row := range rows {
@@ -182,7 +176,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 			}
 			nsPerOp, source = committed.NsPerOp, "committed"
 		}
-		overhead := row.atomics*atomicNs + row.obs*observeNs + row.spans*spanNs + row.tspans*tspanNs + row.lazy*lazyNs
+		overhead := row.atomics*atomicNs + row.obs*observeNs + row.tspans*tspanNs + row.lazy*lazyNs
 		frac := overhead / nsPerOp
 		t.Logf("%-42s modeled %8.0f ns of %12.0f ns/op (%s) = %.3f%%",
 			row.name, overhead, nsPerOp, source, 100*frac)
