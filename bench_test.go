@@ -19,10 +19,10 @@ import (
 	"github.com/netaware/netcluster/internal/cluster"
 	"github.com/netaware/netcluster/internal/detect"
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/node"
 	"github.com/netaware/netcluster/internal/obsv"
 	"github.com/netaware/netcluster/internal/radix"
 	"github.com/netaware/netcluster/internal/selfcorrect"
-	"github.com/netaware/netcluster/internal/shard"
 	"github.com/netaware/netcluster/internal/sketch"
 	"github.com/netaware/netcluster/internal/stats"
 	"github.com/netaware/netcluster/internal/tracesim"
@@ -701,8 +701,8 @@ func BenchmarkChurnLookup(b *testing.B) {
 
 // A Zipf-distributed /24 population far larger than the summary
 // capacity, so the bounded path exercises its steady state: heavy
-// hitters monitored, each eviction spilling its victim to the tail
-// sketches. Shared by both firehose benchmarks.
+// hitters monitored, the rest taking over the minimum counter. Shared by
+// both firehose benchmarks.
 var (
 	firehoseOnce     sync.Once
 	firehoseKeys     []uint64
@@ -725,9 +725,9 @@ func firehoseBenchSetup() {
 	})
 }
 
-// BenchmarkSketchUpdate prices one conservative count-min update at the
-// accumulator's default dimensions — what each eviction pays per tail
-// sketch it spills into (a summary hit touches no sketch). Gated in
+// BenchmarkSketchUpdate prices one conservative count-min update at
+// ε = 1e-4, δ = 0.01, the dimensions the repo benchmark's sketch.update
+// stage times. Gated in
 // cmd/benchdiff with allocs/op == 0: the whole point of the sketch is
 // that the hot path never touches the allocator.
 func BenchmarkSketchUpdate(b *testing.B) {
@@ -744,13 +744,13 @@ func BenchmarkSketchUpdate(b *testing.B) {
 
 // BenchmarkBoundedStream prices one address through the bounded
 // accumulator in eviction steady state (1M-cluster universe, 4096
-// monitored counters): summary hit or evict-and-spill, whichever the
-// Zipf draw lands on. Also benchdiff-gated at allocs/op == 0 — a
+// monitored counters): summary hit or takeover, whichever the Zipf
+// draw lands on. Also benchdiff-gated at allocs/op == 0 — a
 // firehose consumer must not generate garbage per request.
 func BenchmarkBoundedStream(b *testing.B) {
 	firehoseBenchSetup()
 	acc, err := cluster.NewBoundedAccumulator(cluster.BoundedConfig{
-		K: 32, Capacity: 4096, Epsilon: 1e-3,
+		K: 32, Capacity: 4096,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -769,7 +769,7 @@ func BenchmarkBoundedStream(b *testing.B) {
 
 var (
 	shardOnce      sync.Once
-	shardCluster   *shard.Cluster
+	shardCluster   *node.Cluster
 	shardErr       error
 	shardMixed     []netutil.Addr // spread across all three shards
 	shardFirstOnly []netutil.Addr // all owned by shard 0
@@ -781,7 +781,7 @@ var (
 // shard map and one confined to shard 0.
 func shardSetup(b testing.TB) {
 	shardOnce.Do(func() {
-		shardCluster, shardErr = shard.NewCluster(shard.ClusterConfig{Shards: 3})
+		shardCluster, shardErr = node.NewCluster(node.ClusterConfig{Shards: 3})
 		if shardErr != nil {
 			return
 		}

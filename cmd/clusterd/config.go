@@ -11,10 +11,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"github.com/netaware/netcluster/internal/appconf"
 	"github.com/netaware/netcluster/internal/cluster"
+	"github.com/netaware/netcluster/internal/node"
 	"github.com/netaware/netcluster/internal/obsv/sink"
 )
 
@@ -44,18 +44,14 @@ func toSinkSpecs(ss []sinkSpec) []sink.Spec {
 
 // fileConfig is the watched file's schema. Every field is optional.
 type fileConfig struct {
-	MaxInflight    *int              `json:"max_inflight,omitempty"`
-	MaxBatch       *int              `json:"max_batch,omitempty"`
-	MaxBodyBytes   *int64            `json:"max_body_bytes,omitempty"`
-	ChurnEvery     *appconf.Duration `json:"churn_every,omitempty"`
-	DrainTimeout   *appconf.Duration `json:"drain_timeout,omitempty"`
-	QueueHighWater *int              `json:"queue_high_water,omitempty"`
-	BusyK          *int              `json:"busy_k,omitempty"`
-	BusyCapacity   *int              `json:"busy_capacity,omitempty"`
-	SketchEpsilon  *float64          `json:"sketch_epsilon,omitempty"`
-	SketchDelta    *float64          `json:"sketch_delta,omitempty"`
-	SketchSpill    *string           `json:"sketch_spill,omitempty"`
-	Sinks          []sinkSpec        `json:"sinks,omitempty"`
+	MaxInflight  *int              `json:"max_inflight,omitempty"`
+	MaxBatch     *int              `json:"max_batch,omitempty"`
+	MaxBodyBytes *int64            `json:"max_body_bytes,omitempty"`
+	ChurnEvery   *appconf.Duration `json:"churn_every,omitempty"`
+	DrainTimeout *appconf.Duration `json:"drain_timeout,omitempty"`
+	BusyK        *int              `json:"busy_k,omitempty"`
+	BusyCapacity *int              `json:"busy_capacity,omitempty"`
+	Sinks        []sinkSpec        `json:"sinks,omitempty"`
 }
 
 // parseFileConfig is the appconf parse hook: strict decoding (unknown
@@ -83,16 +79,13 @@ func parseFileConfig(data []byte) (fileConfig, error) {
 	if c.DrainTimeout != nil && c.DrainTimeout.Std() <= 0 {
 		return c, fmt.Errorf("drain_timeout %v: must be > 0", c.DrainTimeout.Std())
 	}
-	if c.QueueHighWater != nil && *c.QueueHighWater < 1 {
-		return c, fmt.Errorf("queue_high_water %d: must be >= 1", *c.QueueHighWater)
-	}
 	if c.BusyK != nil && *c.BusyK < 1 {
 		return c, fmt.Errorf("busy_k %d: must be >= 1", *c.BusyK)
 	}
 	if c.BusyCapacity != nil && *c.BusyCapacity < 1 {
 		return c, fmt.Errorf("busy_capacity %d: must be >= 1", *c.BusyCapacity)
 	}
-	// The sketch keys validate as one unit through the accumulator's own
+	// The busy keys validate as one unit through the accumulator's own
 	// rules, with absent keys at their defaults — exactly the shape a
 	// reload will hand the busy tracker.
 	bc := cluster.BoundedConfig{}
@@ -101,15 +94,6 @@ func parseFileConfig(data []byte) (fileConfig, error) {
 	}
 	if c.BusyCapacity != nil {
 		bc.Capacity = *c.BusyCapacity
-	}
-	if c.SketchEpsilon != nil {
-		bc.Epsilon = *c.SketchEpsilon
-	}
-	if c.SketchDelta != nil {
-		bc.Delta = *c.SketchDelta
-	}
-	if c.SketchSpill != nil {
-		bc.Spill = cluster.SpillPolicy(*c.SketchSpill)
 	}
 	if err := bc.Validate(); err != nil {
 		return c, err
@@ -120,28 +104,11 @@ func parseFileConfig(data []byte) (fileConfig, error) {
 	return c, nil
 }
 
-// tunables is one resolved configuration generation: flag defaults with
-// file overrides applied. Request handlers read it through one atomic
-// pointer load, so a reload lands between requests, never inside one.
-type tunables struct {
-	MaxInflight    int              `json:"max_inflight"`
-	MaxBatch       int              `json:"max_batch"`
-	MaxBodyBytes   int64            `json:"max_body_bytes"`
-	ChurnEvery     appconf.Duration `json:"churn_every"`
-	DrainTimeout   appconf.Duration `json:"drain_timeout"`
-	QueueHighWater int              `json:"queue_high_water"`
-	BusyK          int              `json:"busy_k"`
-	BusyCapacity   int              `json:"busy_capacity"`
-	SketchEpsilon  float64          `json:"sketch_epsilon"`
-	SketchDelta    float64          `json:"sketch_delta"`
-	SketchSpill    string           `json:"sketch_spill"`
-}
-
 // merge overlays the file config onto the flag-seeded base. For each
 // file key that shadows a flag the operator set explicitly on this
 // invocation, a structured warning names both values — the file wins,
 // but never silently.
-func merge(base tunables, fc fileConfig, explicit map[string]bool, logf func(string, ...any)) tunables {
+func merge(base node.Tunables, fc fileConfig, explicit map[string]bool, logf func(string, ...any)) node.Tunables {
 	out := base
 	shadow := func(key, flagName string, flagVal, fileVal any) {
 		if explicit[flagName] {
@@ -169,9 +136,6 @@ func merge(base tunables, fc fileConfig, explicit map[string]bool, logf func(str
 		shadow("drain_timeout", "drain-timeout", base.DrainTimeout.Std(), fc.DrainTimeout.Std())
 		out.DrainTimeout = *fc.DrainTimeout
 	}
-	if fc.QueueHighWater != nil {
-		out.QueueHighWater = *fc.QueueHighWater
-	}
 	if fc.BusyK != nil {
 		shadow("busy_k", "busy-k", base.BusyK, *fc.BusyK)
 		out.BusyK = *fc.BusyK
@@ -180,62 +144,5 @@ func merge(base tunables, fc fileConfig, explicit map[string]bool, logf func(str
 		shadow("busy_capacity", "busy-capacity", base.BusyCapacity, *fc.BusyCapacity)
 		out.BusyCapacity = *fc.BusyCapacity
 	}
-	if fc.SketchEpsilon != nil {
-		shadow("sketch_epsilon", "sketch-epsilon", base.SketchEpsilon, *fc.SketchEpsilon)
-		out.SketchEpsilon = *fc.SketchEpsilon
-	}
-	if fc.SketchDelta != nil {
-		shadow("sketch_delta", "sketch-delta", base.SketchDelta, *fc.SketchDelta)
-		out.SketchDelta = *fc.SketchDelta
-	}
-	if fc.SketchSpill != nil {
-		shadow("sketch_spill", "sketch-spill", base.SketchSpill, *fc.SketchSpill)
-		out.SketchSpill = *fc.SketchSpill
-	}
 	return out
-}
-
-// dynamicSemaphore is an admission semaphore whose capacity can be
-// retargeted live (a channel's cannot). Shrinking below the in-flight
-// count never evicts running work — admissions just stay closed until
-// the count drains under the new cap.
-type dynamicSemaphore struct {
-	mu   sync.Mutex
-	cap  int
-	used int
-}
-
-func newDynamicSemaphore(n int) *dynamicSemaphore {
-	return &dynamicSemaphore{cap: n}
-}
-
-// TryAcquire admits the caller if capacity allows; it never blocks
-// (backpressure answers 503, it does not queue).
-func (d *dynamicSemaphore) TryAcquire() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.used >= d.cap {
-		return false
-	}
-	d.used++
-	return true
-}
-
-func (d *dynamicSemaphore) Release() {
-	d.mu.Lock()
-	d.used--
-	d.mu.Unlock()
-}
-
-// SetCap retargets the admission limit; in-flight work is untouched.
-func (d *dynamicSemaphore) SetCap(n int) {
-	d.mu.Lock()
-	d.cap = n
-	d.mu.Unlock()
-}
-
-func (d *dynamicSemaphore) Cap() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cap
 }

@@ -15,27 +15,36 @@ import (
 	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/churn"
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/node"
 	"github.com/netaware/netcluster/internal/obsv"
 	"github.com/netaware/netcluster/internal/shard"
 )
 
-// testServer is a clusterd serving state over one 10.0.0.0/8 prefix,
+// testNode is the node clusterd serves, over one 10.0.0.0/8 prefix,
 // with the limits small enough to hit.
-func testServer(t *testing.T) *server {
+func testNode(t *testing.T) *node.Node {
 	t.Helper()
 	mg := bgp.NewMerged()
 	mg.Add(&bgp.Snapshot{Name: "AADS", Kind: bgp.SourceBGP, Entries: []bgp.Entry{
 		{Prefix: netutil.MustParsePrefix("10.0.0.0/8")},
 	}})
-	tun := tunables{MaxInflight: 1, MaxBatch: 3, MaxBodyBytes: 64, BusyK: 4, SketchEpsilon: 1e-3, SketchDelta: 0.01, SketchSpill: "sketch"}
-	busy, err := newBusyTracker(tun.boundedConfig())
+	n, err := node.New(node.Config{
+		Table:    churn.New(mg),
+		Tunables: node.Tunables{MaxInflight: 1, MaxBatch: 3, MaxBodyBytes: 64, BusyK: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &server{table: churn.New(mg), sem: newDynamicSemaphore(tun.MaxInflight), busy: busy}
-	s.tun.Store(&tun)
-	return s
+	return n
 }
+
+// Counters the node publishes under clusterd's names.
+var (
+	batchCount    = obsv.C("clusterd.batches")
+	batchAddrs    = obsv.C("clusterd.batch.addrs")
+	batchRejected = obsv.C("clusterd.batch.rejected")
+	lookupCount   = obsv.C("clusterd.lookups")
+)
 
 func post(t *testing.T, h http.Handler, contentType string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
@@ -46,12 +55,12 @@ func post(t *testing.T, h http.Handler, contentType string, body []byte) *httpte
 	return rec
 }
 
-// TestBatchHandlerMount drives clusterd's mount of the shared batch core:
-// both request forms answered from one pinned generation, this process's
-// limits, admission and busy accounting applied around it.
+// TestBatchHandlerMount drives the node's mount of the shared batch
+// core: both request forms answered from one pinned generation, the
+// node's limits, admission and busy accounting applied around it.
 func TestBatchHandlerMount(t *testing.T) {
-	s := testServer(t)
-	h := s.batchHandler()
+	n := testNode(t)
+	h := n.Handler()
 	batches, addrs, rejected := batchCount.Value(), batchAddrs.Value(), batchRejected.Value()
 
 	rec := post(t, h, "text/plain", []byte("10.1.2.3\n\n11.1.2.3\n"))
@@ -69,11 +78,9 @@ func TestBatchHandlerMount(t *testing.T) {
 
 	// A router's batch arrives as a frame on a batch stream, spoken here
 	// byte by byte as internal/shard's stream.go lays it out.
-	mux := http.NewServeMux()
-	mux.HandleFunc(shard.StreamPath, h.ServeStream)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(h)
 	defer srv.Close()
-	defer h.Shutdown(context.Background())
+	defer n.Shutdown(context.Background())
 	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -99,11 +106,11 @@ func TestBatchHandlerMount(t *testing.T) {
 	}
 
 	// Every resolved address reached the busy accumulator.
-	s.busy.mu.Lock()
-	observed, unclustered := s.busy.acc.Requests(), s.busy.acc.Unclustered()
-	s.busy.mu.Unlock()
-	if observed != 4 || unclustered != 2 {
-		t.Fatalf("busy tracker saw %d requests, %d unclustered, want 4 and 2", observed, unclustered)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/busy", nil))
+	var busy struct{ Requests, Unclustered uint64 }
+	if err := json.Unmarshal(rec.Body.Bytes(), &busy); err != nil || busy.Requests != 4 || busy.Unclustered != 2 {
+		t.Fatalf("busy tracker saw %+v (%v), want 4 requests, 2 unclustered", busy, err)
 	}
 
 	// The limits are this process's tunables, and both refuse with 413.
@@ -146,9 +153,9 @@ func TestBatchHandlerMount(t *testing.T) {
 }
 
 func TestLookupAnswer(t *testing.T) {
-	s := testServer(t)
+	h := testNode(t).Handler()
 	rec := httptest.NewRecorder()
-	s.handleLookup(rec, httptest.NewRequest(http.MethodGet, "/lookup?addr=10.9.8.7", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/lookup?addr=10.9.8.7", nil))
 	want := `{"addr":"10.9.8.7","clustered":true,"prefix":"10.0.0.0/8","kind":"BGP routing table","generation":0}` + "\n"
 	if rec.Code != http.StatusOK || rec.Body.String() != want || rec.Header().Get("Content-Type") != "application/json" {
 		t.Fatalf("GET /lookup = %d %q %q", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
@@ -159,13 +166,13 @@ func TestLookupAnswer(t *testing.T) {
 // one timing of a /lookup, so it counts exactly what clusterd.lookups
 // counts.
 func TestLookupTimedOnce(t *testing.T) {
-	s := testServer(t)
+	h := testNode(t).Handler()
 	ns := obsv.H("clusterd.lookup.ns")
 	timed, counted := ns.Snapshot().Count, lookupCount.Value()
 	const n = 5
 	for i := 0; i < n; i++ {
 		rec := httptest.NewRecorder()
-		s.handleLookup(rec, httptest.NewRequest(http.MethodGet, "/lookup?addr=10.9.8.7", nil))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/lookup?addr=10.9.8.7", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET /lookup = %d %q", rec.Code, rec.Body)
 		}

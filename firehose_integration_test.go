@@ -3,7 +3,7 @@ package netcluster_test
 // End-to-end firehose test: a real loadgen process replays a seeded
 // synthetic workload against a real clusterd process, and the busy-
 // cluster accounting that every batch feeds must agree with what the
-// generator sent — totals exact, top-K consistent, sketch gauges
+// generator sent — totals exact, top-K consistent, accounting gauges
 // exported.
 
 import (
@@ -179,7 +179,7 @@ func TestFirehoseLoadgenAgainstClusterd(t *testing.T) {
 		}
 	}
 
-	// The sketch observability series made it to the exporter, and the
+	// The accounting observability series made it to the exporter, and the
 	// serving path actually feeds them: the records counter must equal
 	// the replayed total, not merely exist (a presence check once hid a
 	// counter stuck at zero).
@@ -187,7 +187,6 @@ func TestFirehoseLoadgenAgainstClusterd(t *testing.T) {
 	for _, series := range []string{
 		"netcluster_cluster_bounded_records_total",
 		"netcluster_cluster_bounded_occupancy",
-		"netcluster_cluster_bounded_error_bound",
 		"netcluster_cluster_bounded_footprint_bytes",
 	} {
 		if !strings.Contains(metrics, series) {

@@ -139,8 +139,23 @@ func (w *Watcher[T]) LastError() error {
 	return nil
 }
 
-// Healthy reports whether the last load attempt was accepted.
-func (w *Watcher[T]) Healthy() bool { return w.lastErr.Load() == nil }
+// Status is a watcher's state without its config, whatever T is: what
+// a readiness probe and a config debug page report.
+type Status struct {
+	Generation uint64    // the live generation, as Generation returns it
+	Path       string    // the watched file
+	LoadedAt   time.Time // when the live generation was swapped in
+	Err        error     // the last rejected load, as LastError returns it
+}
+
+// Status returns the watcher's state.
+func (w *Watcher[T]) Status() Status {
+	st := Status{Path: w.path, Err: w.LastError()}
+	if cur := w.Current(); cur != nil {
+		st.Generation, st.LoadedAt = cur.Generation, cur.LoadedAt
+	}
+	return st
+}
 
 // Reload forces a load attempt now (the SIGHUP path). The operator
 // asked explicitly, so the content-hash short-circuit is skipped: even

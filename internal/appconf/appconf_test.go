@@ -57,7 +57,7 @@ func TestWatchInitialLoadAndPollPickup(t *testing.T) {
 	if cur.Generation != 1 || cur.Config.MaxInflight != 4 || cur.Config.Every.Std() != 2*time.Second {
 		t.Fatalf("initial load = %+v", cur)
 	}
-	if !w.Healthy() || w.LastError() != nil {
+	if w.LastError() != nil {
 		t.Fatal("fresh watcher not healthy")
 	}
 
@@ -100,7 +100,7 @@ func TestWatchKeepsOldGenerationOnInvalidEdit(t *testing.T) {
 	if swapped || rerr == nil {
 		t.Fatalf("invalid edit: swapped=%v err=%v", swapped, rerr)
 	}
-	if w.Healthy() || w.LastError() == nil {
+	if w.LastError() == nil {
 		t.Fatal("rejection not remembered")
 	}
 	cur := w.Current()
@@ -114,8 +114,8 @@ func TestWatchKeepsOldGenerationOnInvalidEdit(t *testing.T) {
 	if !swapped || rerr != nil {
 		t.Fatalf("fixed edit: swapped=%v err=%v", swapped, rerr)
 	}
-	if !w.Healthy() || w.Generation() != 2 {
-		t.Fatalf("recovery: healthy=%v generation=%d", w.Healthy(), w.Generation())
+	if st := w.Status(); st.Err != nil || st.Generation != 2 || st.Path != path {
+		t.Fatalf("recovery: status %+v", st)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/obsv"
@@ -17,26 +16,10 @@ import (
 // O(distinct) memory, which a firehose replay of 100M requests turns
 // into gigabytes of RSS. The paper's Section 4.1.3 thresholding
 // observation justifies a cheaper contract: ~70% of requests come from
-// a small busy tail of clusters, so track the top-K busy clusters in
-// exact counters (space-saving summary) and approximate the long tail
-// in a count-min sketch. Memory becomes O(K + sketch width), fixed at
+// a small busy tail of clusters, so track the busy clusters in exact
+// counters (a space-saving summary) and bound everything else by the
+// summary's eviction threshold. Memory becomes O(Capacity), fixed at
 // construction and independent of stream length or cluster cardinality.
-
-// SpillPolicy selects what happens to traffic from clusters that fall
-// out of the monitored set.
-type SpillPolicy string
-
-const (
-	// SpillSketch (the default) spills an evicted cluster's counters
-	// into count-min sketches, so any cluster's request/byte volume
-	// stays queryable within ε·N — the evicted tail is approximated,
-	// never lost.
-	SpillSketch SpillPolicy = "sketch"
-	// SpillDrop skips the tail sketch: unmonitored clusters are bounded
-	// only by the summary's minimum counter. Halves the footprint when
-	// only the heavy hitters matter.
-	SpillDrop SpillPolicy = "drop"
-)
 
 // BoundedConfig sizes a BoundedAccumulator.
 type BoundedConfig struct {
@@ -48,12 +31,6 @@ type BoundedConfig struct {
 	// more than Total/Capacity requests is monitored, and headroom over
 	// K is what keeps the top K exact (entered early, never evicted).
 	Capacity int
-	// Epsilon and Delta size the tail sketch: estimates overshoot by at
-	// most ε·N with probability 1-δ. Defaults 1e-4 and 0.01.
-	Epsilon float64
-	Delta   float64
-	// Spill selects the tail policy; default SpillSketch.
-	Spill SpillPolicy
 }
 
 func (c BoundedConfig) withDefaults() BoundedConfig {
@@ -63,36 +40,18 @@ func (c BoundedConfig) withDefaults() BoundedConfig {
 	if c.Capacity <= 0 {
 		c.Capacity = 8 * c.K
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-4
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.01
-	}
-	if c.Spill == "" {
-		c.Spill = SpillSketch
-	}
 	return c
 }
 
 // Validate rejects configurations the accumulator cannot honor.
 func (c BoundedConfig) Validate() error {
-	d := c.withDefaults()
-	if d.Capacity < d.K {
+	if d := c.withDefaults(); d.Capacity < d.K {
 		return fmt.Errorf("cluster: bounded capacity %d below K %d", d.Capacity, d.K)
-	}
-	if d.Epsilon < 0 || d.Epsilon >= 1 || d.Delta < 0 || d.Delta >= 1 {
-		return fmt.Errorf("cluster: bounded epsilon/delta (%v, %v) out of (0, 1)", d.Epsilon, d.Delta)
-	}
-	switch d.Spill {
-	case SpillSketch, SpillDrop:
-	default:
-		return fmt.Errorf("cluster: unknown spill policy %q (want %q or %q)", d.Spill, SpillSketch, SpillDrop)
 	}
 	return nil
 }
 
-// prefixKey encodes a prefix injectively into the sketch key space:
+// prefixKey encodes a prefix injectively into the summary's key space:
 // 32 address bits and 6 length bits never collide, so space-saving
 // entries identify their cluster exactly.
 func prefixKey(p netutil.Prefix) uint64 {
@@ -120,16 +79,12 @@ type BusyCluster struct {
 // fixed memory. Not safe for concurrent use; callers serialize (the
 // clusterd batch path locks once per batch, not per record).
 //
-// The tail sketches see only what leaves the summary: every
-// observation lands on a monitored entry (space-saving admits each
-// newcomer), and an entry that is evicted spills the traffic of its
-// own stint, Count-Err requests and Bytes-ByteErr bytes. So a cluster's true volume is always its spills plus, while
-// monitored, its current stint.
+// Every observation lands on a monitored entry (space-saving admits each
+// newcomer by taking over the smallest counter), so a cluster outside the
+// summary has issued at most TailBound requests.
 type BoundedAccumulator struct {
 	cfg     BoundedConfig
 	summary *sketch.SpaceSaving
-	tailReq *sketch.CountMin // spilled requests; nil under SpillDrop
-	tailByt *sketch.CountMin // spilled bytes; nil under SpillDrop
 
 	requests    uint64
 	unclustered uint64
@@ -145,49 +100,17 @@ func NewBoundedAccumulator(cfg BoundedConfig) (*BoundedAccumulator, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	b := &BoundedAccumulator{
-		cfg:     cfg,
-		summary: sketch.NewSpaceSaving(cfg.Capacity),
-	}
-	if cfg.Spill == SpillSketch {
-		var err error
-		if b.tailReq, err = sketch.NewCountMinError(cfg.Epsilon, cfg.Delta); err != nil {
-			return nil, err
-		}
-		if b.tailByt, err = sketch.NewCountMinError(cfg.Epsilon, cfg.Delta); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return &BoundedAccumulator{cfg: cfg, summary: sketch.NewSpaceSaving(cfg.Capacity)}, nil
 }
 
 // Config returns the resolved configuration.
 func (b *BoundedAccumulator) Config() BoundedConfig { return b.cfg }
 
-// Observe records one request of the given byte size for cluster p.
-// The hot path is one summary update; only a takeover touches the tail
-// sketches, spilling the displaced cluster's stint — no allocations.
+// Observe records one request of the given byte size for cluster p: one
+// summary update, no allocations.
 func (b *BoundedAccumulator) Observe(p netutil.Prefix, size int64) {
 	b.requests++
-	if victim, evicted := b.summary.Add(prefixKey(p), 1, uint64(size)); evicted {
-		b.spill(victim)
-	}
-}
-
-// spill folds an entry leaving the summary into the tail sketches: the
-// traffic it gathered while monitored, not the slack it inherited (its
-// own victim already spilled that). A zero weight is skipped, since a
-// conservative update by zero changes no cell.
-func (b *BoundedAccumulator) spill(e sketch.Entry) {
-	if b.tailReq == nil {
-		return
-	}
-	if n := e.Count - e.Err; n != 0 {
-		b.tailReq.AddConservative(e.Key, n)
-	}
-	if n := e.Bytes - e.ByteErr; n != 0 {
-		b.tailByt.AddConservative(e.Key, n)
-	}
+	b.summary.Add(prefixKey(p), 1, uint64(size))
 }
 
 // ObserveUnclustered counts a request no prefix covered; it
@@ -215,18 +138,6 @@ func (b *BoundedAccumulator) Evictions() uint64 { return b.summary.Evictions() }
 // unmonitored cluster can have issued more requests, and no monitored
 // counter overstates by more. Zero while the monitored set has room.
 func (b *BoundedAccumulator) TailBound() uint64 { return b.summary.MinCount() }
-
-// ErrorBound returns the tail estimates' absolute error ceiling ε·N,
-// N the clustered requests observed (0 under SpillDrop, where no tail
-// estimate exists). The spill sketch holds less than N, but its cells
-// never exceed a plain sketch of the whole stream's, so ε·N is the
-// bound that holds with probability 1-δ.
-func (b *BoundedAccumulator) ErrorBound() uint64 {
-	if b.tailReq == nil {
-		return 0
-	}
-	return uint64(math.Ceil(b.tailReq.Epsilon() * float64(b.summary.Total())))
-}
 
 // Busy returns the k busiest clusters by request count, descending,
 // ties by prefix-key ascending.
@@ -281,20 +192,15 @@ func (b *BoundedAccumulator) GuaranteedTopK(k int) bool {
 // FootprintBytes returns the accumulator's fixed memory budget — the
 // quantity the firehose RSS ceiling is asserted against.
 func (b *BoundedAccumulator) FootprintBytes() int {
-	n := b.summary.FootprintBytes() + 96
-	if b.tailReq != nil {
-		n += b.tailReq.FootprintBytes() + b.tailByt.FootprintBytes()
-	}
-	return n
+	return b.summary.FootprintBytes() + 96
 }
 
 // PublishMetrics flushes the accumulator's state to the obsv registry:
 // monitored-set occupancy, observed records and eviction churn (as
-// counter deltas since the last flush), the ε·N error ceiling and the
-// fixed footprint. Call once per batch or stream, never per record.
+// counter deltas since the last flush) and the fixed footprint. Call
+// once per batch or stream, never per record.
 func (b *BoundedAccumulator) PublishMetrics() {
 	boundedOccupancy.Set(int64(b.summary.Len()))
-	boundedErrorBound.Set(int64(b.ErrorBound()))
 	boundedFootprint.Set(int64(b.FootprintBytes()))
 	if ev := b.summary.Evictions(); ev > b.pubEvictions {
 		boundedEvictions.Add(ev - b.pubEvictions)
@@ -331,7 +237,7 @@ type clientCacheEntry struct {
 // memory — the firehose mode. Unlike ClusterStream it retains no
 // per-client or per-URL maps: cluster membership lookups go through a
 // fixed direct-mapped cache, per-cluster accounting through the
-// sketch-backed accumulator. Semantics match ClusterStream for
+// summary-backed accumulator. Semantics match ClusterStream for
 // request/byte totals of the busy clusters (byte-identical while the
 // top K is guaranteed, see GuaranteedTopK); client sets and URL sets
 // are not tracked — that is the memory being saved.

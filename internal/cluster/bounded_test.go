@@ -3,12 +3,10 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/netutil"
-	"github.com/netaware/netcluster/internal/sketch"
 	"github.com/netaware/netcluster/internal/weblog"
 )
 
@@ -16,17 +14,10 @@ func TestBoundedConfigValidate(t *testing.T) {
 	if err := (BoundedConfig{}).Validate(); err != nil {
 		t.Fatalf("zero config (all defaults) rejected: %v", err)
 	}
-	for _, bad := range []BoundedConfig{
-		{K: 100, Capacity: 10},
-		{Epsilon: 2},
-		{Delta: -1},
-		{Spill: "teleport"},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("config %+v accepted", bad)
-		}
+	if err := (BoundedConfig{K: 100, Capacity: 10}).Validate(); err == nil {
+		t.Fatal("capacity below K accepted")
 	}
-	if _, err := NewBoundedAccumulator(BoundedConfig{Spill: "nope"}); err == nil {
+	if _, err := NewBoundedAccumulator(BoundedConfig{K: 100, Capacity: 10}); err == nil {
 		t.Fatal("constructor accepted invalid config")
 	}
 }
@@ -97,37 +88,6 @@ func TestBoundedExactWhileUnderCapacity(t *testing.T) {
 	}
 }
 
-// TestBoundedSpillPolicies: under SpillSketch an evicted cluster stays
-// queryable within ε·N; under SpillDrop the estimate degrades to the
-// eviction threshold.
-func TestBoundedSpillPolicies(t *testing.T) {
-	sk, err := NewBoundedAccumulator(BoundedConfig{K: 2, Capacity: 2, Epsilon: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, err := NewBoundedAccumulator(BoundedConfig{K: 2, Capacity: 2, Spill: SpillDrop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, c := mustPrefix(t, "10.0.0.0/8"), mustPrefix(t, "11.0.0.0/8"), mustPrefix(t, "12.0.0.0/8")
-	for _, acc := range []*BoundedAccumulator{sk, dr} {
-		for i := 0; i < 50; i++ {
-			acc.Observe(a, 10)
-			acc.Observe(b, 10)
-		}
-		acc.Observe(c, 10) // evicts one of the two monitored entries
-		if acc.Evictions() == 0 {
-			t.Fatal("full summary did not evict")
-		}
-	}
-	if est, _ := sk.EstimateRequests(b); est < 50 || est > 50+sk.ErrorBound()+1 {
-		t.Fatalf("sketch-spill estimate %d outside [50, 50+εN=%d]", est, 50+sk.ErrorBound())
-	}
-	if dr.ErrorBound() != 0 {
-		t.Fatal("drop policy reports a sketch error bound")
-	}
-}
-
 // TestClusterStreamBoundedMatchesExact: on a real (small) CLF stream
 // the bounded pass and the exact streaming pass agree on the busy
 // clusters' request and byte totals — the in-memory analogue of the
@@ -175,25 +135,18 @@ func TestClusterStreamBoundedMatchesExact(t *testing.T) {
 }
 
 // TestBoundedAccumulatorProperties is the accumulator's contract over
-// seeded streams, under both spill policies, with all-zero, all-nonzero and mixed request sizes (mixed
-// is where a re-admitted cluster inherits a zero-byte victim). For
-// every cluster, observed or not:
+// seeded streams, with all-zero, all-nonzero and mixed request sizes
+// (mixed is where a re-admitted cluster inherits a zero-byte victim).
+// For every cluster, observed or not:
 //
-//   - the request estimate is ≥ the true count, and so is the byte
-//     estimate wherever a byte sketch exists (SpillSketch);
-//   - an estimate flagged exact equals the true value;
-//   - an unmonitored cluster's estimates are ≤ a plain-update
-//     count-min of the whole stream with the tail's dimensions — the
-//     spill sketch only ever holds part of what that sketch holds;
-//
-// and ErrorBound is ⌈ε·clustered⌉ for the tail's ε (0 under SpillDrop).
+//   - the request estimate is ≥ the true count;
+//   - an estimate flagged exact equals the true value, bytes included;
+//   - an unmonitored cluster issued at most TailBound requests.
 func TestBoundedAccumulatorProperties(t *testing.T) {
-	const eps, delta = 0.01, 0.05
 	for seed := int64(0); seed < 240; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		spill := []SpillPolicy{SpillSketch, SpillDrop}[seed%2]
-		sizing := []string{"zero", "nonzero", "mixed"}[seed/2%3]
-		cfg := BoundedConfig{K: 1, Capacity: 1 + rng.Intn(40), Epsilon: eps, Delta: delta, Spill: spill}
+		sizing := []string{"zero", "nonzero", "mixed"}[seed%3]
+		cfg := BoundedConfig{K: 1, Capacity: 1 + rng.Intn(40)}
 		universe := make([]netutil.Prefix, 2+rng.Intn(300))
 		for i := range universe {
 			bits := 16 + rng.Intn(9)
@@ -206,8 +159,6 @@ func TestBoundedAccumulatorProperties(t *testing.T) {
 			}
 			return int64(1 + rng.Intn(1500))
 		}
-		plainReq, _ := sketch.NewCountMinError(eps, delta)
-		plainByt, _ := sketch.NewCountMinError(eps, delta)
 		trueReq := make(map[netutil.Prefix]uint64)
 		trueByt := make(map[netutil.Prefix]uint64)
 		var clustered, unclustered uint64
@@ -227,45 +178,31 @@ func TestBoundedAccumulatorProperties(t *testing.T) {
 			acc.Observe(p, sz)
 			trueReq[p]++
 			trueByt[p] += uint64(sz)
-			plainReq.Add(prefixKey(p), 1)
-			plainByt.Add(prefixKey(p), uint64(sz))
 			clustered++
 		}
-		where := fmt.Sprintf("seed %d (%s, %s sizes, capacity %d)", seed, spill, sizing, cfg.Capacity)
+		where := fmt.Sprintf("seed %d (%s sizes, capacity %d)", seed, sizing, cfg.Capacity)
 		if acc.Requests() != clustered+unclustered || acc.Unclustered() != unclustered {
 			t.Fatalf("%s: totals %d/%d, want %d/%d", where,
 				acc.Requests(), acc.Unclustered(), clustered+unclustered, unclustered)
 		}
-		wantBound := uint64(0)
-		if spill == SpillSketch {
-			wantBound = uint64(math.Ceil(plainReq.Epsilon() * float64(clustered)))
-		}
-		if got := acc.ErrorBound(); got != wantBound {
-			t.Fatalf("%s: ErrorBound %d, want ⌈ε·%d⌉ = %d", where, got, clustered, wantBound)
-		}
 		for _, p := range universe {
 			req, reqExact := acc.EstimateRequests(p)
-			byt, bytExact := acc.EstimateBytes(p)
 			if req < trueReq[p] || (reqExact && req != trueReq[p]) {
 				t.Fatalf("%s: %v requests %d (exact=%v), true %d", where, p, req, reqExact, trueReq[p])
 			}
-			if (spill == SpillSketch && byt < trueByt[p]) || (bytExact && byt != trueByt[p]) {
-				t.Fatalf("%s: %v bytes %d (exact=%v), true %d", where, p, byt, bytExact, trueByt[p])
+			e, monitored := acc.summary.Get(prefixKey(p))
+			if monitored && e.Err == 0 && e.ByteErr == 0 && e.Bytes != trueByt[p] {
+				t.Fatalf("%s: %v exact bytes %d, true %d", where, p, e.Bytes, trueByt[p])
 			}
-			if _, monitored := acc.summary.Get(prefixKey(p)); !monitored && spill == SpillSketch {
-				if max := plainReq.Estimate(prefixKey(p)); req > max {
-					t.Fatalf("%s: unmonitored %v requests %d above the whole-stream sketch's %d", where, p, req, max)
-				}
-				if max := plainByt.Estimate(prefixKey(p)); byt > max {
-					t.Fatalf("%s: unmonitored %v bytes %d above the whole-stream sketch's %d", where, p, byt, max)
-				}
+			if !monitored && trueReq[p] > acc.TailBound() {
+				t.Fatalf("%s: unmonitored %v issued %d requests, above the tail bound %d", where, p, trueReq[p], acc.TailBound())
 			}
 		}
 	}
 }
 
 // TestBoundedObserveAllocs: Observe allocates nothing on a summary hit
-// nor on a takeover that spills its victim into both tail sketches.
+// nor on a takeover.
 func TestBoundedObserveAllocs(t *testing.T) {
 	a, b := mustPrefix(t, "10.0.0.0/8"), mustPrefix(t, "11.0.0.0/8")
 	hit, err := NewBoundedAccumulator(BoundedConfig{K: 1, Capacity: 4})
@@ -295,45 +232,10 @@ func TestBoundedObserveAllocs(t *testing.T) {
 // EstimateRequests returns an upper-bound request count for any
 // cluster. exact is true when the cluster is monitored eviction-free
 // (the value equals the true count). A monitored cluster answers its
-// counter; an unmonitored one answers from the tail sketch (every
-// request it made was spilled there, so ≥ true, and ≤ true + ε·N with
-// probability 1-δ) or, under SpillDrop, from the summary's eviction
-// threshold.
+// counter, an unmonitored one the summary's eviction threshold.
 func (b *BoundedAccumulator) EstimateRequests(p netutil.Prefix) (est uint64, exact bool) {
-	key := prefixKey(p)
-	if e, ok := b.summary.Get(key); ok {
+	if e, ok := b.summary.Get(prefixKey(p)); ok {
 		return e.Count, e.Err == 0
 	}
-	if b.tailReq != nil {
-		return b.tailReq.Estimate(key), false
-	}
 	return b.summary.MinCount(), false
-}
-
-// EstimateBytes is EstimateRequests for byte volume, with one twist:
-// the summary's eviction invariant (the minimum counter dominates any
-// evicted key) holds for request counts — the heap's order key — but
-// not for bytes, so an inexact entry's byte counter is not an upper
-// bound (it inherited its victim's bytes, not its own earlier ones).
-// Exact therefore needs both slacks zero. An inexact monitored entry
-// answers its earlier stints' spills from the byte sketch plus its
-// current stint, Bytes-ByteErr; under SpillDrop only the bracketed
-// summary value exists and exact stays false.
-func (b *BoundedAccumulator) EstimateBytes(p netutil.Prefix) (est uint64, exact bool) {
-	key := prefixKey(p)
-	e, ok := b.summary.Get(key)
-	if ok && e.Err == 0 && e.ByteErr == 0 {
-		return e.Bytes, true
-	}
-	if b.tailByt != nil {
-		est = b.tailByt.Estimate(key)
-		if ok {
-			est += e.Bytes - e.ByteErr
-		}
-		return est, false
-	}
-	if ok {
-		return e.Bytes, false
-	}
-	return 0, false
 }

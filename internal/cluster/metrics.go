@@ -22,15 +22,14 @@ var (
 	logUnclustered = obsv.C("cluster.log.clients.unclustered")
 	streamRecords  = obsv.C("cluster.stream.records")
 
-	// Bounded (sketch-backed) accounting: occupancy and error bounds
-	// are point-in-time gauges, eviction churn a monotone counter,
+	// Bounded (summary-backed) accounting: occupancy and footprint are
+	// point-in-time gauges, eviction churn a monotone counter,
 	// flushed by BoundedAccumulator.PublishMetrics once per batch or
 	// stream.
-	boundedRecords    = obsv.C("cluster.bounded.records")
-	boundedOccupancy  = obsv.G("cluster.bounded.occupancy")
-	boundedEvictions  = obsv.C("cluster.bounded.evictions")
-	boundedErrorBound = obsv.G("cluster.bounded.error_bound")
-	boundedFootprint  = obsv.G("cluster.bounded.footprint_bytes")
+	boundedRecords   = obsv.C("cluster.bounded.records")
+	boundedOccupancy = obsv.G("cluster.bounded.occupancy")
+	boundedEvictions = obsv.C("cluster.bounded.evictions")
+	boundedFootprint = obsv.G("cluster.bounded.footprint_bytes")
 )
 
 // depthSampleMask samples every 64th lookup into the depth histogram: a

@@ -63,10 +63,9 @@ type AggregatorConfig struct {
 	Now func() time.Time
 }
 
-// loadCounters are the per-shard work counters the imbalance gauges
-// are derived from: whichever of these a member exports first is its
-// load figure (NodeServer and clusterd name theirs differently).
-var loadCounters = [...]string{"shard.node.addrs", "clusterd.batch.addrs"}
+// loadCounter is the per-shard work counter the imbalance gauges are
+// derived from: the addresses a node's batch endpoints answered.
+const loadCounter = "clusterd.batch.addrs"
 
 // Aggregator is the router-side metrics federation point: it pulls every
 // member's registry snapshot from /metrics.json and serves the merged
@@ -211,17 +210,6 @@ func memberSnapshots(state []MemberState) []obsv.MemberSnapshot {
 	return members
 }
 
-// loadOf returns a member's load figure: the first of loadCounters its
-// snapshot exports.
-func loadOf(s obsv.Snapshot) (uint64, bool) {
-	for _, name := range loadCounters {
-		if v, ok := s.Counters[name]; ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
 // Handler serves the federated Prometheus page. Every scrape refreshes
 // stale state first, then renders the per-shard labeled series and
 // cluster quantiles, followed by the aggregator's own cluster gauges:
@@ -261,7 +249,7 @@ func (a *Aggregator) writeClusterGauges(w io.Writer, state []MemberState, age ti
 			continue
 		}
 		live++
-		if v, ok := loadOf(st.Snap); ok {
+		if v, ok := st.Snap.Counters[loadCounter]; ok {
 			loads = append(loads, load{st.Label, v})
 			total += v
 		}

@@ -1,4 +1,8 @@
-package shard
+package shard_test
+
+// The cluster tests stand up whole clusters of production nodes
+// (internal/node, which imports this package) behind a Router, so they
+// run as an external test package.
 
 import (
 	"encoding/json"
@@ -12,7 +16,9 @@ import (
 
 	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/node"
 	"github.com/netaware/netcluster/internal/obsv"
+	"github.com/netaware/netcluster/internal/shard"
 )
 
 // clusterArtifacts dumps the flight-recorder tail when the test failed
@@ -36,7 +42,7 @@ func clusterArtifacts(t *testing.T) {
 // canon renders one clustering answer in the canonical comparison form.
 // Shard annotations are deliberately excluded: equivalence is about the
 // answers, not about who produced them.
-func canon(r LookupResult) string {
+func canon(r shard.LookupResult) string {
 	return fmt.Sprintf("%s %v %s %s gen=%d", r.Addr, r.Clustered, r.Prefix, r.Kind, r.Generation)
 }
 
@@ -56,7 +62,7 @@ func probeSet(rng *rand.Rand, n int) []netutil.Addr {
 }
 
 // routedBatch sends addrs through the router's HTTP surface.
-func routedBatch(t *testing.T, base string, addrs []netutil.Addr) *RouterBatchResponse {
+func routedBatch(t *testing.T, base string, addrs []netutil.Addr) *shard.RouterBatchResponse {
 	t.Helper()
 	var b strings.Builder
 	for _, a := range addrs {
@@ -71,7 +77,7 @@ func routedBatch(t *testing.T, base string, addrs []netutil.Addr) *RouterBatchRe
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router POST /cluster = %s", resp.Status)
 	}
-	var out RouterBatchResponse
+	var out shard.RouterBatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +86,11 @@ func routedBatch(t *testing.T, base string, addrs []netutil.Addr) *RouterBatchRe
 
 // referenceBatch resolves addrs against the compiler node's full table —
 // the single-node answer the cluster must reproduce byte for byte.
-func referenceBatch(c *Cluster, addrs []netutil.Addr) []LookupResult {
+func referenceBatch(c *node.Cluster, addrs []netutil.Addr) []shard.LookupResult {
 	matches, gen := c.Reference().LookupBatch(addrs, nil)
-	out := make([]LookupResult, len(addrs))
+	out := make([]shard.LookupResult, len(addrs))
 	for i, a := range addrs {
-		out[i] = ResolveMatch(a, matches[i], gen)
+		out[i] = shard.ResolveMatch(a, matches[i], gen)
 	}
 	return out
 }
@@ -95,7 +101,7 @@ func referenceBatch(c *Cluster, addrs []netutil.Addr) []LookupResult {
 // every node's generation advances in lockstep.
 func TestClusterEquivalence(t *testing.T) {
 	defer clusterArtifacts(t)
-	c, err := NewCluster(ClusterConfig{Shards: 3, Logf: t.Logf})
+	c, err := node.NewCluster(node.ClusterConfig{Shards: 3, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +156,7 @@ func TestClusterKillNodeWarmPool(t *testing.T) { killNode(t, true) }
 
 func killNode(t *testing.T, warm bool) {
 	defer clusterArtifacts(t)
-	c, err := NewCluster(ClusterConfig{Shards: 3, Logf: t.Logf})
+	c, err := node.NewCluster(node.ClusterConfig{Shards: 3, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +227,7 @@ func killNode(t *testing.T, warm bool) {
 // warm start from a saved .nct + sidecar that then follows the feed.
 func TestClusterWarmStartJoin(t *testing.T) {
 	defer clusterArtifacts(t)
-	c, err := NewCluster(ClusterConfig{Shards: 2, MaxLog: 16, Logf: t.Logf})
+	c, err := node.NewCluster(node.ClusterConfig{Shards: 2, MaxLog: 16, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +240,7 @@ func TestClusterWarmStartJoin(t *testing.T) {
 	}
 
 	// Late joiner: snapshot catch-up must land it exactly at the head.
-	fl, err := Join(c.FeedBase(), nil, nil)
+	fl, err := shard.Join(c.FeedBase(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +274,7 @@ func TestClusterWarmStartJoin(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("sidecar = %v, %v", ok, err)
 	}
-	warm := RejoinFromSnapshot(c.FeedBase(), nil, tf.Table(), meta, nil)
+	warm := shard.RejoinFromSnapshot(c.FeedBase(), nil, tf.Table(), meta, nil)
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}

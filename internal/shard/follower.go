@@ -57,6 +57,7 @@ type Follower struct {
 	MonitorEvery time.Duration
 
 	seq atomic.Uint64 // last applied sequence number
+	lag atomic.Uint64 // generations behind the feed head, as last measured
 }
 
 // Join seeds a follower from the feed's snapshot endpoint: it downloads
@@ -90,6 +91,19 @@ func RejoinFromSnapshot(base string, client *http.Client, c *bgp.Compiled, meta 
 
 // Seq returns the last applied sequence number.
 func (f *Follower) Seq() uint64 { return f.seq.Load() }
+
+// LastLag returns this follower's generation lag behind the feed head as
+// last measured by Step, Lag or a resync. It reads no registry, so
+// followers sharing a process each report their own.
+func (f *Follower) LastLag() uint64 { return f.lag.Load() }
+
+// setLag records a lag measurement: this follower's own, and the
+// process-wide gauges.
+func (f *Follower) setLag(lag uint64) {
+	f.lag.Store(lag)
+	followerLag.Set(int64(lag))
+	feedLagGens.Set(int64(lag))
+}
 
 func (f *Follower) client() *http.Client {
 	if f.Client != nil {
@@ -137,8 +151,7 @@ func (f *Follower) resync() error {
 	f.seq.Store(seq)
 	// The snapshot is the stream head (or close to it); report caught up
 	// until the next fetch or probe measures the real distance.
-	followerLag.Set(0)
-	feedLagGens.Set(0)
+	f.setLag(0)
 	f.logf("shard follower: seeded from snapshot at seq %d", seq)
 	return nil
 }
@@ -207,9 +220,11 @@ func (f *Follower) Step(ctx context.Context) (int, error) {
 		applied++
 		followerApplied.Inc()
 	}
-	lag := int64(dr.Head - f.seq.Load())
-	followerLag.Set(lag)
-	feedLagGens.Set(lag)
+	var lag uint64
+	if seq := f.seq.Load(); dr.Head > seq {
+		lag = dr.Head - seq
+	}
+	f.setLag(lag)
 	return applied, nil
 }
 
@@ -242,8 +257,7 @@ func (f *Follower) Lag(ctx context.Context) (uint64, error) {
 	if seq := f.seq.Load(); st.Head > seq {
 		lag = st.Head - seq
 	}
-	followerLag.Set(int64(lag))
-	feedLagGens.Set(int64(lag))
+	f.setLag(lag)
 	return lag, nil
 }
 

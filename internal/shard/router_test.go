@@ -20,6 +20,7 @@ import (
 	"github.com/netaware/netcluster/internal/churn"
 	"github.com/netaware/netcluster/internal/faultnet"
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/obsv"
 )
 
 // routerFixture stands up a 3-shard router over hand-built single-shard
@@ -43,6 +44,26 @@ func fixtureTables() []*churn.Table {
 		tables = append(tables, churn.New(mg))
 	}
 	return tables
+}
+
+// testNode is a shard peer as a router sees one: the production batch
+// core over table, mounted the way internal/node's node mounts it on
+// /cluster and the batch stream, with that node's limits defaults.
+func testNode(table TableSource, shardID int) *BatchHandler {
+	return &BatchHandler{
+		Table:     table,
+		SpanAttrs: []obsv.Attr{{Key: "shard", Value: strconv.Itoa(shardID)}},
+		Batches:   new(obsv.Counter),
+		Addrs:     new(obsv.Counter),
+	}
+}
+
+// mount serves h the way a node does: /cluster and the batch stream.
+func mount(h *BatchHandler) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/cluster", h)
+	mux.HandleFunc(StreamPath, h.ServeStream)
+	return mux
 }
 
 // killed is the context a test hands Shutdown to end batch streams at
@@ -70,8 +91,8 @@ func newRouterFixture(t *testing.T, dial func(context.Context, string) (net.Conn
 	t.Helper()
 	fx := &routerFixture{m: NewMap(3), tables: fixtureTables()}
 	for i, table := range fx.tables {
-		node := &NodeServer{Table: table, ShardID: i}
-		srv := httptest.NewServer(node.Handler())
+		node := testNode(table, i)
+		srv := httptest.NewServer(mount(node))
 		t.Cleanup(func() {
 			srv.Close()
 			node.Shutdown(killed())
@@ -84,15 +105,15 @@ func newRouterFixture(t *testing.T, dial func(context.Context, string) (net.Conn
 }
 
 // pipeNodes stands the same three shards up on a pipeNet instead of
-// sockets: shard i is a real NodeServer behind a real http.Server at
+// sockets: shard i is a testNode behind a real http.Server at
 // http://shardi.
 func pipeNodes(t testing.TB) (*Map, *pipeNet, []*churn.Table) {
 	t.Helper()
 	m, pn, tables := NewMap(3), &pipeNet{nodes: map[string]func(net.Conn){}}, fixtureTables()
 	for i, table := range tables {
-		node := &NodeServer{Table: table, ShardID: i}
+		node := testNode(table, i)
 		host := "shard" + strconv.Itoa(i)
-		pn.nodes[host+":80"] = servePipes(t, node.Handler(), node.Shutdown)
+		pn.nodes[host+":80"] = servePipes(t, mount(node), node.Shutdown)
 		m.Shards[i].Addr = "http://" + host
 	}
 	return m, pn, tables
@@ -370,7 +391,7 @@ func TestRouterRejectsBadFrames(t *testing.T) {
 	// A node that never heard of the stream, and one that hears the
 	// upgrade as an ordinary request.
 	noStream := http.NewServeMux()
-	noStream.Handle("/cluster", &BatchHandler{Table: tables[1], Batches: nodeBatches, Addrs: nodeAddrs})
+	noStream.Handle("/cluster", &BatchHandler{Table: tables[1], Batches: new(obsv.Counter), Addrs: new(obsv.Counter)})
 	deaf := http.NewServeMux()
 	deaf.HandleFunc(StreamPath, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

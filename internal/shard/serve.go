@@ -48,8 +48,8 @@ type Admission interface {
 	Release()
 }
 
-// BatchHandler is the batch-serving pipeline, written once: NodeServer
-// and cmd/clusterd both mount it, ServeHTTP on /cluster for clients and
+// BatchHandler is the batch-serving pipeline, written once: the clusterd
+// node (internal/node) mounts it, ServeHTTP on /cluster for clients and
 // ServeStream on StreamPath for routers. A client posts a
 // newline-separated address list and gets the BatchResponse JSON; a
 // router sends request frames down a batch stream (stream.go) and gets

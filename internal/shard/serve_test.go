@@ -165,8 +165,10 @@ func postOversized(t *testing.T, url string) {
 	}
 }
 
-func TestNodeServerCapsBatchBody(t *testing.T) {
-	srv := httptest.NewServer((&NodeServer{Table: fixtureTables()[0], MaxBatch: 2}).Handler())
+func TestBatchHandlerCapsBatchBody(t *testing.T) {
+	h := testNode(fixtureTables()[0], 0)
+	h.Limits = func() Limits { return Limits{MaxBatch: 2, MaxBody: DefaultMaxBody} }
+	srv := httptest.NewServer(mount(h))
 	defer srv.Close()
 	postOversized(t, srv.URL+"/cluster")
 
@@ -247,7 +249,7 @@ func perAddress(t *testing.T, serve func(addrs []netutil.Addr) func()) float64 {
 }
 
 func TestBatchHandlerFrameAllocsPerAddress(t *testing.T) {
-	h := (&NodeServer{Table: fixtureTables()[0]}).batchHandler()
+	h := testNode(fixtureTables()[0], 0)
 	// One stream serves every run, as one connection would.
 	conn := &scriptConn{}
 	st := &nodeStream{conn: conn}
@@ -281,8 +283,8 @@ func TestUntracedExchangeAllocs(t *testing.T) {
 		BatchSpan: obsv.RootSpan("test.untraced.batch"),
 		TableSpan: obsv.ChildSpan("test.untraced.table"),
 		SpanAttrs: []obsv.Attr{{Key: "shard", Value: "0"}},
-		Batches:   nodeBatches,
-		Addrs:     nodeAddrs,
+		Batches:   new(obsv.Counter),
+		Addrs:     new(obsv.Counter),
 	}
 	conn := &scriptConn{}
 	st := &nodeStream{conn: conn}

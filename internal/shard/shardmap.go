@@ -19,8 +19,8 @@
 //
 // Clients see the clusterd wire format (wire.go) on every component;
 // router and nodes exchange the columnar batch frame (frame.go), which
-// clusterd and the in-process NodeServer (harness.go) serve from one
-// shared core (serve.go), so the router fronts either interchangeably.
+// every clusterd node (internal/node) serves from one shared core
+// (serve.go), in its own process or in the in-process cluster harness.
 package shard
 
 import (

@@ -15,6 +15,7 @@ import (
 
 	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/netutil"
+	"github.com/netaware/netcluster/internal/obsv"
 )
 
 // scriptConn is a connection whose peer already said everything it will:
@@ -99,7 +100,7 @@ func TestServeStreamAnswers(t *testing.T) {
 	good := streamRequest(7, 9, AppendRequestFrame(nil, probe))
 	lim := Limits{MaxBatch: 3, MaxBody: 64}
 	handler := func() *BatchHandler {
-		return &BatchHandler{Table: table, Batches: nodeBatches, Addrs: nodeAddrs, Limits: func() Limits { return lim }}
+		return &BatchHandler{Table: table, Batches: new(obsv.Counter), Addrs: new(obsv.Counter), Limits: func() Limits { return lim }}
 	}
 	wantGood := func(t *testing.T, echo, frame []byte, status int) {
 		t.Helper()
@@ -228,9 +229,9 @@ func TestBatchHandlerShutdown(t *testing.T) {
 	request := streamRequest(1, 2, AppendRequestFrame(nil, probe))
 	answerLen := streamHeaderLen + responseFrameLen(len(probe))
 	table := &blockingTable{TableSource: fixtureTables()[0], entered: make(chan struct{}), release: make(chan struct{})}
-	newNode := func(t *testing.T) (*NodeServer, *httptest.Server) {
-		node := &NodeServer{Table: table}
-		srv := httptest.NewServer(node.Handler())
+	newNode := func(t *testing.T) (*BatchHandler, *httptest.Server) {
+		node := testNode(table, 0)
+		srv := httptest.NewServer(mount(node))
 		t.Cleanup(srv.Close)
 		return node, srv
 	}
@@ -345,7 +346,7 @@ func (c *messageConn) Read(p []byte) (int, error) {
 // every request of that size or less that has arrived whole takes one
 // read of the connection, not a read for the header and one for the body.
 func TestServeStreamOneReadPerRequest(t *testing.T) {
-	h := (&NodeServer{Table: fixtureTables()[0]}).batchHandler()
+	h := testNode(fixtureTables()[0], 0)
 	const requests = 10
 	conn := &messageConn{}
 	for i := 0; i < requests; i++ {
@@ -371,7 +372,7 @@ func TestServeStreamOneReadPerRequest(t *testing.T) {
 
 // TestServeStreamUpgrade: the endpoint speaks only the upgrade.
 func TestServeStreamUpgrade(t *testing.T) {
-	srv := httptest.NewServer((&NodeServer{Table: fixtureTables()[0]}).Handler())
+	srv := httptest.NewServer(mount(testNode(fixtureTables()[0], 0)))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + StreamPath)
 	if err != nil {
@@ -402,7 +403,7 @@ func FuzzServeStream(f *testing.F) {
 	}
 	table := fixtureTables()[0]
 	lim := Limits{MaxBatch: 64, MaxBody: 200}
-	h := &BatchHandler{Table: table, Batches: nodeBatches, Addrs: nodeAddrs, Limits: func() Limits { return lim }}
+	h := &BatchHandler{Table: table, Batches: new(obsv.Counter), Addrs: new(obsv.Counter), Limits: func() Limits { return lim }}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := &scriptConn{}
 		conn.in.Reset(data)

@@ -1,12 +1,11 @@
-// Package sketch provides the bounded-memory stream summaries behind
-// firehose-scale clustering: a count-min sketch with conservative
-// update and a space-saving heavy-hitter summary. The combination
-// implements the paper's own thresholding observation as a data
-// structure: ~70% of requests come from a small busy tail of clusters
-// (Section 4.1.3), so the busy clusters are tracked exactly in O(K)
-// counters while the long tail is approximated in O(width·depth) sketch
-// cells — memory independent of how many distinct clusters a
-// 100M-request stream touches.
+// Package sketch provides bounded-memory stream summaries: a space-saving
+// heavy-hitter summary and a count-min sketch with conservative update.
+// The space-saving summary is what firehose-scale clustering runs on
+// (internal/cluster's bounded accumulator): it implements the paper's
+// own thresholding observation as a data structure — ~70% of requests
+// come from a small busy tail of clusters (Section 4.1.3), so the busy
+// clusters are tracked exactly in O(K) counters, in memory independent
+// of how many distinct clusters a 100M-request stream touches.
 //
 // Guarantees, each property-tested in sketch_test.go:
 //
@@ -42,8 +41,7 @@ func rowSeed(i int) uint64 {
 // CountMin is a count-min sketch over uint64 keys: depth rows of width
 // counters, each row indexed by an independent hash. Estimates are the
 // minimum over rows, so they only ever overcount. Not safe for
-// concurrent use; callers on shared paths hold their own lock (the
-// accumulator in internal/cluster locks per batch, not per record).
+// concurrent use; callers on shared paths hold their own lock.
 type CountMin struct {
 	width uint64 // power of two
 	depth int
@@ -103,24 +101,9 @@ func NewCountMinError(epsilon, delta float64) (*CountMin, error) {
 	return NewCountMin(width, depth), nil
 }
 
-// Epsilon returns the guaranteed per-query error fraction for this
-// width: Estimate(k) ≤ true(k) + Epsilon()·Total() with probability
-// ≥ 1 - exp(-depth).
-func (c *CountMin) Epsilon() float64 { return math.E / float64(c.width) }
-
 // cell returns the row-i cell index for key.
 func (c *CountMin) cell(i int, key uint64) uint64 {
 	return uint64(i)*c.width + (splitmix64(key^c.seeds[i]) & c.mask)
-}
-
-// Add records weight w for key with the plain update rule: every row's
-// cell grows by w, so a plain sketch upper-bounds a conservative one
-// fed the same stream.
-func (c *CountMin) Add(key, w uint64) {
-	c.total += w
-	for i := 0; i < c.depth; i++ {
-		c.rows[c.cell(i, key)] += w
-	}
 }
 
 // AddConservative records weight w with the conservative-update rule:
@@ -148,22 +131,4 @@ func (c *CountMin) AddConservative(key, w uint64) uint64 {
 		}
 	}
 	return est
-}
-
-// Estimate returns the key's count upper bound: the minimum cell over
-// all rows. Never less than the key's true added weight.
-func (c *CountMin) Estimate(key uint64) uint64 {
-	est := uint64(math.MaxUint64)
-	for i := 0; i < c.depth; i++ {
-		if v := c.rows[c.cell(i, key)]; v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// FootprintBytes returns the fixed memory the sketch holds — the number
-// the bounded accumulator's RSS ceiling is computed from.
-func (c *CountMin) FootprintBytes() int {
-	return (len(c.rows)+len(c.seeds)+len(c.cells))*8 + 64
 }

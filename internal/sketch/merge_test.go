@@ -1,14 +1,46 @@
 package sketch
 
-// Merging, cloning and the plain (non-conservative) count-min update:
-// the algebra the sketch tests check the summaries' guarantees with.
-// The clustering pipeline runs one accumulator per pass and never
-// merges, so these live with the tests.
+// Merging, cloning, the plain (non-conservative) count-min update and
+// the reads behind the guarantees: the algebra the sketch tests check
+// the summaries with. The clustering pipeline runs one space-saving
+// accumulator per pass, never merges and never queries a count-min, so
+// these live with the tests.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
+
+// Epsilon returns the guaranteed per-query error fraction for this
+// width: Estimate(k) ≤ true(k) + Epsilon()·Total() with probability
+// ≥ 1 - exp(-depth).
+func (c *CountMin) Epsilon() float64 { return math.E / float64(c.width) }
+
+// Add records weight w for key with the plain update rule: every row's
+// cell grows by w, so a plain sketch upper-bounds a conservative one
+// fed the same stream.
+func (c *CountMin) Add(key, w uint64) {
+	c.total += w
+	for i := 0; i < c.depth; i++ {
+		c.rows[c.cell(i, key)] += w
+	}
+}
+
+// Estimate returns the key's count upper bound: the minimum cell over
+// all rows. Never less than the key's true added weight.
+func (c *CountMin) Estimate(key uint64) uint64 {
+	est := uint64(math.MaxUint64)
+	for i := 0; i < c.depth; i++ {
+		if v := c.rows[c.cell(i, key)]; v < est {
+			est = v
+		}
+	}
+	return est
+}
+
+// Total returns N, the sum of every count weight added.
+func (s *SpaceSaving) Total() uint64 { return s.total }
 
 // Merge folds o into c cell by cell. Both sketches must have identical
 // dimensions — same width, same depth — or the merge is rejected

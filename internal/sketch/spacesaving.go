@@ -59,9 +59,6 @@ func NewSpaceSaving(capacity int) *SpaceSaving {
 // Len returns how many keys are currently monitored (≤ Capacity).
 func (s *SpaceSaving) Len() int { return len(s.heap) }
 
-// Total returns N, the sum of every count weight added.
-func (s *SpaceSaving) Total() uint64 { return s.total }
-
 // Evictions returns how many takeovers have happened — the
 // heavy-hitter churn signal the obsv gauges publish.
 func (s *SpaceSaving) Evictions() uint64 { return s.evictions }
