@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the full pre-merge gate: vet,
 # gofmt drift, race-enabled tests (including the parallel/sequential
 # equivalence tests and the paper-table golden, TestExperimentsGolden),
-# the sink chaos suite, the sharded-cluster and cluster-observability
-# lanes, the firehose lane, and a short smoke run of the performance
-# benchmarks plus a vet-and-test of the separate benchmark/ module.
+# the sharded-cluster and cluster-observability lanes, the firehose
+# lane, and a short smoke run of the performance benchmarks plus a
+# vet-and-test of the separate benchmark/ module.
 # `make test-short` skips the slow binary-driving tests via -short.
 
 GO ?= go
@@ -39,7 +39,7 @@ FUZZTIME ?= 20s
 # Advisory statement-coverage floor for the cover target.
 COVER_MIN ?= 70
 
-.PHONY: all build test test-short race vet fmt fmt-check chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-json bench-gate bench-smoke bench-build snapshot-smoke trace-smoke fuzz-smoke cover check clean
+.PHONY: all build test test-short race vet fmt fmt-check cluster-smoke cluster-obsv-smoke firehose-smoke bench-json bench-gate bench-smoke bench-build snapshot-smoke trace-smoke fuzz-smoke cover check clean
 
 all: build
 
@@ -66,15 +66,6 @@ fmt:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt drift in:"; echo "$$out"; exit 1; fi
-
-# The sink chaos suite: the durable export path under injected drops,
-# resets and corruption, plus kill-and-restart WAL replay, under -race.
-# On failure the WAL and flight-recorder tail land in bin/chaos-artifacts
-# (SINK_CHAOS_ARTIFACTS) for post-mortem; CI uploads that directory.
-chaos-smoke:
-	@mkdir -p bin/chaos-artifacts
-	SINK_CHAOS_ARTIFACTS=$(CURDIR)/bin/chaos-artifacts \
-		$(GO) test -count=1 -race -run 'TestSinkChaos' -v ./internal/obsv/sink
 
 # The sharded-cluster acceptance suite: a 3-node in-process cluster
 # (compiler feed + follower shards + router over real loopback HTTP)
@@ -207,7 +198,7 @@ trace-smoke:
 	./bin/experiments -scale 0.02 -trace-out bin/trace.json perf
 	./bin/tracecheck bin/trace.json
 
-check: vet fmt-check race chaos-smoke cluster-smoke cluster-obsv-smoke firehose-smoke bench-smoke bench-build
+check: vet fmt-check race cluster-smoke cluster-obsv-smoke firehose-smoke bench-smoke bench-build
 
 clean:
 	$(GO) clean ./...

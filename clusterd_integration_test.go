@@ -326,3 +326,26 @@ func TestClusterdBackpressure(t *testing.T) {
 		t.Fatal("batches still rejected after the inflight slot freed")
 	}
 }
+
+// TestClusterdIgnoresSinkDir starts clusterd with exactly the arguments
+// the repo benchmark passes for its single-node workload. -sink-dir still
+// parses, but nothing reads it: the node serves and writes nothing there.
+func TestClusterdIgnoresSinkDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test builds and runs binaries")
+	}
+	root := t.TempDir()
+	d := startDaemon(t, "clusterd",
+		"-addr", "127.0.0.1:0",
+		"-sink-dir", filepath.Join(root, "sinks-1"),
+		"-ases", "10000", "-seed", "1", "-churn-every", "0")
+	var got clusterdLookup
+	getJSON(t, d.base+"/lookup?addr=12.65.147.94", &got)
+	if got.Addr != "12.65.147.94" {
+		t.Fatalf("/lookup answered %+v", got)
+	}
+	stopDaemon(t, d)
+	if ents, err := os.ReadDir(root); err != nil || len(ents) != 0 {
+		t.Fatalf("-sink-dir's parent holds %v (err %v), want nothing", ents, err)
+	}
+}

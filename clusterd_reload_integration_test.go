@@ -1,13 +1,11 @@
 package netcluster_test
 
-// Hot-reload integration test of clusterd's ops plane: a watched config
-// file retunes admission limits and push-sink endpoints on a live
-// process under concurrent traffic — zero failed lookups, in-flight
-// batches unharmed — while invalid edits are rejected with the previous
-// generation serving and readiness flipped false. The SIGTERM drain
-// then proves the durability contract: the file sink's newline-JSON
-// journal, deduplicated by sequence number and summed, agrees exactly
-// with the final -metrics-out snapshot.
+// Hot-reload integration test of clusterd's config plane: a watched
+// config file retunes admission limits on a live process under
+// concurrent traffic — zero failed lookups, in-flight batches unharmed —
+// while invalid edits (an unknown key, and the retired "sinks" key) are
+// rejected with the previous generation serving and readiness flipped
+// false. SIGHUP applies a fixed file at once, and SIGTERM drains cleanly.
 
 import (
 	"bufio"
@@ -15,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -27,113 +24,12 @@ import (
 	"time"
 )
 
-// exportBatch mirrors the sink wire format.
-type exportBatch struct {
-	Seq     uint64 `json:"seq"`
-	UnixMs  int64  `json:"unix_ms"`
-	Samples []struct {
-		Name  string  `json:"name"`
-		Kind  string  `json:"kind"`
-		Value float64 `json:"value"`
-	} `json:"samples"`
-}
-
-// pushReceiver is a dedup-by-seq HTTP collector.
-type pushReceiver struct {
-	mu       sync.Mutex
-	seen     map[uint64]bool
-	counters map[string]float64
-	batches  int
-}
-
-func newPushReceiver() *pushReceiver {
-	return &pushReceiver{seen: make(map[uint64]bool), counters: make(map[string]float64)}
-}
-
-func (p *pushReceiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, _ := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	var b exportBatch
-	if json.Unmarshal(body, &b) != nil {
-		http.Error(w, "bad batch", http.StatusBadRequest)
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.batches++
-	if p.seen[b.Seq] {
-		return
-	}
-	p.seen[b.Seq] = true
-	for _, s := range b.Samples {
-		if s.Kind == "counter" {
-			p.counters[s.Name] += s.Value
-		}
-	}
-}
-
-func (p *pushReceiver) counter(name string) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.counters[name]
-}
-
-func (p *pushReceiver) batchCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.batches
-}
-
-// sumJournal folds a file sink's newline-JSON journal into deduplicated
-// counter totals.
-func sumJournal(t *testing.T, path string) map[string]float64 {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("journal: %v", err)
-	}
-	defer f.Close()
-	seen := make(map[uint64]bool)
-	totals := make(map[string]float64)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var b exportBatch
-		if err := json.Unmarshal([]byte(line), &b); err != nil {
-			t.Fatalf("journal line not a batch: %v\n%s", err, line)
-		}
-		if seen[b.Seq] {
-			continue
-		}
-		seen[b.Seq] = true
-		for _, s := range b.Samples {
-			if s.Kind == "counter" {
-				totals[s.Name] += s.Value
-			}
-		}
-	}
-	return totals
-}
-
 func TestClusterdConfigHotReload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and runs binaries")
 	}
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "clusterd.json")
-	journalPath := filepath.Join(dir, "journal.ndjson")
-	metricsPath := filepath.Join(dir, "metrics.json")
-	walDir := filepath.Join(dir, "wal")
-
-	recvA := newPushReceiver()
-	srvA := httptest.NewServer(recvA)
-	defer srvA.Close()
-	recvB := newPushReceiver()
-	srvB := httptest.NewServer(recvB)
-	defer srvB.Close()
 
 	writeCfg := func(body string) {
 		t.Helper()
@@ -141,15 +37,8 @@ func TestClusterdConfigHotReload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Generation 1: one admission slot, push to receiver A, journal to
-	// the file sink.
-	writeCfg(fmt.Sprintf(`{
-		"max_inflight": 1,
-		"sinks": [
-			{"name": "push", "type": "http", "endpoint": %q, "interval": "100ms"},
-			{"name": "journal", "type": "file", "path": %q, "interval": "100ms"}
-		]
-	}`, srvA.URL, journalPath))
+	// Generation 1: one admission slot.
+	writeCfg(`{"max_inflight": 1}`)
 
 	cmd := exec.Command(filepath.Join(buildTools(t), "clusterd"),
 		"-addr", "127.0.0.1:0",
@@ -158,9 +47,7 @@ func TestClusterdConfigHotReload(t *testing.T) {
 		"-churn-every", "300ms",
 		"-max-inflight", "4", // shadowed by the config file: warn expected
 		"-config", cfgPath,
-		"-config-poll", "100ms",
-		"-sink-dir", walDir,
-		"-metrics-out", metricsPath)
+		"-config-poll", "100ms")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -307,16 +194,8 @@ func TestClusterdConfigHotReload(t *testing.T) {
 	}()
 	heldWriter.Write([]byte("10.9.9.9\n"))
 
-	// Generation 2 (picked up by the poller): raise the admission limit
-	// and retarget the push sink from receiver A to receiver B — queued
-	// backlog must follow, not vanish.
-	writeCfg(fmt.Sprintf(`{
-		"max_inflight": 8,
-		"sinks": [
-			{"name": "push", "type": "http", "endpoint": %q, "interval": "100ms"},
-			{"name": "journal", "type": "file", "path": %q, "interval": "100ms"}
-		]
-	}`, srvB.URL, journalPath))
+	// Generation 2 (picked up by the poller): raise the admission limit.
+	writeCfg(`{"max_inflight": 8}`)
 	dc := waitGeneration(2)
 	if dc.Effective.MaxInflight != 8 {
 		t.Fatalf("generation 2 effective: %+v", dc)
@@ -334,19 +213,10 @@ func TestClusterdConfigHotReload(t *testing.T) {
 		t.Fatal("batch held across reload never finished")
 	}
 
-	// Receiver B starts getting deliveries on the retargeted endpoint.
-	deadline := time.Now().Add(10 * time.Second)
-	for recvB.batchCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-	}
-	if recvB.batchCount() == 0 {
-		t.Fatal("retargeted push sink never delivered to the new endpoint")
-	}
-
 	// Generation 3 attempt: invalid (unknown key). Rejected — the live
 	// generation keeps serving, readiness flips false with the reason.
 	writeCfg(`{"max_inflight": 16, "max_inflate": true}`)
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if code, _ := get("/readyz"); code == http.StatusServiceUnavailable {
 			break
@@ -369,15 +239,30 @@ func TestClusterdConfigHotReload(t *testing.T) {
 		t.Fatalf("healthz went %d during a rejected reload", code)
 	}
 
+	// A second attempt names the retired push exporters. Strict decoding
+	// rejects it the same way: generation 2 keeps serving.
+	writeCfg(`{"max_inflight": 16, "sinks": [{"name": "push", "type": "http", "endpoint": "http://127.0.0.1:1"}]}`)
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		dc = readConfig()
+		if strings.Contains(dc.LastError, `"sinks"`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a config naming sinks was never rejected: %+v", dc)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if dc.Generation != 2 || dc.Effective.MaxInflight != 8 {
+		t.Fatalf("the sinks edit disturbed the live generation: %+v", dc)
+	}
+	if code, body := get("/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(string(body), "config rejected") {
+		t.Fatalf("readyz during the sinks edit: %d %s", code, body)
+	}
+
 	// Fix the file via SIGHUP (no waiting on the poller): generation 3
 	// lands, readiness recovers.
-	writeCfg(fmt.Sprintf(`{
-		"max_inflight": 8,
-		"sinks": [
-			{"name": "push", "type": "http", "endpoint": %q, "interval": "100ms"},
-			{"name": "journal", "type": "file", "path": %q, "interval": "100ms"}
-		]
-	}`, srvB.URL, journalPath))
+	writeCfg(`{"max_inflight": 8}`)
 	if err := cmd.Process.Signal(syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +278,7 @@ func TestClusterdConfigHotReload(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Stop traffic, then drain. Traffic stops BEFORE SIGTERM so the
-	// exactness assertion below has a stable ground truth.
+	// Stop traffic, then drain.
 	close(stopTraffic)
 	traffic.Wait()
 	if n := lookupFails.Load(); n != 0 {
@@ -426,39 +310,7 @@ func TestClusterdConfigHotReload(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("clusterd did not exit within 20s of SIGTERM")
 	}
-
-	// Durability acceptance: the journal's deduplicated counter deltas
-	// sum to exactly the totals in the final metrics snapshot, because
-	// the drain flushed and fsynced the export queue before the snapshot
-	// was written.
-	snap, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatalf("metrics snapshot: %v", err)
-	}
-	var metrics struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(snap, &metrics); err != nil {
-		t.Fatalf("metrics snapshot not JSON: %v", err)
-	}
-	journal := sumJournal(t, journalPath)
-	for _, name := range []string{"clusterd.lookups", "clusterd.batches", "clusterd.batch.addrs"} {
-		if got, want := journal[name], float64(metrics.Counters[name]); got != want {
-			t.Errorf("journal %s = %v, snapshot = %v (push export lost or duplicated increments)", name, got, want)
-		}
-	}
-	if metrics.Counters["clusterd.lookups"] == 0 {
-		t.Error("no lookups recorded; the exactness assertion proved nothing")
-	}
-
-	// The retarget preserved the stream: receivers A and B together hold
-	// the same lookup total (their seq ranges are disjoint halves of one
-	// exporter stream; redeliveries during the cutover dedup by seq —
-	// but only within each receiver, so tolerate at-least-once overlap
-	// by requiring coverage, not exact equality, on the push pair).
-	pushTotal := recvA.counter("clusterd.lookups") + recvB.counter("clusterd.lookups")
-	if pushTotal < float64(metrics.Counters["clusterd.lookups"]) {
-		t.Errorf("push receivers hold %v lookups, snapshot has %d — the retarget lost batches",
-			pushTotal, metrics.Counters["clusterd.lookups"])
+	if !strings.Contains(tail, "drained at generation") {
+		t.Fatalf("drain did not finish:\n%s", tail)
 	}
 }

@@ -15,32 +15,7 @@ import (
 	"github.com/netaware/netcluster/internal/appconf"
 	"github.com/netaware/netcluster/internal/cluster"
 	"github.com/netaware/netcluster/internal/node"
-	"github.com/netaware/netcluster/internal/obsv/sink"
 )
-
-// sinkSpec is the config-file shape of one push sink; it mirrors
-// sink.Spec but takes the interval in operator-friendly "5s" form.
-type sinkSpec struct {
-	Name     string           `json:"name"`
-	Type     string           `json:"type"`
-	Endpoint string           `json:"endpoint,omitempty"`
-	Path     string           `json:"path,omitempty"`
-	Interval appconf.Duration `json:"interval,omitempty"`
-}
-
-func toSinkSpecs(ss []sinkSpec) []sink.Spec {
-	out := make([]sink.Spec, len(ss))
-	for i, s := range ss {
-		out[i] = sink.Spec{
-			Name:     s.Name,
-			Type:     s.Type,
-			Endpoint: s.Endpoint,
-			Path:     s.Path,
-			Interval: s.Interval.Std(),
-		}
-	}
-	return out
-}
 
 // fileConfig is the watched file's schema. Every field is optional.
 type fileConfig struct {
@@ -51,7 +26,6 @@ type fileConfig struct {
 	DrainTimeout *appconf.Duration `json:"drain_timeout,omitempty"`
 	BusyK        *int              `json:"busy_k,omitempty"`
 	BusyCapacity *int              `json:"busy_capacity,omitempty"`
-	Sinks        []sinkSpec        `json:"sinks,omitempty"`
 }
 
 // parseFileConfig is the appconf parse hook: strict decoding (unknown
@@ -96,9 +70,6 @@ func parseFileConfig(data []byte) (fileConfig, error) {
 		bc.Capacity = *c.BusyCapacity
 	}
 	if err := bc.Validate(); err != nil {
-		return c, err
-	}
-	if err := sink.ValidateSpecs(toSinkSpecs(c.Sinks)); err != nil {
 		return c, err
 	}
 	return c, nil

@@ -22,20 +22,19 @@
 // and is hot-reloaded: a polling watcher (and SIGHUP) re-reads it,
 // validates, and swaps the accepted result in atomically via a
 // generation pointer — admission limits, churn cadence, busy-cluster
-// sizing and push-sink endpoints all retarget on a live process, and an
+// sizing and the drain timeout all retarget on a live process, and an
 // invalid edit (an unknown key included) is rejected loudly while the
-// previous generation keeps serving. The "sinks" key starts durable
-// push exporters (internal/obsv/sink): delta batches WAL-journaled under
-// -sink-dir and delivered with retry, backoff and a circuit breaker, so
-// a dead collector never blocks the serving path.
+// previous generation keeps serving.
+//
+// Metrics are pulled, never pushed: /debug/vars, /metrics and
+// /metrics.json on the node's port, and -metrics-out on the way out.
+// -sink-dir is still accepted and ignored, for scripts that pass it.
 //
 // SIGTERM/SIGINT drain gracefully: readiness flips false, the churn or
 // follow loop stops, routers' batch streams close behind the answer
 // they owe, the listener stops accepting and in-flight requests finish
-// (all bounded by the drain timeout), export queues flush and fsync
-// within the same deadline (a wedged sink cannot hang shutdown — its
-// backlog stays persisted in the WAL), and -metrics-out receives a
-// final snapshot that agrees with the pushed series.
+// (all bounded by the drain timeout), and -metrics-out receives a final
+// snapshot.
 //
 // Churn is synthetic: the same bgpsim world that seeds the table also
 // drives a bursty announce/withdraw schedule (-churn-every, -mean-batch,
@@ -79,7 +78,6 @@ import (
 	"github.com/netaware/netcluster/internal/netutil"
 	"github.com/netaware/netcluster/internal/node"
 	"github.com/netaware/netcluster/internal/obsv"
-	"github.com/netaware/netcluster/internal/obsv/sink"
 	"github.com/netaware/netcluster/internal/report"
 	"github.com/netaware/netcluster/internal/shard"
 )
@@ -96,7 +94,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", def.MaxInflight, "concurrent /cluster batches before 503 backpressure")
 	maxBatch := flag.Int("max-batch", def.MaxBatch, "addresses per /cluster batch")
 	maxBody := flag.Int64("max-body", def.MaxBodyBytes, "request body cap in bytes for /cluster")
-	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout.Std(), "grace period for in-flight requests and sink flush on shutdown")
+	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout.Std(), "grace period for in-flight requests on shutdown")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file on shutdown")
 	tableSnapshot := flag.String("table-snapshot", "", "warm-start the prefix table from a compiled snapshot file (see tabletool compile) instead of generating a synthetic world; the .meta sidecar restores the generation/stream position and the table keeps absorbing deltas")
 	snapshotOut := flag.String("snapshot-out", "", "write the final table + .meta sidecar to this file on shutdown, ready for a -table-snapshot warm start")
@@ -109,8 +107,7 @@ func main() {
 	busyCapacity := flag.Int("busy-capacity", 0, "monitored-counter budget for busy-cluster accounting (0: 8x busy-k)")
 	configPath := flag.String("config", "", "watched JSON config file; its keys override flags and hot-reload")
 	configPoll := flag.Duration("config-poll", 2*time.Second, "poll interval for -config changes")
-	sinkDir := flag.String("sink-dir", "", "directory for push-sink WALs (default: <tmp>/clusterd-sinks)")
-	sinkHighWater := flag.Int("sink-high-water", 0, "export backlog depth that flips readiness false (0: queue capacity)")
+	flag.String("sink-dir", "", "ignored; kept until benchmark/serving.go stops passing it (ROADMAP 7(f))")
 	flag.Parse()
 
 	// Distinct processes must mint distinct trace/span IDs or merged
@@ -237,14 +234,6 @@ func main() {
 		BusyCapacity: *busyCapacity,
 	}
 
-	if *sinkDir == "" {
-		*sinkDir = os.TempDir() + "/clusterd-sinks"
-	}
-	sinks := sink.NewManager(*sinkDir, sink.Options{Defaults: sink.Config{
-		HighWater: *sinkHighWater,
-		Logf:      logf,
-	}})
-
 	// The watcher loads the file before the node exists: its first
 	// generation becomes the node's initial tunables, and every later
 	// swap — on the watcher's goroutine — waits until the node is built,
@@ -267,13 +256,8 @@ func main() {
 					<-built
 					n.Reload(t)
 				}
-				if err := sinks.Apply(toSinkSpecs(cur.Config.Sinks)); err != nil {
-					// Specs were validated at parse; this is an environment
-					// failure (WAL dir unwritable). The previous sink set serves.
-					logf("clusterd: sink reconcile: %v", err)
-				}
-				logf("clusterd: config generation %d applied: max-inflight %d, max-batch %d, churn-every %v, %d sink(s)",
-					cur.Generation, t.MaxInflight, t.MaxBatch, t.ChurnEvery.Std(), len(cur.Config.Sinks))
+				logf("clusterd: config generation %d applied: max-inflight %d, max-batch %d, churn-every %v",
+					cur.Generation, t.MaxInflight, t.MaxBatch, t.ChurnEvery.Std())
 			},
 			Logf: logf,
 		})
@@ -306,7 +290,6 @@ func main() {
 		Churn:      gen,
 		Shard:      shardTag,
 		ConfigFile: file,
-		Sinks:      sinks,
 		Logf:       logf,
 	})
 	if err != nil {
@@ -354,10 +337,8 @@ loop:
 
 	// Graceful drain, in dependency order: the node flips readiness,
 	// stops churning and ends its batch streams; in-flight requests
-	// finish, then export queues flush and fsync within the same deadline
-	// — a wedged sink cannot hang shutdown; its backlog stays persisted in
-	// the WAL. The metrics snapshot is written last so it agrees with the
-	// pushed series.
+	// finish within the drain deadline. The metrics snapshot is written
+	// last, so it counts every request served.
 	dctx, cancel := context.WithTimeout(context.Background(), n.Tunables().DrainTimeout.Std())
 	defer cancel()
 	if err := n.Shutdown(dctx); err != nil {
@@ -368,9 +349,6 @@ loop:
 	}
 	if err := srv.Shutdown(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "clusterd: drain: %v\n", err)
-	}
-	if err := sinks.Close(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterd: sink flush: %v\n", err)
 	}
 	if *snapshotOut != "" {
 		// Churn is stopped and requests are drained, so this is the final

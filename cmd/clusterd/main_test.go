@@ -181,3 +181,16 @@ func TestLookupTimedOnce(t *testing.T) {
 		t.Fatalf("%d lookups: clusterd.lookup.ns counted %d, clusterd.lookups %d", n, got, want)
 	}
 }
+
+// TestParseFileConfigRejectsSinks: the push exporters are gone, and a
+// config file that still names them is a rejected reload, not a silent
+// no-op.
+func TestParseFileConfigRejectsSinks(t *testing.T) {
+	_, err := parseFileConfig([]byte(`{"sinks": []}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "sinks"`) {
+		t.Fatalf(`parseFileConfig({"sinks": []}) = %v, want an unknown-field error`, err)
+	}
+	if _, err := parseFileConfig([]byte(`{"max_inflight": 2}`)); err != nil {
+		t.Fatalf("a config without sinks: %v", err)
+	}
+}

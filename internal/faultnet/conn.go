@@ -6,101 +6,13 @@ import (
 )
 
 // errReset is the failure surfaced by an injected connection reset. It
-// reports Timeout() false so retry classifiers treat it as a transient
-// transport error distinct from a deadline.
+// reports Timeout() false: a reset is a transport error, not a missed
+// deadline.
 type errReset struct{ op string }
 
 func (e errReset) Error() string   { return "faultnet: injected connection reset during " + e.op }
 func (e errReset) Timeout() bool   { return false }
 func (e errReset) Temporary() bool { return true }
-
-// PacketConn wraps a UDP (or any packet) endpoint with the injector's
-// profile. Inbound faults apply to ReadFrom, outbound to WriteTo.
-func (i *Injector) PacketConn(inner net.PacketConn) net.PacketConn {
-	return &packetConn{PacketConn: inner, inj: i}
-}
-
-type packetConn struct {
-	net.PacketConn
-	inj *Injector
-}
-
-// ReadFrom delivers the next surviving datagram: dropped datagrams are
-// consumed and skipped (the deadline on the underlying conn still
-// bounds the wait), surviving ones may be delayed, truncated or
-// corrupted before delivery.
-func (c *packetConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	for {
-		n, addr, err := c.PacketConn.ReadFrom(b)
-		if err != nil {
-			return n, addr, err
-		}
-		c.inj.countOp()
-		f := c.inj.inbound()
-		if c.inj.roll(f.Drop) {
-			c.inj.count(&c.inj.stats.Drops)
-			continue
-		}
-		c.inj.delaySync(f)
-		if c.inj.roll(f.Truncate) {
-			c.inj.count(&c.inj.stats.Truncates)
-			n = c.inj.truncLen(n)
-		}
-		if c.inj.roll(f.Corrupt) {
-			c.inj.corrupt(b[:n])
-		}
-		return n, addr, nil
-	}
-}
-
-// WriteTo emits the datagram under outbound faults. Drops report success
-// (the network swallowed it — the sender cannot tell); delayed datagrams
-// are delivered asynchronously so a slow response can arrive after the
-// peer timed out and retried; duplicates are sent twice.
-func (c *packetConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	c.inj.countOp()
-	f := c.inj.outbound()
-	if c.inj.roll(f.Drop) {
-		c.inj.count(&c.inj.stats.Drops)
-		return len(b), nil
-	}
-	pkt := b
-	if c.inj.roll(f.Truncate) {
-		c.inj.count(&c.inj.stats.Truncates)
-		pkt = pkt[:c.inj.truncLen(len(pkt))]
-	}
-	if c.inj.roll(f.Corrupt) {
-		cp := make([]byte, len(pkt))
-		copy(cp, pkt)
-		c.inj.corrupt(cp)
-		pkt = cp
-	}
-	sends := 1
-	if c.inj.roll(f.Dup) {
-		c.inj.count(&c.inj.stats.Dups)
-		sends = 2
-	}
-	if d := c.inj.latency(f); d > 0 {
-		c.inj.count(&c.inj.stats.Delays)
-		// Deliver late without blocking the caller: copy, then send after d.
-		cp := make([]byte, len(pkt))
-		copy(cp, pkt)
-		for s := 0; s < sends; s++ {
-			time.AfterFunc(d, func() {
-				c.PacketConn.WriteTo(cp, addr) // best effort; peer may be gone
-			})
-		}
-		return len(b), nil
-	}
-	var err error
-	for s := 0; s < sends; s++ {
-		_, err = c.PacketConn.WriteTo(pkt, addr)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
 
 // Conn wraps a stream connection with the injector's profile. TCP
 // retransmits lost segments, so Drop appears as extra latency
@@ -127,7 +39,7 @@ func (c *conn) fault(f Faults, op string) error {
 		// Simulated segment loss: the transport recovers by retransmission,
 		// which the application only observes as added delay.
 		c.inj.count(&c.inj.stats.Drops)
-		c.inj.sleep(3 * f.Latency)
+		time.Sleep(3 * f.Latency)
 	}
 	return nil
 }

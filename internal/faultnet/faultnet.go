@@ -1,20 +1,16 @@
 // Package faultnet is a deterministic fault-injection substrate for the
-// networked service: wrappers around net.PacketConn, net.Conn and
-// http.RoundTripper that drop, delay, duplicate, truncate, corrupt and
-// reset traffic according to a seeded per-direction Profile.
+// networked service: a net.Conn wrapper that delays, truncates, corrupts
+// and resets traffic according to a seeded per-direction Profile.
 //
 // The router tests put Injector.Conn behind shard.RouterConfig.Dial to
 // prove that a damaged router↔node stream degrades a batch explicitly and
-// never yields a wrong prefix; the sink chaos suite puts
-// Injector.RoundTripper under the push exporter to prove exact delivery
-// totals across outages. Injector.PacketConn applies the same profiles
-// to datagram endpoints (loss, duplication, late delivery). None of them
-// touches kernel queueing disciplines.
+// never yields a wrong prefix. Nothing touches kernel queueing
+// disciplines.
 //
 // Determinism: all random decisions come from one seeded rng guarded by a
 // mutex, so a single-goroutine driver replays identically for a given
 // Profile.Seed. Under concurrency the interleaving (not the marginal
-// rates) varies, which is exactly the reproducibility a chaos suite
+// rates) varies, which is exactly the reproducibility a fault test
 // needs.
 package faultnet
 
@@ -27,25 +23,19 @@ import (
 // Faults is one direction's fault rates. All probabilities are in [0,1]
 // and are evaluated independently per operation.
 type Faults struct {
-	// Drop discards the datagram or HTTP request/response entirely. On
-	// stream (TCP) wrappers, where the transport would retransmit, a
-	// drop manifests as an extra retransmission delay of 3×Latency
-	// instead.
+	// Drop is a lost segment. The transport would retransmit it, so a
+	// drop manifests as an extra retransmission delay of 3×Latency.
 	Drop float64
-	// Dup delivers the datagram twice (packet wrappers only).
-	Dup float64
 	// Corrupt flips bits in the payload; checksummed real networks
 	// deliver such damage rarely, but a resilient decoder must survive it.
 	Corrupt float64
-	// Truncate delivers only a prefix of the payload. On streams the
-	// connection is closed after the prefix (premature EOF).
+	// Truncate delivers only a prefix of the payload, then closes the
+	// connection (premature EOF).
 	Truncate float64
-	// Reset tears the connection down mid-operation (stream and HTTP
-	// wrappers; packets have no connection to reset).
+	// Reset tears the connection down mid-operation.
 	Reset float64
 	// Latency delays every operation by Latency plus a uniform extra in
-	// [0, Jitter). Outbound packet delays are delivered asynchronously,
-	// so a delayed datagram can arrive after its peer timed out.
+	// [0, Jitter).
 	Latency time.Duration
 	Jitter  time.Duration
 }
@@ -59,17 +49,11 @@ type Profile struct {
 	Outbound Faults
 }
 
-// Symmetric builds a profile applying the same faults both ways.
-func Symmetric(seed int64, f Faults) Profile {
-	return Profile{Seed: seed, Inbound: f, Outbound: f}
-}
-
 // Stats counts injected faults, so a run can prove faults actually
 // fired.
 type Stats struct {
 	Ops       int64 // operations that passed through a wrapper
 	Drops     int64
-	Dups      int64
 	Corrupts  int64
 	Truncates int64
 	Resets    int64
@@ -78,7 +62,7 @@ type Stats struct {
 
 // Total returns the number of injected fault events (delays included).
 func (s Stats) Total() int64 {
-	return s.Drops + s.Dups + s.Corrupts + s.Truncates + s.Resets + s.Delays
+	return s.Drops + s.Corrupts + s.Truncates + s.Resets + s.Delays
 }
 
 // Injector owns the seeded rng and counters for one Profile and hands out
@@ -89,24 +73,19 @@ type Injector struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	stats Stats
-
-	// sleep is the clock hook, overridable in tests.
-	sleep func(time.Duration)
 }
 
 // New returns an injector for the profile.
 func New(p Profile) *Injector {
 	return &Injector{
-		prof:  p,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		sleep: time.Sleep,
+		prof: p,
+		rng:  rand.New(rand.NewSource(p.Seed)),
 	}
 }
 
-// SetProfile replaces the fault profile on a live injector — chaos
-// schedules use it to heal or degrade a wrapped path mid-run (the sink
-// suite's "outage, then recovery" phases). The rng stream and fault
-// counters carry across the swap.
+// SetProfile replaces the fault profile on a live injector — the router
+// tests use it to degrade a pooled connection between two exchanges. The
+// rng stream and fault counters carry across the swap.
 func (i *Injector) SetProfile(p Profile) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -175,7 +154,7 @@ func (i *Injector) latency(f Faults) time.Duration {
 func (i *Injector) delaySync(f Faults) {
 	if d := i.latency(f); d > 0 {
 		i.count(&i.stats.Delays)
-		i.sleep(d)
+		time.Sleep(d)
 	}
 }
 

@@ -14,7 +14,7 @@
 //	GET  /healthz                    liveness + table generation
 //	GET  /readyz                     readiness; a follower also reports
 //	                                 its feed lag in generations
-//	GET  /debug/config               live tunables, config file, sinks
+//	GET  /debug/config               live tunables and config file
 //	GET  /metrics, /metrics.json, /debug/...
 //	                                 obsv debug surface
 //	GET  /feed/deltas, /feed/snapshot, /feed/status
@@ -37,7 +37,6 @@ import (
 	"github.com/netaware/netcluster/internal/bgpsim"
 	"github.com/netaware/netcluster/internal/churn"
 	"github.com/netaware/netcluster/internal/obsv"
-	"github.com/netaware/netcluster/internal/obsv/sink"
 	"github.com/netaware/netcluster/internal/shard"
 )
 
@@ -107,9 +106,6 @@ type Config struct {
 	Shard string
 	// ConfigFile, when set, is reported by /readyz and /debug/config.
 	ConfigFile ConfigFile
-	// Sinks, when set, are the push exporters /readyz and /debug/config
-	// report.
-	Sinks *sink.Manager
 	// Logf receives churn swaps and busy-tracker resizes; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -308,9 +304,8 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: whether this node should receive traffic
-// right now. False while draining, while the watched config file is
-// failing validation, and while any export backlog sits above its
-// high-water mark.
+// right now. False while draining and while the watched config file is
+// failing validation.
 func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	if n.draining.Load() {
@@ -320,9 +315,6 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		if err := n.cfg.ConfigFile.Status().Err; err != nil {
 			reasons = append(reasons, "config rejected: "+err.Error())
 		}
-	}
-	if n.cfg.Sinks != nil && !n.cfg.Sinks.Healthy() {
-		reasons = append(reasons, "export backlog above high-water mark")
 	}
 	ready := len(reasons) == 0
 	w.Header().Set("Content-Type", "application/json")
@@ -347,16 +339,15 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugConfig shows the effective runtime configuration: the
-// resolved tunables, the config-file generation (0 when running on
-// flags alone), and every push sink's operational position.
+// resolved tunables and the config-file generation (0 when running on
+// flags alone).
 func (n *Node) handleDebugConfig(w http.ResponseWriter, r *http.Request) {
 	body := struct {
-		Generation uint64            `json:"generation"`
-		Path       string            `json:"path,omitempty"`
-		LoadedAt   *time.Time        `json:"loaded_at,omitempty"`
-		Effective  *Tunables         `json:"effective"`
-		LastError  string            `json:"last_error,omitempty"`
-		Sinks      []sink.SinkStatus `json:"sinks,omitempty"`
+		Generation uint64     `json:"generation"`
+		Path       string     `json:"path,omitempty"`
+		LoadedAt   *time.Time `json:"loaded_at,omitempty"`
+		Effective  *Tunables  `json:"effective"`
+		LastError  string     `json:"last_error,omitempty"`
 	}{Effective: n.tun.Load()}
 	if n.cfg.ConfigFile != nil {
 		st := n.cfg.ConfigFile.Status()
@@ -364,9 +355,6 @@ func (n *Node) handleDebugConfig(w http.ResponseWriter, r *http.Request) {
 		if st.Err != nil {
 			body.LastError = st.Err.Error()
 		}
-	}
-	if n.cfg.Sinks != nil {
-		body.Sinks = n.cfg.Sinks.Status()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -57,14 +57,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.count.Store(0)
-}
-
 // HistogramBucket is one non-empty bucket in a snapshot: Count
 // observations fell in [Low, High].
 type HistogramBucket struct {

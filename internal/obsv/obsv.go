@@ -47,8 +47,6 @@ func (c *Counter) Inc() uint64 { return c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is an instantaneous atomic value (last-set or accumulated).
 type Gauge struct {
 	v atomic.Int64
@@ -62,8 +60,6 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) reset() { g.v.Store(0) }
 
 // Registry is a named collection of metrics. Metric handles are
 // get-or-create: the first Counter("x") allocates, later calls return
@@ -147,22 +143,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every registered metric (handles stay valid). Tests and
-// per-run reporting use it to scope counters to a window.
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
 }
 
 // Snapshot is a point-in-time copy of a registry. Map keys marshal

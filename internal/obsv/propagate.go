@@ -7,9 +7,11 @@ import (
 
 // Wire propagation of span contexts. A routed batch crosses process
 // boundaries twice (client → router → shard node), and without carrying
-// the trace identity across the hop each process starts its own root —
-// three disjoint trees for one logical request. The carrier is a single
-// HTTP header shaped like a W3C traceparent:
+// the trace identity across each hop every process starts its own root —
+// three disjoint trees for one logical request. The router→node hop
+// carries the IDs in the batch stream's header (internal/shard); a
+// client's request carries them in a single HTTP header shaped like a
+// W3C traceparent:
 //
 //	X-Netcluster-Trace: 00-<32 hex trace-id>-<16 hex span-id>-01
 //
@@ -35,33 +37,11 @@ const TraceHeader = "X-Netcluster-Trace"
 // "00-" + 32 hex + "-" + 16 hex + "-" + 2 hex.
 const traceHeaderLen = 2 + 1 + 32 + 1 + 16 + 1 + 2
 
-const hexDigits = "0123456789abcdef"
-
-// FormatTraceHeader renders sc as a header value. An invalid (zero)
-// context renders as "" — callers can skip injection on the empty
-// string.
-func FormatTraceHeader(sc SpanContext) string {
-	if !sc.Valid() {
-		return ""
-	}
-	var buf [traceHeaderLen]byte
-	buf[0], buf[1], buf[2] = '0', '0', '-'
-	// 128-bit trace-id field, upper 64 bits zero.
-	for i := 0; i < 16; i++ {
-		buf[3+i] = '0'
-	}
-	putHex64(buf[19:35], sc.TraceID)
-	buf[35] = '-'
-	putHex64(buf[36:52], sc.SpanID)
-	buf[52], buf[53], buf[54] = '-', '0', '1'
-	return string(buf[:])
-}
-
-// ParseTraceHeader decodes a header value produced by FormatTraceHeader
-// (or any traceparent-shaped string with a 64-bit trace ID). It returns
-// ok=false — never an error — for anything it cannot use verbatim:
-// empty or truncated values, unknown versions, non-hex digits, zero
-// IDs, and foreign 128-bit trace IDs whose upper half is nonzero.
+// ParseTraceHeader decodes a traceparent-shaped header value with a
+// 64-bit trace ID. It returns ok=false — never an error — for anything
+// it cannot use verbatim: empty or truncated values, unknown versions,
+// non-hex digits, zero IDs, and foreign 128-bit trace IDs whose upper
+// half is nonzero.
 func ParseTraceHeader(v string) (SpanContext, bool) {
 	if len(v) != traceHeaderLen {
 		return SpanContext{}, false
@@ -91,16 +71,6 @@ func ParseTraceHeader(v string) (SpanContext, bool) {
 	return sc, true
 }
 
-// HTTPInject writes the span context carried by ctx into h. A context
-// with no live span injects nothing.
-func HTTPInject(ctx context.Context, h http.Header) {
-	sc, ok := SpanContextFrom(ctx)
-	if !ok {
-		return
-	}
-	h.Set(TraceHeader, FormatTraceHeader(sc))
-}
-
 // HTTPExtract returns ctx carrying the span context found in h, so the
 // next StartTraceSpan call parents into the remote trace. When the
 // header is absent or malformed, ctx is returned unchanged and the next
@@ -123,13 +93,6 @@ func HTTPExtract(ctx context.Context, h http.Header) context.Context {
 // zero salt so in-process trace topologies stay deterministic.
 func SetTraceIDSalt(salt uint64) {
 	idSalt.Store(salt)
-}
-
-func putHex64(dst []byte, v uint64) {
-	for i := 15; i >= 0; i-- {
-		dst[i] = hexDigits[v&0xf]
-		v >>= 4
-	}
 }
 
 func isHex(c byte) bool {

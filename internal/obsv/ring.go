@@ -9,7 +9,7 @@ import (
 // recent completed spans. It is always on — recording one span is an
 // atomic counter add plus one pointer store — and bounded, so a
 // long-running proxy keeps the last ~16k spans without growing. On
-// demand (a -trace-out flag, /debug/trace, a failing chaos test) the
+// demand (a -trace-out flag, /debug/trace, a failing cluster test) the
 // ring is snapshotted and exported.
 //
 // Concurrency: the write cursor is an atomic counter and each slot is an

@@ -8,7 +8,7 @@ import (
 
 // Hierarchical tracing. A TSpan carries a trace identity through a
 // context.Context so that the full pipeline — table compile, shard
-// fan-out, stream parse, per-request proxy work, retry ladders —
+// fan-out, stream parse, per-request proxy work, router batches —
 // reconstructs as one tree. Completed spans feed <name>.count and
 // <name>.ns metrics (no allocation histogram: trace spans are cheap
 // enough to wrap per-request work) and are additionally recorded into

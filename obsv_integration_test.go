@@ -30,7 +30,7 @@ func TestClusterdMetricsEndpoint(t *testing.T) {
 		t.Skip("integration test builds and runs binaries")
 	}
 	d := startDaemon(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
-		"-churn-every", "0", "-sink-dir", t.TempDir())
+		"-churn-every", "0")
 
 	// /debug/vars must be parseable JSON carrying the netcluster registry.
 	body, _ := httpGetRetry(t, d.base+"/debug/vars")

@@ -163,7 +163,7 @@ func TestClusterdPrometheusScrape(t *testing.T) {
 		t.Skip("integration test builds and runs binaries")
 	}
 	d := startDaemon(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
-		"-churn-every", "0", "-sink-dir", t.TempDir())
+		"-churn-every", "0")
 
 	// The debug routes answer beside the serving routes.
 	for _, route := range []string{"/debug/pprof/", "/debug/vars"} {
@@ -314,7 +314,7 @@ func TestClusterdMetricsOutOnSignal(t *testing.T) {
 	}
 	outPath := filepath.Join(t.TempDir(), "metrics.json")
 	cmd, lines := startWithLines(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
-		"-churn-every", "0", "-sink-dir", t.TempDir(), "-metrics-out", outPath)
+		"-churn-every", "0", "-metrics-out", outPath)
 
 	_, addr, _ := strings.Cut(awaitLine(t, lines, "serving on http://"), "serving on http://")
 	base := "http://" + strings.Fields(addr)[0]
