@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -276,14 +277,24 @@ func TestClusterDeploymentEquivalence(t *testing.T) {
 	})
 }
 
-// TestClusterShardDrainUnderLoad SIGTERMs a shard clusterd while clients
-// keep routing batches through a clusterrouter that holds batch streams
-// open to it. Those streams are hijacked connections, which
+// restartBound is the longest a rolling warm restart may degrade one
+// shard's answers: from its SIGTERM to the last batch that lost it.
+const restartBound = 2 * time.Second
+
+// TestClusterShardDrainUnderLoad is a rolling warm restart under load,
+// the way a clusterd tunable changes. Clients keep routing batches
+// through a clusterrouter while each shard clusterd in turn is SIGTERMed
+// (writing -snapshot-out) and warm-started on its old address from that
+// file (-table-snapshot), with a retuned -max-inflight. The router holds
+// batch streams open to the shard. Those are hijacked connections, which
 // http.Server.Shutdown neither waits for nor closes, so the drain has to
 // end them itself: the node must exit promptly, not sit out its drain
-// timeout, and no stream may be cut mid-frame into a row — every routed
+// timeout, and no stream may be cut mid-frame into a row. Every routed
 // batch is either complete and equal to the compiler node's answer, or
-// names the shard it lost and answers that shard's rows with the error.
+// names the restarting shard, and only it, and answers that shard's rows
+// with the error. The other shard keeps answering /lookup and /healthz.
+// Each shard's degraded window stays within restartBound, and clean
+// batches resume after each restart.
 func TestClusterShardDrainUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and runs binaries")
@@ -292,14 +303,19 @@ func TestClusterShardDrainUnderLoad(t *testing.T) {
 	// answer from the compiler node is the oracle for the whole run.
 	compiler := startDaemon(t, "clusterd", "-addr", "127.0.0.1:0", "-ases", "150", "-seed", "3",
 		"-churn-every", "0", "-feed-serve")
+	dir := t.TempDir()
+	snap := func(i int) string { return filepath.Join(dir, fmt.Sprintf("shard%d.nct", i)) }
 	shardArgs := func(i int) []string {
-		return []string{"-addr", "127.0.0.1:0", "-feed", compiler.base, "-feed-poll", "50ms",
-			"-shard-index", fmt.Sprint(i), "-shard-count", "2", "-max-inflight", "64"}
+		return []string{"-feed", compiler.base, "-feed-poll", "50ms",
+			"-shard-index", fmt.Sprint(i), "-shard-count", "2", "-max-inflight", "64",
+			"-snapshot-out", snap(i)}
 	}
-	shard0 := startDaemon(t, "clusterd", shardArgs(0)...)
-	shard1 := startDaemon(t, "clusterd", shardArgs(1)...)
+	shards := make([]*daemon, 2)
+	for i := range shards {
+		shards[i] = startDaemon(t, "clusterd", append([]string{"-addr", "127.0.0.1:0"}, shardArgs(i)...)...)
+	}
 	router := startDaemon(t, "clusterrouter", "-addr", "127.0.0.1:0", "-timeout", "2s",
-		"-shards", shard0.base+","+shard1.base)
+		"-shards", shards[0].base+","+shards[1].base)
 
 	var sb strings.Builder
 	for i := 0; i < 512; i++ {
@@ -312,29 +328,43 @@ func TestClusterShardDrainUnderLoad(t *testing.T) {
 		t.Fatalf("reference: %d rows at generation %d", len(ref.Results), ref.Generation)
 	}
 
-	// check holds one routed answer to the contract and reports whether it
-	// was degraded.
-	check := func(out *wireRouterBatch) (degraded bool, err error) {
+	// restarting is the shard being restarted, -1 between restarts. A
+	// batch may lose only the shard that was restarting when it was sent
+	// or when it was answered.
+	var restarting atomic.Int32
+	restarting.Store(-1)
+	var (
+		mu           sync.Mutex
+		lastDegraded [2]time.Time // when the latest batch that lost shard i was answered
+	)
+
+	// check holds one routed answer to the contract and returns the shard
+	// it lost, or -1.
+	check := func(out *wireRouterBatch, sent, answered int32) (lost int, err error) {
 		if len(out.Results) != len(ref.Results) {
-			return false, fmt.Errorf("%d rows for %d addresses", len(out.Results), len(ref.Results))
+			return -1, fmt.Errorf("%d rows for %d addresses", len(out.Results), len(ref.Results))
 		}
-		lost := out.Degradation["1"]
-		if len(out.Degradation) > 1 || (len(out.Degradation) == 1 && lost == "") {
-			return false, fmt.Errorf("degradation %v, only shard 1 was stopped", out.Degradation)
+		lost = -1
+		for k, why := range out.Degradation {
+			i, err := strconv.Atoi(k)
+			if err != nil || len(out.Degradation) > 1 || why == "" || i < 0 || (int32(i) != sent && int32(i) != answered) {
+				return -1, fmt.Errorf("degradation %v while shard %d (sent) / %d (answered) was restarting", out.Degradation, sent, answered)
+			}
+			lost = i
 		}
 		for i, r := range out.Results {
 			want := ref.Results[i]
 			switch {
-			case r.Shard == 1 && lost != "":
-				if r.Error != lost || r.Clustered || r.Prefix != "" || r.Addr != want.Addr {
-					return false, fmt.Errorf("row %d of the lost shard: %+v", i, r)
+			case r.Shard == lost:
+				if r.Error != out.Degradation[strconv.Itoa(lost)] || r.Clustered || r.Prefix != "" || r.Addr != want.Addr {
+					return -1, fmt.Errorf("row %d of the lost shard: %+v", i, r)
 				}
 			case r.Error != "" || r.Addr != want.Addr || r.Clustered != want.Clustered ||
 				r.Prefix != want.Prefix || r.Kind != want.Kind || r.Generation != 0:
-				return false, fmt.Errorf("row %d: router %+v != compiler %+v", i, r, want)
+				return -1, fmt.Errorf("row %d: router %+v != compiler %+v", i, r, want)
 			}
 		}
-		return lost != "", nil
+		return lost, nil
 	}
 
 	var clean, degraded atomic.Int64
@@ -351,16 +381,20 @@ func TestClusterShardDrainUnderLoad(t *testing.T) {
 					return
 				default:
 				}
+				sent := restarting.Load()
 				resp, err := http.Post(router.base+"/cluster", "text/plain", strings.NewReader(probes))
 				if err == nil {
 					var out wireRouterBatch
 					if resp.StatusCode != http.StatusOK {
 						err = fmt.Errorf("POST /cluster = %s", resp.Status)
 					} else if err = json.NewDecoder(resp.Body).Decode(&out); err == nil {
-						var lost bool
-						if lost, err = check(&out); lost {
+						var lost int
+						if lost, err = check(&out, sent, restarting.Load()); lost >= 0 {
+							mu.Lock()
+							lastDegraded[lost] = time.Now()
+							mu.Unlock()
 							degraded.Add(1)
-						} else {
+						} else if err == nil {
 							clean.Add(1)
 						}
 					}
@@ -395,18 +429,51 @@ func TestClusterShardDrainUnderLoad(t *testing.T) {
 	}
 	waitCount("clean batches on warm streams", &clean, 200)
 
-	began := time.Now()
-	stopDaemon(t, shard1)
-	if took := time.Since(began); took > 5*time.Second {
-		t.Fatalf("shard took %v to drain under load; the drain timeout is 10s", took)
+	// Shard 1, then shard 0: drain to the snapshot, then warm-start on the
+	// same address (the router's map still points there) with a retuned
+	// admission cap, and wait for clean batches through the new process.
+	var (
+		sigterm                   [2]time.Time
+		phaseClean, phaseDegraded [2]int64
+	)
+	for _, i := range []int{1, 0} {
+		addr := strings.TrimPrefix(shards[i].base, "http://")
+		clean0, degraded0 := clean.Load(), degraded.Load()
+		restarting.Store(int32(i))
+		sigterm[i] = time.Now()
+		stopDaemon(t, shards[i])
+		if took := time.Since(sigterm[i]); took > 5*time.Second {
+			t.Fatalf("shard %d took %v to drain under load; the drain timeout is 10s", i, took)
+		}
+		// The other shard serves on under the load meanwhile.
+		live := shards[1-i].base
+		var lk struct{ Addr string }
+		if getJSON(t, live+"/lookup?addr=12.65.147.94", &lk); lk.Addr != "12.65.147.94" || healthGen(t, live) != 0 {
+			t.Fatalf("shard %d during shard %d's restart: /lookup answered %+v", 1-i, i, lk)
+		}
+		shards[i] = startDaemon(t, "clusterd", append(append([]string{"-addr", addr, "-table-snapshot", snap(i)},
+			shardArgs(i)...), "-max-inflight", "32")...)
+		waitCount(fmt.Sprintf("clean batches after shard %d's restart", i), &clean, clean.Load()+50)
+		restarting.Store(-1)
+		phaseClean[i], phaseDegraded[i] = clean.Load()-clean0, degraded.Load()-degraded0
 	}
-	waitCount("degraded batches after the drain", &degraded, 20)
 	close(stop)
 	wg.Wait()
 	select {
 	case err := <-failed:
 		t.Fatal(err)
 	default:
+	}
+	for _, i := range []int{1, 0} {
+		var window time.Duration
+		if last := lastDegraded[i]; last.After(sigterm[i]) {
+			window = last.Sub(sigterm[i])
+		}
+		t.Logf("shard %d: degraded window %v; %d degraded and %d clean batches from SIGTERM to resumed clean answers",
+			i, window, phaseDegraded[i], phaseClean[i])
+		if window > restartBound {
+			t.Errorf("shard %d degraded answers for %v after its SIGTERM, bound %v", i, window, restartBound)
+		}
 	}
 	t.Logf("%d clean batches, %d degraded", clean.Load(), degraded.Load())
 }

@@ -8,8 +8,8 @@ package netcluster_test
 // (b) the router's /metrics/cluster page is parseable Prometheus text
 // with per-shard labels and nonzero cluster-wide quantiles, and
 // (c) a slow shard's feed-lag gauge rises while churn outruns its poll
-// cadence and returns to zero once churn pauses — the make
-// cluster-obsv-smoke / CI lane acceptance path.
+// cadence and returns to zero once a warm restart of the compiler turns
+// churn off — the make cluster-obsv-smoke / CI lane acceptance path.
 
 import (
 	"encoding/json"
@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -48,20 +47,17 @@ func TestClusterObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The compiler churns on a hot-reloadable cadence so the lag phase
-	// can pause the feed by rewriting the config.
-	cfgPath := filepath.Join(t.TempDir(), "compiler.json")
-	if err := os.WriteFile(cfgPath, []byte(`{"churn_every": "100ms"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The compiler drains to a snapshot, so the lag phase can pause the
+	// feed by warm-restarting it with churn off.
+	snapPath := filepath.Join(t.TempDir(), "compiler.nct")
 	compiler := startDaemon(t, "clusterd",
 		"-addr", "127.0.0.1:0",
 		"-ases", "150",
 		"-seed", "3",
 		"-mean-batch", "8",
+		"-churn-every", "100ms",
 		"-feed-serve",
-		"-config", cfgPath,
-		"-config-poll", "100ms")
+		"-snapshot-out", snapPath)
 
 	// Shard 0 keeps up; shard 1 polls far slower than churn, so its
 	// generation lag is real and visible between fetches.
@@ -232,15 +228,16 @@ func TestClusterObservability(t *testing.T) {
 	}
 	waitFor("slow shard's feed lag to rise", func() bool { return shardLag(shard1.base) >= 2 })
 
-	// Pause churn via config hot-reload (SIGHUP forces the re-read);
-	// once the feed head stops moving the slow shard catches up and the
-	// gauge must settle back to zero.
-	if err := os.WriteFile(cfgPath, []byte(`{"churn_every": "0s"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := compiler.cmd.Process.Signal(syscall.SIGHUP); err != nil {
-		t.Fatal(err)
-	}
+	// Pause churn the way any tunable changes: drain the compiler and
+	// warm-start it on the same address with churn off. Its feed resumes
+	// at the old head; the slow shard, behind it, resyncs, and the gauge
+	// must settle back to zero.
+	stopDaemon(t, compiler)
+	compiler = startDaemon(t, "clusterd",
+		"-addr", strings.TrimPrefix(compiler.base, "http://"),
+		"-table-snapshot", snapPath,
+		"-churn-every", "0",
+		"-feed-serve")
 	zeroStreak := 0
 	waitFor("slow shard's feed lag to return to zero", func() bool {
 		if shardLag(shard1.base) == 0 {

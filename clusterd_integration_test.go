@@ -349,3 +349,21 @@ func TestClusterdIgnoresSinkDir(t *testing.T) {
 		t.Fatalf("-sink-dir's parent holds %v (err %v), want nothing", ents, err)
 	}
 }
+
+// TestDaemonsDrainFromAnnounce: once a daemon has printed its "serving
+// on" line, SIGTERM drains it and it exits 0. The signal goes out the
+// moment the line is read, 20 times per binary, so a daemon that
+// announces before it catches signals dies of the default action.
+func TestDaemonsDrainFromAnnounce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test builds and runs binaries")
+	}
+	for _, args := range [][]string{
+		{"clusterd", "-addr", "127.0.0.1:0", "-ases", "50", "-churn-every", "0"},
+		{"clusterrouter", "-addr", "127.0.0.1:0", "-shards", "http://127.0.0.1:1"},
+	} {
+		for i := 0; i < 20; i++ {
+			stopDaemon(t, startDaemon(t, args[0], args[1:]...))
+		}
+	}
+}

@@ -8,23 +8,21 @@
 //	clusterd -addr 127.0.0.1:8349 -ases 300 -churn-every 2s
 //
 // The serving node itself — /lookup, POST /cluster, the routers' batch
-// stream, /busy, /healthz, /readyz, /debug/config, the obsv debug
-// surface and, on a compiler, /feed/ — is internal/node, the same node
-// the in-process cluster harness runs; its package comment lists the
-// endpoints. This command owns what is per-process: flags, the config
-// file, signals, the boot choice, and what is written on the way out.
+// stream, /busy, /healthz, /readyz, the obsv debug surface and, on a
+// compiler, /feed/ — is internal/node, the same node the in-process
+// cluster harness runs; its package comment lists the endpoints. This
+// command owns what is per-process: flags, signals, the boot choice,
+// and what is written on the way out.
 //
 // Requests carrying an X-Netcluster-Trace header join the caller's
 // trace: lookup and batch spans inherit the router's TraceID so
 // per-process /debug/trace dumps merge into one cluster-wide trace.
 //
-// Flags seed every tunable. A -config file overrides the keys it names
-// and is hot-reloaded: a polling watcher (and SIGHUP) re-reads it,
-// validates, and swaps the accepted result in atomically via a
-// generation pointer — admission limits, churn cadence, busy-cluster
-// sizing and the drain timeout all retarget on a live process, and an
-// invalid edit (an unknown key included) is rejected loudly while the
-// previous generation keeps serving.
+// Flags are the only configuration. Restart is the reload: to change a
+// tunable, SIGTERM the node with -snapshot-out and start it again on the
+// same address with -table-snapshot and the new flags. A shard behind a
+// clusterrouter loses only its own rows, and only for the moment it is
+// down (DESIGN.md §12). SIGHUP is ignored.
 //
 // Metrics are pulled, never pushed: /debug/vars, /metrics and
 // /metrics.json on the node's port, and -metrics-out on the way out.
@@ -71,7 +69,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/netaware/netcluster/internal/appconf"
 	"github.com/netaware/netcluster/internal/bgp"
 	"github.com/netaware/netcluster/internal/bgpsim"
 	"github.com/netaware/netcluster/internal/churn"
@@ -88,13 +85,13 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8349", "listen address (use :0 to pick a free port)")
 	ases := flag.Int("ases", 300, "synthetic world size (number of ASes)")
 	seed := flag.Int64("seed", 1, "world/churn seed")
-	churnEvery := flag.Duration("churn-every", def.ChurnEvery.Std(), "interval between churn deltas (0 disables churn)")
+	churnEvery := flag.Duration("churn-every", def.ChurnEvery, "interval between churn deltas (0 disables churn)")
 	meanBatch := flag.Int("mean-batch", ccfg.MeanBatch, "mean announce/withdraw ops per churn delta")
 	burstiness := flag.Float64("burstiness", ccfg.Burstiness, "probability a churn delta is a burst (8x mean)")
 	maxInflight := flag.Int("max-inflight", def.MaxInflight, "concurrent /cluster batches before 503 backpressure")
 	maxBatch := flag.Int("max-batch", def.MaxBatch, "addresses per /cluster batch")
 	maxBody := flag.Int64("max-body", def.MaxBodyBytes, "request body cap in bytes for /cluster")
-	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout.Std(), "grace period for in-flight requests on shutdown")
+	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout, "grace period for in-flight requests on shutdown")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file on shutdown")
 	tableSnapshot := flag.String("table-snapshot", "", "warm-start the prefix table from a compiled snapshot file (see tabletool compile) instead of generating a synthetic world; the .meta sidecar restores the generation/stream position and the table keeps absorbing deltas")
 	snapshotOut := flag.String("snapshot-out", "", "write the final table + .meta sidecar to this file on shutdown, ready for a -table-snapshot warm start")
@@ -105,8 +102,6 @@ func main() {
 	shardCount := flag.Int("shard-count", 0, "total shards in the cluster map; restricts the local table to this node's /8 range (0: keep the full table)")
 	busyK := flag.Int("busy-k", def.BusyK, "how many busy clusters /busy reports with exact counts")
 	busyCapacity := flag.Int("busy-capacity", 0, "monitored-counter budget for busy-cluster accounting (0: 8x busy-k)")
-	configPath := flag.String("config", "", "watched JSON config file; its keys override flags and hot-reload")
-	configPoll := flag.Duration("config-poll", 2*time.Second, "poll interval for -config changes")
 	flag.String("sink-dir", "", "ignored; kept until benchmark/serving.go stops passing it (ROADMAP 7(f))")
 	flag.Parse()
 
@@ -114,11 +109,6 @@ func main() {
 	// cluster traces alias; the PID salt keeps each binary's sequences in
 	// a disjoint range.
 	obsv.SetTraceIDSalt(uint64(os.Getpid()) << 40)
-
-	// Flags the operator set explicitly — the set a config-file key
-	// shadows loudly rather than silently.
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	// keep restricts the local table to this node's shard range when the
 	// shard flags are set; nil keeps the full table.
@@ -224,47 +214,14 @@ func main() {
 			report.FmtInt(c0.NumPrimary()), report.FmtInt(c0.NumSecondary()), report.FmtInt(c0.NumNodes()))
 	}
 
-	flagTun := node.Tunables{
+	tun := node.Tunables{
 		MaxInflight:  *maxInflight,
 		MaxBatch:     *maxBatch,
 		MaxBodyBytes: *maxBody,
-		ChurnEvery:   appconf.Duration(*churnEvery),
-		DrainTimeout: appconf.Duration(*drainTimeout),
+		ChurnEvery:   *churnEvery,
+		DrainTimeout: *drainTimeout,
 		BusyK:        *busyK,
 		BusyCapacity: *busyCapacity,
-	}
-
-	// The watcher loads the file before the node exists: its first
-	// generation becomes the node's initial tunables, and every later
-	// swap — on the watcher's goroutine — waits until the node is built,
-	// then reloads it.
-	var (
-		n       *node.Node
-		built   = make(chan struct{})
-		tun     = flagTun
-		watcher *appconf.Watcher[fileConfig] // nil without -config
-		file    node.ConfigFile
-	)
-	if *configPath != "" {
-		w, err := appconf.Watch(*configPath, parseFileConfig, appconf.Options[fileConfig]{
-			PollInterval: *configPoll,
-			OnSwap: func(old, cur *appconf.Loaded[fileConfig]) {
-				t := merge(flagTun, cur.Config, explicit, logf)
-				if old == nil {
-					tun = t
-				} else {
-					<-built
-					n.Reload(t)
-				}
-				logf("clusterd: config generation %d applied: max-inflight %d, max-batch %d, churn-every %v",
-					cur.Generation, t.MaxInflight, t.MaxBatch, t.ChurnEvery.Std())
-			},
-			Logf: logf,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		watcher, file = w, w
 	}
 
 	var feed *shard.Feed // non-nil with -feed-serve
@@ -283,69 +240,50 @@ func main() {
 	}
 
 	n, err := node.New(node.Config{
-		Table:      table,
-		Tunables:   tun,
-		Follower:   follower,
-		Feed:       feed,
-		Churn:      gen,
-		Shard:      shardTag,
-		ConfigFile: file,
-		Logf:       logf,
+		Table:    table,
+		Tunables: tun,
+		Follower: follower,
+		Feed:     feed,
+		Churn:    gen,
+		Shard:    shardTag,
+		Logf:     logf,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	close(built)
 	go n.Run(context.Background())
 
+	// Signals are caught before the announce: once a caller has read
+	// "serving on", SIGTERM drains rather than killing the process.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	signal.Ignore(syscall.SIGHUP)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
 	// Announce the resolved address so ':0' users (and tests) can find it.
 	fmt.Fprintf(os.Stderr, "clusterd: serving on http://%s (churn every %v, max-inflight %d)\n",
-		ln.Addr(), n.Tunables().ChurnEvery.Std(), n.Tunables().MaxInflight)
+		ln.Addr(), tun.ChurnEvery, tun.MaxInflight)
 
 	srv := &http.Server{Handler: n.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-loop:
-	for {
-		select {
-		case err := <-errc:
-			fatal(err)
-		case sig := <-sigc:
-			if sig == syscall.SIGHUP {
-				if watcher == nil {
-					fmt.Fprintln(os.Stderr, "clusterd: SIGHUP with no -config file, nothing to reload")
-					continue
-				}
-				if swapped, err := watcher.Reload(); err != nil {
-					fmt.Fprintf(os.Stderr, "clusterd: SIGHUP reload rejected: %v\n", err)
-				} else if swapped {
-					fmt.Fprintf(os.Stderr, "clusterd: SIGHUP reload: generation %d live\n", watcher.Generation())
-				}
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "clusterd: %v, draining\n", sig)
-			break loop
-		}
+	select {
+	case err := <-errc:
+		fatal(err)
+	case sig := <-sigc:
+		fmt.Fprintf(os.Stderr, "clusterd: %v, draining\n", sig)
 	}
 
 	// Graceful drain, in dependency order: the node flips readiness,
 	// stops churning and ends its batch streams; in-flight requests
 	// finish within the drain deadline. The metrics snapshot is written
 	// last, so it counts every request served.
-	dctx, cancel := context.WithTimeout(context.Background(), n.Tunables().DrainTimeout.Std())
+	dctx, cancel := context.WithTimeout(context.Background(), tun.DrainTimeout)
 	defer cancel()
 	if err := n.Shutdown(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "clusterd: drain: batch streams: %v\n", err)
-	}
-	if watcher != nil {
-		watcher.Close()
 	}
 	if err := srv.Shutdown(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "clusterd: drain: %v\n", err)

@@ -112,6 +112,10 @@ func main() {
 	mux.Handle("/metrics.json", debug)
 	mux.Handle("/debug/", debug)
 
+	// Signals are caught before the announce: once a caller has read
+	// "serving on", SIGTERM drains rather than killing the process.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -123,8 +127,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		fatal(err)

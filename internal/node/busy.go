@@ -23,7 +23,6 @@ import (
 type busyTracker struct {
 	mu  sync.Mutex
 	acc *cluster.BoundedAccumulator
-	cfg cluster.BoundedConfig // resolved config the accumulator was built with
 }
 
 func newBusyTracker(cfg cluster.BoundedConfig) (*busyTracker, error) {
@@ -31,13 +30,7 @@ func newBusyTracker(cfg cluster.BoundedConfig) (*busyTracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &busyTracker{acc: acc, cfg: acc.Config()}, nil
-}
-
-// boundedConfig assembles the accumulator sizing from one tunables
-// generation.
-func (t *Tunables) boundedConfig() cluster.BoundedConfig {
-	return cluster.BoundedConfig{K: t.BusyK, Capacity: t.BusyCapacity}
+	return &busyTracker{acc: acc}, nil
 }
 
 // observeMatches folds one resolved batch into the accumulator: one
@@ -54,30 +47,6 @@ func (b *busyTracker) observeMatches(matches []bgp.Match) {
 		b.acc.Observe(m.Prefix, 0)
 	}
 	b.acc.PublishMetrics()
-}
-
-// reconfigure swaps in a freshly sized accumulator when a config
-// reload changes its dimensions. Accounting restarts from zero
-// — resizing a summary in place is not meaningful — so an unchanged
-// config is deliberately a no-op.
-func (b *busyTracker) reconfigure(cfg cluster.BoundedConfig, logf func(string, ...any)) {
-	acc, err := cluster.NewBoundedAccumulator(cfg)
-	if err != nil {
-		// Validation runs at flag/config-parse time; reaching this means a
-		// gap there, and the previous accumulator keeps serving.
-		logf("clusterd: busy tracker reconfigure: %v", err)
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if acc.Config() == b.cfg {
-		return
-	}
-	old := b.acc.Requests()
-	b.cfg = acc.Config()
-	b.acc = acc
-	logf("clusterd: busy tracker resized: k=%d capacity=%d (%d observed requests reset)",
-		b.cfg.K, b.cfg.Capacity, old)
 }
 
 // busyResponse is the GET /busy wire shape.
@@ -106,7 +75,7 @@ func (b *busyTracker) handleBusy(w http.ResponseWriter, r *http.Request) {
 	}
 	b.mu.Lock()
 	if k == 0 {
-		k = b.cfg.K // a reload may be resizing it
+		k = b.acc.Config().K
 	}
 	resp := busyResponse{
 		K:           k,

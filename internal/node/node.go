@@ -14,7 +14,6 @@
 //	GET  /healthz                    liveness + table generation
 //	GET  /readyz                     readiness; a follower also reports
 //	                                 its feed lag in generations
-//	GET  /debug/config               live tunables and config file
 //	GET  /metrics, /metrics.json, /debug/...
 //	                                 obsv debug surface
 //	GET  /feed/deltas, /feed/snapshot, /feed/status
@@ -23,6 +22,10 @@
 // The batch endpoints are admission-controlled: at most MaxInflight
 // batches run at once; beyond that the node answers 503 with
 // Retry-After instead of queueing unboundedly.
+//
+// A node's tunables are fixed for its life. To change one, restart the
+// node: drain it to a snapshot and warm-start it from that file (see
+// cmd/clusterd's -snapshot-out and -table-snapshot).
 package node
 
 import (
@@ -33,9 +36,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/netaware/netcluster/internal/appconf"
 	"github.com/netaware/netcluster/internal/bgpsim"
 	"github.com/netaware/netcluster/internal/churn"
+	"github.com/netaware/netcluster/internal/cluster"
 	"github.com/netaware/netcluster/internal/obsv"
 	"github.com/netaware/netcluster/internal/shard"
 )
@@ -52,17 +55,16 @@ var (
 	batchLookupSpan = obsv.ChildSpan("clusterd.batch.lookup")
 )
 
-// Tunables is one resolved configuration generation. Request handlers
-// read it through one atomic pointer load, so a Reload lands between
-// requests, never inside one.
+// Tunables size a node's admission, batch limits, churn cadence and
+// busy-cluster accounting.
 type Tunables struct {
-	MaxInflight  int              `json:"max_inflight"`
-	MaxBatch     int              `json:"max_batch"`
-	MaxBodyBytes int64            `json:"max_body_bytes"`
-	ChurnEvery   appconf.Duration `json:"churn_every"`
-	DrainTimeout appconf.Duration `json:"drain_timeout"`
-	BusyK        int              `json:"busy_k"`
-	BusyCapacity int              `json:"busy_capacity"`
+	MaxInflight  int
+	MaxBatch     int
+	MaxBodyBytes int64
+	ChurnEvery   time.Duration // 0: no local churn
+	DrainTimeout time.Duration
+	BusyK        int
+	BusyCapacity int
 }
 
 // DefaultTunables are clusterd's flag defaults.
@@ -71,16 +73,10 @@ func DefaultTunables() Tunables {
 		MaxInflight:  8,
 		MaxBatch:     shard.DefaultMaxBatch,
 		MaxBodyBytes: shard.DefaultMaxBody,
-		ChurnEvery:   appconf.Duration(2 * time.Second),
-		DrainTimeout: appconf.Duration(10 * time.Second),
+		ChurnEvery:   2 * time.Second,
+		DrainTimeout: 10 * time.Second,
 		BusyK:        100,
 	}
-}
-
-// ConfigFile is the watched config file /readyz and /debug/config
-// report; clusterd's *appconf.Watcher is one.
-type ConfigFile interface {
-	Status() appconf.Status
 }
 
 // Config is what a node is built from: the table its boot produced and
@@ -88,7 +84,7 @@ type ConfigFile interface {
 type Config struct {
 	// Table is the table the node serves; on a follower, Follower.Table.
 	Table *churn.Table
-	// Tunables is the first configuration generation.
+	// Tunables are fixed for the node's life.
 	Tunables Tunables
 
 	// Follower, on a shard or replica node, keeps Table in step with a
@@ -104,18 +100,13 @@ type Config struct {
 	// Shard is a sharded node's index in the shard map, the "shard"
 	// attribute of its request spans; empty on an unsharded node.
 	Shard string
-	// ConfigFile, when set, is reported by /readyz and /debug/config.
-	ConfigFile ConfigFile
-	// Logf receives churn swaps and busy-tracker resizes; nil discards.
+	// Logf receives churn swaps; nil discards.
 	Logf func(format string, args ...any)
 }
 
 // Node is one serving clusterd node.
 type Node struct {
 	cfg     Config
-	tun     atomic.Pointer[Tunables]
-	sem     *dynamicSemaphore
-	busy    *busyTracker
 	batch   *shard.BatchHandler
 	mux     *http.ServeMux
 	started time.Time
@@ -132,35 +123,25 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	busy, err := newBusyTracker(cfg.Tunables.boundedConfig())
+	tun := cfg.Tunables
+	busy, err := newBusyTracker(cluster.BoundedConfig{K: tun.BusyK, Capacity: tun.BusyCapacity})
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		cfg:     cfg,
-		sem:     newDynamicSemaphore(cfg.Tunables.MaxInflight),
-		busy:    busy,
-		started: time.Now(),
-	}
+	n := &Node{cfg: cfg, started: time.Now()}
 	n.stopped, n.stop = context.WithCancel(context.Background())
-	tun := cfg.Tunables
-	n.tun.Store(&tun)
 
 	// The shared batch-serving core with this node's policy around it:
-	// the admission semaphore, the limits of one pinned config generation
-	// — a reload cannot change the rules on a request it already admitted
-	// — and the busy-cluster accumulator every resolved batch folds into.
+	// the admission cap, the limits, and the busy-cluster accumulator
+	// every resolved batch folds into.
 	n.batch = &shard.BatchHandler{
 		Table:     cfg.Table,
 		BatchSpan: batchSpan,
 		TableSpan: batchLookupSpan,
 		Batches:   batchCount,
 		Addrs:     batchAddrs,
-		Limits: func() shard.Limits {
-			tun := n.tun.Load()
-			return shard.Limits{MaxBatch: tun.MaxBatch, MaxBody: tun.MaxBodyBytes}
-		},
-		Admission: admission{n.sem},
+		Limits:    shard.Limits{MaxBatch: tun.MaxBatch, MaxBody: tun.MaxBodyBytes},
+		Admission: &admission{max: int64(tun.MaxInflight)},
 		Observe:   busy.observeMatches,
 	}
 	if cfg.Shard != "" {
@@ -174,7 +155,6 @@ func New(cfg Config) (*Node, error) {
 	mux.HandleFunc("/busy", busy.handleBusy)
 	mux.HandleFunc("/healthz", n.handleHealthz)
 	mux.HandleFunc("/readyz", n.handleReadyz)
-	mux.HandleFunc("/debug/config", n.handleDebugConfig)
 	if cfg.Feed != nil {
 		fh := cfg.Feed.Handler()
 		mux.Handle(shard.DeltasPath, fh)
@@ -192,21 +172,10 @@ func New(cfg Config) (*Node, error) {
 // Handler returns the node's mux.
 func (n *Node) Handler() http.Handler { return n.mux }
 
-// Tunables returns the live configuration generation.
-func (n *Node) Tunables() Tunables { return *n.tun.Load() }
-
-// Reload swaps in a new configuration generation: the limits, the
-// admission cap, the churn cadence and the busy-cluster sizing all
-// retarget on the live node.
-func (n *Node) Reload(t Tunables) {
-	n.tun.Store(&t)
-	n.sem.SetCap(t.MaxInflight)
-	n.busy.reconfigure(t.boundedConfig(), n.cfg.Logf)
-}
-
 // Run drives the node's table until ctx is done or Shutdown is called:
 // a follower follows its feed (Follower.Run), any other node applies
-// its churn source every ChurnEvery, through the feed on a compiler.
+// its churn source every ChurnEvery, through the feed on a compiler, and
+// a node with neither (or ChurnEvery 0) just waits.
 func (n *Node) Run(ctx context.Context) {
 	n.running.Lock()
 	defer n.running.Unlock()
@@ -216,31 +185,22 @@ func (n *Node) Run(ctx context.Context) {
 	switch {
 	case n.cfg.Follower != nil:
 		n.cfg.Follower.Run(ctx)
-	case n.cfg.Churn != nil:
+	case n.cfg.Churn != nil && n.cfg.Tunables.ChurnEvery > 0:
 		n.churn(ctx)
 	default:
 		<-ctx.Done()
 	}
 }
 
-// churn is the local churn loop. It re-reads its cadence each lap, so a
-// reload retunes (or pauses) it without a restart. While disabled it
-// idles on a 1 s re-check instead of exiting, so churn can be
-// hot-enabled.
+// churn is the local churn loop: one delta every ChurnEvery.
 func (n *Node) churn(ctx context.Context) {
+	tick := time.NewTicker(n.cfg.Tunables.ChurnEvery)
+	defer tick.Stop()
 	for {
-		every := n.tun.Load().ChurnEvery.Std()
-		wait := every
-		if every <= 0 {
-			wait = time.Second
-		}
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(wait):
-		}
-		if every <= 0 {
-			continue
+		case <-tick.C:
 		}
 		// A compiler node publishes through the feed so the delta is
 		// sequenced and retained for followers before anything else
@@ -304,17 +264,11 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: whether this node should receive traffic
-// right now. False while draining and while the watched config file is
-// failing validation.
+// right now. False while draining.
 func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	if n.draining.Load() {
 		reasons = append(reasons, "draining")
-	}
-	if n.cfg.ConfigFile != nil {
-		if err := n.cfg.ConfigFile.Status().Err; err != nil {
-			reasons = append(reasons, "config rejected: "+err.Error())
-		}
 	}
 	ready := len(reasons) == 0
 	w.Header().Set("Content-Type", "application/json")
@@ -338,83 +292,29 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// handleDebugConfig shows the effective runtime configuration: the
-// resolved tunables and the config-file generation (0 when running on
-// flags alone).
-func (n *Node) handleDebugConfig(w http.ResponseWriter, r *http.Request) {
-	body := struct {
-		Generation uint64     `json:"generation"`
-		Path       string     `json:"path,omitempty"`
-		LoadedAt   *time.Time `json:"loaded_at,omitempty"`
-		Effective  *Tunables  `json:"effective"`
-		LastError  string     `json:"last_error,omitempty"`
-	}{Effective: n.tun.Load()}
-	if n.cfg.ConfigFile != nil {
-		st := n.cfg.ConfigFile.Status()
-		body.Generation, body.Path, body.LoadedAt = st.Generation, st.Path, &st.LoadedAt
-		if st.Err != nil {
-			body.LastError = st.Err.Error()
+// admission is the batch admission gate: at most max batches run at
+// once, with the rejection and in-flight accounting around it. It never
+// blocks (backpressure answers 503, it does not queue).
+type admission struct {
+	max  int64
+	used atomic.Int64
+}
+
+func (a *admission) TryAcquire() bool {
+	for {
+		used := a.used.Load()
+		if used >= a.max {
+			batchRejected.Inc()
+			return false
+		}
+		if a.used.CompareAndSwap(used, used+1) {
+			inflightGauge.Add(1)
+			return true
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
 }
 
-// admission is the batch admission gate: the dynamic semaphore plus the
-// rejection and in-flight accounting around it.
-type admission struct{ sem *dynamicSemaphore }
-
-func (a admission) TryAcquire() bool {
-	if !a.sem.TryAcquire() {
-		batchRejected.Inc()
-		return false
-	}
-	inflightGauge.Add(1)
-	return true
-}
-
-func (a admission) Release() {
-	a.sem.Release()
+func (a *admission) Release() {
+	a.used.Add(-1)
 	inflightGauge.Add(-1)
-}
-
-// dynamicSemaphore is an admission semaphore whose capacity can be
-// retargeted live (a channel's cannot). Shrinking below the in-flight
-// count never evicts running work — admissions just stay closed until
-// the count drains under the new cap.
-type dynamicSemaphore struct {
-	mu   sync.Mutex
-	cap  int
-	used int
-}
-
-func newDynamicSemaphore(n int) *dynamicSemaphore {
-	return &dynamicSemaphore{cap: n}
-}
-
-// TryAcquire admits the caller if capacity allows; it never blocks
-// (backpressure answers 503, it does not queue).
-func (d *dynamicSemaphore) TryAcquire() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.used >= d.cap {
-		return false
-	}
-	d.used++
-	return true
-}
-
-func (d *dynamicSemaphore) Release() {
-	d.mu.Lock()
-	d.used--
-	d.mu.Unlock()
-}
-
-// SetCap retargets the admission limit; in-flight work is untouched.
-func (d *dynamicSemaphore) SetCap(n int) {
-	d.mu.Lock()
-	d.cap = n
-	d.mu.Unlock()
 }

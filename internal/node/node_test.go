@@ -80,10 +80,10 @@ func TestReadyzReportsOwnFollowerLag(t *testing.T) {
 }
 
 // TestRoutedAdmissionRefusalDegrades: a shard node's admission control
-// reaches the router. With max_inflight 1 and the one slot held by a
-// batch still sending its body, the shard refuses the router's batch
-// with 503, which the router reports as that shard's degradation; once
-// the slot frees, the same batch answers clean.
+// reaches the router. With every admission slot held by a batch still
+// sending its body, the shard refuses the router's batch with 503, which
+// the router reports as that shard's degradation; once the slots free,
+// the same batch answers clean.
 func TestRoutedAdmissionRefusalDegrades(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{Shards: 2, ASes: 120, Seed: 5})
 	if err != nil {
@@ -91,18 +91,20 @@ func TestRoutedAdmissionRefusalDegrades(t *testing.T) {
 	}
 	defer c.Close()
 	n := c.nodeSrvs[1].node
-	tun := n.Tunables()
-	tun.MaxInflight = 1
-	n.Reload(tun)
 
-	slow, feed := io.Pipe()
-	held := make(chan int)
-	go func() {
-		rec := httptest.NewRecorder()
-		n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster", slow))
-		held <- rec.Code
-	}()
-	feed.Write([]byte("10.0.0.1\n")) // returns once the handler is reading: the slot is taken
+	slots := DefaultTunables().MaxInflight
+	feeds := make([]*io.PipeWriter, slots)
+	held := make(chan int, slots)
+	for i := range feeds {
+		slow, feed := io.Pipe()
+		feeds[i] = feed
+		go func() {
+			rec := httptest.NewRecorder()
+			n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster", slow))
+			held <- rec.Code
+		}()
+		feed.Write([]byte("10.0.0.1\n")) // returns once the handler is reading: a slot is taken
+	}
 
 	addrs := probes(64)
 	rejected := batchRejected.Value()
@@ -119,12 +121,16 @@ func TestRoutedAdmissionRefusalDegrades(t *testing.T) {
 		t.Fatalf("clusterd.batch.rejected moved by %d, want 1", got)
 	}
 
-	feed.Close()
-	if code := <-held; code != http.StatusOK {
-		t.Fatalf("held batch answered %d", code)
+	for _, feed := range feeds {
+		feed.Close()
+	}
+	for range feeds {
+		if code := <-held; code != http.StatusOK {
+			t.Fatalf("held batch answered %d", code)
+		}
 	}
 	if resp := c.Router.BatchCtx(context.Background(), addrs); len(resp.Degradation) != 0 {
-		t.Fatalf("degraded after the slot freed: %v", resp.Degradation)
+		t.Fatalf("degraded after the slots freed: %v", resp.Degradation)
 	}
 }
 
@@ -152,33 +158,4 @@ func TestRoutedBusyCountsShardAddresses(t *testing.T) {
 			t.Fatalf("shard %d /busy = %d, %d requests; want %d", i, code, busy.Requests, want)
 		}
 	}
-}
-
-// TestBusyBesideResize reads /busy while a reload resizes the busy
-// accumulator; under -race it fails if /busy reads the configured K
-// outside the tracker's lock.
-func TestBusyBesideResize(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Shards: 1, ASes: 120, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	n := c.nodeSrvs[0].node
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for k := 1; k <= 50; k++ {
-			tun := n.Tunables()
-			tun.BusyK = k
-			n.Reload(tun)
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		rec := httptest.NewRecorder()
-		n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/busy", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET /busy = %d", rec.Code)
-		}
-	}
-	<-done
 }

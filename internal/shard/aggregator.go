@@ -63,6 +63,10 @@ type AggregatorConfig struct {
 	Now func() time.Time
 }
 
+// maxSnapshotBytes caps a member's /metrics.json answer, hundreds of
+// times what a clusterd's registry renders to (a few KiB).
+const maxSnapshotBytes = 4 << 20
+
 // loadCounter is the per-shard work counter the imbalance gauges are
 // derived from: the addresses a node's batch endpoints answered.
 const loadCounter = "clusterd.batch.addrs"
@@ -156,7 +160,11 @@ func (a *Aggregator) pull(ctx context.Context, base string) (obsv.Snapshot, erro
 		return obsv.Snapshot{}, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	var snap obsv.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	body, err := readCapped(nil, resp.Body, resp.ContentLength, maxSnapshotBytes)
+	if err == nil {
+		err = json.Unmarshal(body, &snap)
+	}
+	if err != nil {
 		return obsv.Snapshot{}, err
 	}
 	return snap, nil

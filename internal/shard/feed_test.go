@@ -2,7 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/netaware/netcluster/internal/bgp"
@@ -185,6 +190,57 @@ func TestFeedDeltasHTTPValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {
 			t.Errorf("GET %s = %d, want %d", tc.url, resp.StatusCode, tc.code)
+		}
+	}
+}
+
+// paddedAnswer serves body to every request: valid JSON, then spaces up
+// to size bytes. With declared set it sends a Content-Length; otherwise
+// the answer is chunked and its size shows only as it is read.
+func paddedAnswer(t *testing.T, body string, size int, declared bool) *httptest.Server {
+	t.Helper()
+	body += strings.Repeat(" ", size-len(body))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if declared {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		}
+		io.WriteString(w, body)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestLagCapsStatus: a /feed/status answer of maxStatusBytes decodes,
+// one byte more is an error whose head is never decoded into a lag.
+func TestLagCapsStatus(t *testing.T) {
+	for _, declared := range []bool{false, true} {
+		f := &Follower{Base: paddedAnswer(t, `{"head":5}`, maxStatusBytes, declared).URL}
+		if lag, err := f.Lag(context.Background()); err != nil || lag != 5 {
+			t.Fatalf("declared=%v: %d-byte status: lag %d, %v; want 5", declared, maxStatusBytes, lag, err)
+		}
+		f = &Follower{Base: paddedAnswer(t, `{"head":5}`, maxStatusBytes+1, declared).URL}
+		if lag, err := f.Lag(context.Background()); !errors.Is(err, errBodyTooLarge) || lag != 0 || f.LastLag() != 0 {
+			t.Fatalf("declared=%v: oversized status: lag %d (last %d), %v; want errBodyTooLarge", declared, lag, f.LastLag(), err)
+		}
+	}
+}
+
+// TestAggregatorCapsSnapshot: a member's /metrics.json answer of
+// maxSnapshotBytes decodes, one byte more is an error and never decoded.
+func TestAggregatorCapsSnapshot(t *testing.T) {
+	a, err := NewAggregator(AggregatorConfig{Members: func() []Member { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"counters":{"clusterd.batches":7}}`
+	for _, declared := range []bool{false, true} {
+		snap, err := a.pull(context.Background(), paddedAnswer(t, body, maxSnapshotBytes, declared).URL)
+		if err != nil || snap.Counters["clusterd.batches"] != 7 {
+			t.Fatalf("declared=%v: %d-byte snapshot: %v, %v", declared, maxSnapshotBytes, snap, err)
+		}
+		snap, err = a.pull(context.Background(), paddedAnswer(t, body, maxSnapshotBytes+1, declared).URL)
+		if !errors.Is(err, errBodyTooLarge) || snap.Counters != nil {
+			t.Fatalf("declared=%v: oversized snapshot: %v, %v; want errBodyTooLarge", declared, snap, err)
 		}
 	}
 }

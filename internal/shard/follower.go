@@ -35,6 +35,10 @@ var (
 // caller doesn't set one.
 const DefaultPollEvery = 200 * time.Millisecond
 
+// maxStatusBytes caps a /feed/status answer; a real one is three numbers,
+// under 100 bytes.
+const maxStatusBytes = 4 << 10
+
 // Follower tails a Feed over HTTP and keeps a local churn.Table in
 // lockstep: every published delta advances the local generation by
 // exactly one, filtered down to the shard's owned range when Keep is
@@ -250,7 +254,11 @@ func (f *Follower) Lag(ctx context.Context) (uint64, error) {
 	var st struct {
 		Head uint64 `json:"head"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	body, err := readCapped(nil, resp.Body, resp.ContentLength, maxStatusBytes)
+	if err == nil {
+		err = json.Unmarshal(body, &st)
+	}
+	if err != nil {
 		return 0, fmt.Errorf("feed status: %w", err)
 	}
 	var lag uint64

@@ -68,10 +68,9 @@ type BatchHandler struct {
 	// Batches counts admitted requests, Addrs the addresses answered.
 	Batches, Addrs *obsv.Counter
 
-	// Limits, when set, is read once per request, so a reload cannot
-	// change the rules on a request already admitted. Nil means
-	// DefaultMaxBatch and DefaultMaxBody.
-	Limits func() Limits
+	// Limits bounds each request; a zero field means DefaultMaxBatch or
+	// DefaultMaxBody.
+	Limits Limits
 	// Admission, when set, is asked before the body is read.
 	Admission Admission
 	// Observe, when set, sees every resolved batch before it is answered.
@@ -122,10 +121,14 @@ func (h *BatchHandler) startSpan(ctx context.Context) (context.Context, obsv.Laz
 }
 
 func (h *BatchHandler) limits() Limits {
-	if h.Limits != nil {
-		return h.Limits()
+	lim := h.Limits
+	if lim.MaxBatch == 0 {
+		lim.MaxBatch = DefaultMaxBatch
 	}
-	return Limits{MaxBatch: DefaultMaxBatch, MaxBody: DefaultMaxBody}
+	if lim.MaxBody == 0 {
+		lim.MaxBody = DefaultMaxBody
+	}
+	return lim
 }
 
 // resolve answers sc.addrs into sc.rows and returns the generation that

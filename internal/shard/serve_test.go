@@ -167,7 +167,7 @@ func postOversized(t *testing.T, url string) {
 
 func TestBatchHandlerCapsBatchBody(t *testing.T) {
 	h := testNode(fixtureTables()[0], 0)
-	h.Limits = func() Limits { return Limits{MaxBatch: 2, MaxBody: DefaultMaxBody} }
+	h.Limits = Limits{MaxBatch: 2}
 	srv := httptest.NewServer(mount(h))
 	defer srv.Close()
 	postOversized(t, srv.URL+"/cluster")

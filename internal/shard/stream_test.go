@@ -100,7 +100,7 @@ func TestServeStreamAnswers(t *testing.T) {
 	good := streamRequest(7, 9, AppendRequestFrame(nil, probe))
 	lim := Limits{MaxBatch: 3, MaxBody: 64}
 	handler := func() *BatchHandler {
-		return &BatchHandler{Table: table, Batches: new(obsv.Counter), Addrs: new(obsv.Counter), Limits: func() Limits { return lim }}
+		return &BatchHandler{Table: table, Batches: new(obsv.Counter), Addrs: new(obsv.Counter), Limits: lim}
 	}
 	wantGood := func(t *testing.T, echo, frame []byte, status int) {
 		t.Helper()
@@ -145,7 +145,7 @@ func TestServeStreamAnswers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := handler()
-			h.Limits = func() Limits { return tc.lim }
+			h.Limits = tc.lim
 			conn := &scriptConn{}
 			conn.in.Reset(append(append([]byte(nil), tc.request...), good...))
 			h.serveStream(&nodeStream{conn: conn})
@@ -403,7 +403,7 @@ func FuzzServeStream(f *testing.F) {
 	}
 	table := fixtureTables()[0]
 	lim := Limits{MaxBatch: 64, MaxBody: 200}
-	h := &BatchHandler{Table: table, Batches: new(obsv.Counter), Addrs: new(obsv.Counter), Limits: func() Limits { return lim }}
+	h := &BatchHandler{Table: table, Batches: new(obsv.Counter), Addrs: new(obsv.Counter), Limits: lim}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := &scriptConn{}
 		conn.in.Reset(data)
